@@ -17,10 +17,9 @@ import sys
 
 from . import serialize
 from .errors import ToricQError, ValidationError
-from .groups import chart_index_sets, gamma_group, quasilattice_rank
+from .groups import chart_index_sets, gamma_group
 from .moment import SolverConfig, retract
 from .orbits import classify_orbit, equivalent
-from .polytope import singularity_depth
 from .strata import build_stratification
 from .verify import run_verification
 
@@ -39,8 +38,7 @@ def analyze_report(instance) -> dict:
     quasilattice rank, and the full chart-group table."""
     p = instance.polytope
     lat = p.face_lattice()
-    depths, depth = singularity_depth(lat)
-    rank, _ = quasilattice_rank(p.quasilattice)
+    rank, _ = p.quasilattice.rank_certificate()
     charts = chart_index_sets(p, lat)
     table = [serialize.presentation_to_json(gamma_group(p, I, lat))
              for I in charts]
@@ -49,7 +47,7 @@ def analyze_report(instance) -> dict:
             "vertex_count": len(lat.vertices()),
             "regular_faces": sum(1 for f in lat.faces if f.regular),
             "singular_faces": len(lat.singular_faces()),
-            "depth": depth,
+            "depth": lat.polytope_depth,
             "face_depths": {serialize.face_key(f): f.depth for f in lat.faces},
             "quasilattice_rank": rank,
             "is_lattice": p.quasilattice.is_lattice,

@@ -4,8 +4,8 @@ A :class:`NumberField` is Q(t) for one real root t of an irreducible
 integer polynomial, pinned down by a rational isolating interval.  Elements
 (:class:`FieldScalar`) are coefficient vectors with respect to the power
 basis 1, t, ..., t^(k-1); all ring operations are exact, comparisons are
-decided by refining the root interval, and :func:`float_shadow` produces a
-float together with a rigorous error bound.
+decided by refining the root interval, and :meth:`FieldScalar.shadow`
+produces a float together with a rigorous error bound.
 
 Degree 1 collapses to plain rational arithmetic.
 """
@@ -439,16 +439,6 @@ class FieldScalar:
         if self.is_rational():
             return f"FieldScalar({self.coeffs[0]})"
         return f"FieldScalar({list(self.coeffs)})"
-
-
-def float_shadow(s: FieldScalar, precision: int = 53) -> tuple[float, float]:
-    """Module-level spelling of :meth:`FieldScalar.shadow`."""
-    return s.shadow(precision)
-
-
-def sign(s: FieldScalar) -> int:
-    """Module-level spelling of :meth:`FieldScalar.sign`."""
-    return s.sign()
 
 
 # Dense polynomial helpers over Fraction, little-endian coefficient lists.

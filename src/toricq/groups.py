@@ -83,15 +83,6 @@ class Quasilattice:
         return f"Quasilattice(n={self.ambient_dim}, generators={len(self.generators)})"
 
 
-def quasilattice_rank(q: Quasilattice) -> tuple[int, list[list[FieldScalar]]]:
-    """Exact Z-rank of the generator set plus a basis certificate."""
-    return q.rank_certificate()
-
-
-def quasilattice_membership(q: Quasilattice, v) -> bool:
-    return q.contains(v)
-
-
 @dataclass
 class SequenceData:
     """Exact data of 0 -> kernel -> R^d -> ambient -> 0 and its dual."""
@@ -178,12 +169,24 @@ class DiscreteGroupPresentation:
 
 
 def _chart_preimage(p: "Polytope", index_set, target) -> list[FieldScalar]:
-    """theta supported on the chart with sum theta_j X_j = target."""
-    rows = [[p.normals[j - 1][i] for j in index_set] for i in range(p.n)]
-    sol = linalg.solve_unique(rows, target, p.field)
-    if sol is None:
-        raise PreconditionError("chart normals are not a basis")
-    return sol
+    """theta supported on the chart with sum theta_j X_j = target.
+
+    The inverse of the chart matrix is computed once per chart and kept on
+    the polytope."""
+    I = tuple(index_set)
+    inverse = p._chart_inverses.get(I)
+    if inverse is None:
+        field = p.field
+        n = p.n
+        aug = [[p.normals[j - 1][i] for j in I]
+               + [field.one() if c == i else field.zero() for c in range(n)]
+               for i in range(n)]
+        red, pivots, _ = linalg._rref(aug, n)
+        if pivots != list(range(n)):
+            raise PreconditionError("chart normals are not a basis")
+        inverse = [row[n:] for row in red]
+        p._chart_inverses[I] = inverse
+    return linalg.mat_vec(inverse, target)
 
 
 def _validate_chart(p: "Polytope", lat: "FaceLattice", index_set) -> tuple[int, ...]:

@@ -57,10 +57,6 @@ def column_echelon(cols: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def lattice_rank(cols: list[list[int]]) -> int:
-    return len(column_echelon(cols))
-
-
 def in_column_lattice(cols: list[list[int]], target: Sequence[int]) -> bool:
     """Exact membership of target in the integer column span."""
     basis = column_echelon(cols)
@@ -169,50 +165,24 @@ def quotient_invariants(images: Sequence[Sequence[Fraction]], n: int) -> tuple[i
     """Order and invariant factors of (Z^n + sum Z*v) / Z^n.
 
     The images v must be rational n-vectors; the quotient is then finite.
+    With D the common denominator, D*(Z^n + sum Z*v) is the column lattice
+    of the n x (n+k) matrix [D*I | D*v].  If the Smith diagonal of that
+    matrix is d_1 | ... | d_n, the quotient is the sum of the cyclic groups
+    Z/(D/d_i), so its invariant factors are the D/d_i, sorted.
     Returns (order, nontrivial invariant factors).
     """
     if not images:
         return 1, []
     denom, cleared = clear_denominators(list(images))
-    cols = [[denom if r == j else 0 for r in range(n)] for j in range(n)]
-    cols.extend(cleared)
-    basis = column_echelon(cols)  # basis of denom * L, full rank n
-    if len(basis) != n:
+    rows = [[denom if c == r else 0 for c in range(n)] + [v[r] for v in cleared]
+            for r in range(n)]
+    diag = smith_diagonal(rows)
+    if len(diag) != n:
         raise ValueError("quotient lattice is not full rank")
-    # coordinates of denom * Z^n in that basis: solve basis @ M = denom * I
-    mat = _solve_integer_columns(basis, denom, n)
-    diag = smith_diagonal(mat)
+    if any(denom % d for d in diag):
+        raise ValueError("sublattice coordinates are not integral")
+    factors = sorted(denom // d for d in diag)
     order = 1
-    for d in diag:
-        order *= d
-    factors = [d for d in diag if d > 1]
-    return order, factors
-
-
-def _solve_integer_columns(basis: list[list[int]], denom: int, n: int) -> list[list[int]]:
-    """M with basis @ M = denom*I, exact; entries must come out integral."""
-    frac_basis = [[Fraction(basis[j][r]) for j in range(n)] for r in range(n)]  # rows
-    out = [[0] * n for _ in range(n)]
-    for k in range(n):
-        rhs = [Fraction(denom) if r == k else Fraction(0) for r in range(n)]
-        x = _frac_solve(frac_basis, rhs)
-        for j in range(n):
-            if x[j].denominator != 1:
-                raise ValueError("sublattice coordinates are not integral")
-            out[j][k] = int(x[j])
-    return out
-
-
-def _frac_solve(rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    n = len(rows)
-    aug = [list(rows[i]) + [b[i]] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+    for f in factors:
+        order *= f
+    return order, [f for f in factors if f > 1]

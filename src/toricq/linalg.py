@@ -43,9 +43,16 @@ def transpose(rows):
 
 
 def _rref(rows, ncols):
-    """Row-reduce in place (on a copy); returns (reduced rows, pivot cols)."""
+    """Row-reduce (on a copy); returns (reduced rows, pivot cols, pivot
+    values).
+
+    The pivot values are the entries divided by, each negated when a row
+    swap brought it into place, so for a square nonsingular matrix their
+    product is the determinant.
+    """
     work = [list(r) for r in rows]
     pivots = []
+    values = []
     r = 0
     for c in range(ncols):
         pivot_row = None
@@ -55,8 +62,10 @@ def _rref(rows, ncols):
                 break
         if pivot_row is None:
             continue
+        pivot = work[pivot_row][c]
+        values.append(pivot if pivot_row == r else -pivot)
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c].inverse()
+        inv = pivot.inverse()
         work[r] = [inv * x for x in work[r]]
         for i in range(len(work)):
             if i != r and not work[i][c].is_zero():
@@ -66,7 +75,7 @@ def _rref(rows, ncols):
         r += 1
         if r == len(work):
             break
-    return work, pivots
+    return work, pivots, values
 
 
 def rank(rows, ncols: int) -> int:
@@ -80,7 +89,7 @@ def nullspace(rows, ncols: int, field: NumberField):
     if not rows:
         return [[field.one() if i == j else field.zero() for i in range(ncols)]
                 for j in range(ncols)]
-    red, pivots = _rref(rows, ncols)
+    red, pivots, _ = _rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -95,7 +104,7 @@ def nullspace(rows, ncols: int, field: NumberField):
 def solve(rows, b, ncols: int, field: NumberField):
     """One solution of A x = b (free variables set to zero), or None."""
     aug = [list(r) + [bb] for r, bb in zip(rows, b)]
-    red, pivots = _rref(aug, ncols)
+    red, pivots, _ = _rref(aug, ncols)
     # inconsistent iff a pivot lands in the augmented column
     for row in red:
         if all(row[c].is_zero() for c in range(ncols)) and not row[ncols].is_zero():
@@ -110,7 +119,7 @@ def solve_unique(rows, b, field: NumberField):
     """Solution of a square nonsingular system, or None if singular."""
     n = len(rows)
     aug = [list(r) + [bb] for r, bb in zip(rows, b)]
-    red, pivots = _rref(aug, n)
+    red, pivots, _ = _rref(aug, n)
     if len(pivots) != n or pivots != list(range(n)):
         return None
     return [red[i][n] for i in range(n)]
@@ -125,25 +134,12 @@ def in_span(vectors, v, ncols: int, field: NumberField):
 
 
 def det(rows, field: NumberField) -> FieldScalar:
-    """Determinant by fraction-full elimination."""
-    n = len(rows)
-    work = [list(r) for r in rows]
+    """Determinant of a square matrix: the signed pivot product of its
+    elimination."""
+    _, pivots, values = _rref(rows, len(rows))
+    if len(pivots) < len(rows):
+        return field.zero()
     result = field.one()
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return field.zero()
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result = result * work[c][c]
-        inv = work[c][c].inverse()
-        for i in range(c + 1, n):
-            if not work[i][c].is_zero():
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    for v in values:
+        result = result * v
     return result

@@ -18,23 +18,20 @@ from typing import Sequence
 
 import numpy as np
 
-from . import intlat, linalg
+from . import linalg
 from .errors import DomainError, PreconditionError, ValidationError
-from .groups import _expand
+from .groups import Quasilattice
 from .moment import MomentData, RetractionResult, SolverConfig, moment_data, retract
 from .polytope import Face, FaceLattice, Polytope
 
 MAXIMAL_PIECE = "maximal piece"
 
-_MOMENT_CACHE: dict[int, MomentData] = {}
-
 
 def _moment_for(p: Polytope) -> MomentData:
-    md = _MOMENT_CACHE.get(id(p))
-    if md is None or md.polytope is not p:
-        md = moment_data(p)
-        _MOMENT_CACHE[id(p)] = md
-    return md
+    """The polytope's moment data, built once and kept on the polytope."""
+    if p._moment is None:
+        p._moment = moment_data(p)
+    return p._moment
 
 
 class ExactVector:
@@ -196,6 +193,13 @@ def _ann_basis(p: Polytope, zero_labels):
     return linalg.nullspace(rows, p.n, p.field)
 
 
+def _image_group(p: Polytope, ann) -> Quasilattice:
+    """The quasilattice's image under the functionals ``ann``: the group
+    phase differences are tested against."""
+    images = [[linalg.dot(f, g) for f in ann] for g in p.quasilattice.generators]
+    return Quasilattice(p.field, images, validate=False)
+
+
 def _phase_shift_in_n_exact(p: Polytope, support, zero_labels, delta) -> bool:
     """Whether a phase shift (delta_j turns on the support, free elsewhere)
     extends to an element of the kernel subgroup: exact integer test."""
@@ -207,11 +211,7 @@ def _phase_shift_in_n_exact(p: Polytope, support, zero_labels, delta) -> bool:
     if not ann:
         return True
     target = [linalg.dot(f, u) for f in ann]
-    gen_images = [[linalg.dot(f, g) for f in ann]
-                  for g in p.quasilattice.generators]
-    flat = [_expand(img) for img in gen_images] + [_expand(target)]
-    _, cleared = intlat.clear_denominators(flat)
-    return intlat.in_column_lattice(cleared[:-1], cleared[-1])
+    return _image_group(p, ann).contains(target)
 
 
 def _phase_shift_in_n_float(p: Polytope, support, zero_labels, delta,
@@ -225,22 +225,11 @@ def _phase_shift_in_n_float(p: Polytope, support, zero_labels, delta,
     membership-with-tolerance test; for dense images it degrades to a
     small-coefficient heuristic, which is why this path is always flagged
     approximate."""
-    from fractions import Fraction
-
-    from .groups import _unexpand
-
-    field = p.field
     ann = _ann_basis(p, zero_labels)
     if not ann:
         return True
     k = len(ann)
-    images = [[linalg.dot(f, g) for f in ann]
-              for g in p.quasilattice.generators]
-    flat = [_expand(v) for v in images]
-    denom, cleared = intlat.clear_denominators(flat)
-    echelon = intlat.column_echelon(cleared)
-    basis = [_unexpand(field, [Fraction(c, denom) for c in col], k)
-             for col in echelon]
+    _, basis = _image_group(p, ann).rank_certificate()
     Ff = np.array([[s.shadow(53)[0] for s in f] for f in ann])
     Xf = np.array([[s.shadow(53)[0] for s in x] for x in p.normals])
     u = np.zeros(p.n)

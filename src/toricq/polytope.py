@@ -152,6 +152,8 @@ class Polytope:
         if len(self.offsets) != self.d:
             raise ValidationError("offsets and normals disagree in length")
         self._lattice: FaceLattice | None = None
+        self._chart_inverses: dict[tuple[int, ...], list] = {}
+        self._moment = None    # MomentData, built by orbits._moment_for
         if validate:
             self._validate()
             self.face_lattice()
@@ -291,13 +293,3 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope(n={self.n}, d={self.d})"
-
-
-def enumerate_faces(p: Polytope) -> FaceLattice:
-    """Build (or fetch) the exact face lattice."""
-    return p.face_lattice()
-
-
-def singularity_depth(lat: FaceLattice) -> tuple[dict[tuple[int, ...], int], int]:
-    """Per-face depths keyed by index set, and the polytope depth."""
-    return lat.depths(), lat.polytope_depth

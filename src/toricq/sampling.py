@@ -17,8 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError
-from .groups import chart_index_sets
-from .orbits import OrbitClass
+from .groups import _chart_preimage, chart_index_sets
+from .orbits import OrbitClass, _moment_for
 from .polytope import Face, Polytope
 
 
@@ -28,8 +28,7 @@ class Sampler:
         self.lat = p.face_lattice()
         self.rng = random.Random(seed)
         self._charts = chart_index_sets(p, self.lat)
-        from .moment import moment_data
-        self.md = moment_data(p)
+        self.md = _moment_for(p)
 
     # -- points -----------------------------------------------------------
 
@@ -98,10 +97,7 @@ class Sampler:
             if c:
                 q = linalg.vec_add(q, linalg.vec_scale(field.from_rational(c), g))
         chart = self._charts[0]
-        rows = [[self.p.normals[j - 1][i] for j in chart] for i in range(self.p.n)]
-        theta_chart = linalg.solve_unique(rows, q, field)
-        if theta_chart is None:
-            raise InternalConsistencyError("chart basis failed to solve")
+        theta_chart = _chart_preimage(self.p, chart, q)
         theta = [field.zero()] * self.p.d
         for pos, j in enumerate(chart):
             theta[j - 1] = theta_chart[pos]

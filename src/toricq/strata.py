@@ -18,7 +18,7 @@ from . import intlat, linalg
 from .errors import (InternalConsistencyError, PreconditionError,
                      ValidationError)
 from .field import FieldScalar
-from .groups import (DiscreteGroupPresentation, Quasilattice,
+from .groups import (DiscreteGroupPresentation, Quasilattice, _chart_preimage,
                      chart_index_sets, gamma_check, gamma_group)
 from .polytope import Face, FaceLattice, Polytope
 
@@ -106,15 +106,11 @@ def node_key(face: Face | None) -> str:
 
 
 def _pivot_basis(p: Polytope, labels):
-    """Greedy exact pivoting of the active normals, in label order."""
-    basis = []
-    basis_labels = []
-    for j in labels:
-        cand = basis + [p.normals[j - 1]]
-        if linalg.rank(cand, p.n) == len(cand):
-            basis = cand
-            basis_labels.append(j)
-    return basis, tuple(basis_labels)
+    """Greedy exact pivoting of the active normals, in label order: the
+    pivot columns of one elimination with the normals as columns."""
+    normals = [p.normals[j - 1] for j in labels]
+    _, pivots, _ = linalg._rref(linalg.transpose(normals), len(normals))
+    return [normals[c] for c in pivots], tuple(labels[c] for c in pivots)
 
 
 def _span_coords(basis, v, n, field):
@@ -250,14 +246,7 @@ def _chart_for_face(p: Polytope, lat: FaceLattice, face: Face,
 
 
 def _b_tilde(p: Polytope, face: Face, I) -> BTildeData:
-    field = p.field
-    basis_rows = [p.normals[j - 1] for j in I]
-    matrix_cols = []
-    for k in range(1, p.d + 1):
-        coords = linalg.in_span(basis_rows, p.normals[k - 1], p.n, field)
-        if coords is None:
-            raise InternalConsistencyError("chart basis does not span")
-        matrix_cols.append(coords)
+    matrix_cols = [_chart_preimage(p, I, x) for x in p.normals]
     matrix_rows = [[matrix_cols[k][h] for k in range(p.d)]
                    for h in range(len(I))]
     domain = tuple(k for k in range(1, p.d + 1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ToricQError
-from .field import FieldScalar, float_shadow
+from .field import FieldScalar
 from .groups import chart_index_sets, gamma_check, gamma_group, kernel_data, n_membership
 from .moment import FOUR_PI, SolverConfig, _reduced_subspace, psi, retract
 from .orbits import classify_orbit, equivalent, p_function
@@ -119,7 +119,7 @@ def scalars_shadow_monotone(ctx: _Context) -> PropertyResult:
     count = max(5, ctx.samples // 10)
     for i in range(count):
         s = ctx.rand_scalar()
-        bounds = [float_shadow(s, p)[1] for p in precisions]
+        bounds = [s.shadow(p)[1] for p in precisions]
         if any(b1 < b2 for b1, b2 in zip(bounds, bounds[1:])):
             return _fail(name, i + 1, {"bounds": bounds})
     return _ok(name, count)
@@ -261,7 +261,7 @@ def moment_shadow_consistency(ctx: _Context) -> PropertyResult:
     approx = ctx.md.lambda_vector
     bound = ctx.md.shadow_error * (ctx.p.d + 1) * 4 + 1e-12
     for k, s in enumerate(exact_lambda):
-        val, err = float_shadow(s, 53)
+        val, err = s.shadow(53)
         if abs(val - approx[k]) > bound * max(1.0, abs(val)) + err:
             return _fail(name, k + 1, {"component": k})
     return _ok(name, len(exact_lambda))

@@ -13,10 +13,9 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from toricq import linalg
-from toricq.groups import (chart_index_sets, gamma_group, quasilattice_rank)
+from toricq.groups import (chart_index_sets, gamma_group)
 from toricq.moment import SolverConfig, moment_data, retract
 from toricq.orbits import classify_orbit, equivalent, p_function
-from toricq.polytope import singularity_depth
 from toricq.sampling import Sampler, nonclosed_flow_direction
 from toricq.strata import build_link, build_stratification
 
@@ -46,7 +45,7 @@ def test_criterion_02_square_pyramid_link(pyramid):
     assert len(singular) == 1
     apex = singular[0]
     assert apex.index_set == (1, 2, 3, 4) and apex.dim == 0
-    _, depth = singularity_depth(lat)
+    depth = lat.polytope_depth
     assert depth == 1
     link = build_link(pyramid, lat, apex)
     assert link.delta_F.n == 2
@@ -75,7 +74,7 @@ def test_criterion_03_weighted_triangle_groups(weighted_triangle):
 
 
 def test_criterion_04_nonrational_exact(interval_sqrt2):
-    rank, basis = quasilattice_rank(interval_sqrt2.quasilattice)
+    rank, basis = interval_sqrt2.quasilattice.rank_certificate()
     assert rank == 2
     assert interval_sqrt2.quasilattice.is_lattice is False
     g = gamma_group(interval_sqrt2, (1,), interval_sqrt2.face_lattice())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricq.errors import FieldDefinitionError
-from toricq.field import NumberField, float_shadow, sign
+from toricq.field import NumberField
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +23,13 @@ def q_golden():
 
 
 def test_sign_zero(q_sqrt2):
-    assert sign(q_sqrt2.zero()) == 0
+    assert q_sqrt2.zero().sign() == 0
 
 
 def test_sign_sqrt2_minus_one(q_sqrt2):
     s = q_sqrt2.scalar([-1, 1])  # sqrt2 - 1
-    assert sign(s) == 1
-    assert sign(-s) == -1
+    assert s.sign() == 1
+    assert (-s).sign() == -1
 
 
 def test_sqrt2_squares_to_two(q_sqrt2):
@@ -50,21 +50,21 @@ def test_inverse(q_sqrt2):
 
 
 def test_shadow_exact_rational(qq):
-    v, err = float_shadow(qq.from_rational(Fraction(3, 2)))
+    v, err = qq.from_rational(Fraction(3, 2)).shadow()
     assert v == 1.5 and err == 0.0
-    v, err = float_shadow(qq.zero())
+    v, err = qq.zero().shadow()
     assert v == 0.0 and err == 0.0
 
 
 def test_shadow_sqrt2(q_sqrt2):
-    v, err = float_shadow(q_sqrt2.generator(), 53)
+    v, err = q_sqrt2.generator().shadow(53)
     assert abs(v - 2 ** 0.5) <= err + 1e-15
     assert err <= 2 ** -50
 
 
 def test_shadow_error_bound_is_honest(q_sqrt2):
     s = q_sqrt2.scalar([Fraction(1, 3), Fraction(-2, 7)])
-    v, err = float_shadow(s, 40)
+    v, err = s.shadow(40)
     exact = Fraction(1, 3) - Fraction(2, 7) * Fraction(14142135623730951, 10 ** 16)
     assert abs(v - float(exact)) <= err + 1e-12
 
@@ -75,7 +75,7 @@ def test_shadow_bound_shrinks_with_precision(q_sqrt2, q_golden):
         for _ in range(10):
             s = field.scalar([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                               for _ in range(field.degree)])
-            bounds = [float_shadow(s, p)[1] for p in (24, 40, 64, 96)]
+            bounds = [s.shadow(p)[1] for p in (24, 40, 64, 96)]
             assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
@@ -95,7 +95,7 @@ def test_sign_multiplicative(q_sqrt2):
     for _ in range(40):
         s = q_sqrt2.scalar([rng.randint(-5, 5), rng.randint(-5, 5)])
         t = q_sqrt2.scalar([rng.randint(-5, 5), rng.randint(-5, 5)])
-        assert sign(s * t) == sign(s) * sign(t)
+        assert (s * t).sign() == s.sign() * t.sign()
 
 
 def test_comparisons_and_floor(q_sqrt2):
@@ -122,7 +122,7 @@ def test_reducible_polynomial_trusted_fails_on_sign():
     assert f.irreducibility_checked is False
     s = f.scalar([-2, 1])
     with pytest.raises(FieldDefinitionError):
-        sign(s)
+        s.sign()
 
 
 def test_bad_isolating_interval_rejected():
@@ -135,7 +135,7 @@ def test_degree_one_reproduces_rationals(qq):
     b = qq.from_rational(Fraction(-1, 6))
     assert (a + b).as_fraction() == Fraction(1, 2)
     assert (a * b).as_fraction() == Fraction(-1, 9)
-    assert sign(a + b) == 1
+    assert (a + b).sign() == 1
 
 
 def test_mixed_field_arithmetic_rejected(qq, q_sqrt2):
@@ -146,4 +146,4 @@ def test_mixed_field_arithmetic_rejected(qq, q_sqrt2):
 def test_precision_floor():
     f = NumberField.rationals()
     with pytest.raises(ValueError):
-        float_shadow(f.one(), 16)
+        f.one().shadow(16)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricq.field import NumberField, float_shadow, sign
+from toricq.field import NumberField
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,8 @@ def test_cubic_power_reduction(q_cbrt2):
 
 def test_cubic_sign_and_floor(q_cbrt2):
     t = q_cbrt2.generator()
-    assert sign(t - 1) == 1
-    assert sign(t * t - 2) == -1  # 2^(2/3) < 2
+    assert (t - 1).sign() == 1
+    assert (t * t - 2).sign() == -1  # 2^(2/3) < 2
     assert t.floor() == 1
     assert (t * t).floor() == 1
     assert (t ** 3).floor() == 2
@@ -63,19 +63,19 @@ def test_cubic_field_axioms_random(q_cbrt2):
 def test_non_monic_minimal_polynomial(q_inv_sqrt2):
     t = q_inv_sqrt2.generator()
     assert t * t == q_inv_sqrt2.from_rational(Fraction(1, 2))
-    assert sign(t - Fraction(7, 10)) == 1
-    assert sign(t - Fraction(3, 4)) == -1
-    v, err = float_shadow(t, 60)
+    assert (t - Fraction(7, 10)).sign() == 1
+    assert (t - Fraction(3, 4)).sign() == -1
+    v, err = t.shadow(60)
     assert abs(v - 0.5 ** 0.5) <= err + 1e-15
 
 
 def test_negative_root_branch(q_neg_sqrt2):
     t = q_neg_sqrt2.generator()  # -sqrt2
-    assert sign(t) == -1
+    assert t.sign() == -1
     assert t * t == q_neg_sqrt2.from_rational(2)
     assert t.floor() == -2
     assert (-t).floor() == 1
-    v, _ = float_shadow(t)
+    v, _ = t.shadow()
     assert v == pytest.approx(-(2 ** 0.5))
 
 

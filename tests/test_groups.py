@@ -7,27 +7,26 @@ from sympy.matrices.normalforms import smith_normal_form
 from toricq import linalg
 from toricq.errors import PreconditionError, ValidationError
 from toricq.groups import (Quasilattice, chart_index_sets, gamma_check,
-                           gamma_group, kernel_data, n_membership,
-                           quasilattice_membership, quasilattice_rank)
+                           gamma_group, kernel_data, n_membership)
 
 
 def test_rank_standard_lattice(qq):
     q = Quasilattice(qq, [[1, 0], [0, 1]])
-    rank, basis = quasilattice_rank(q)
+    rank, basis = q.rank_certificate()
     assert rank == 2 and q.is_lattice
     assert len(basis) == 2
 
 
 def test_rank_sqrt2(q_sqrt2):
     q = Quasilattice(q_sqrt2, [[q_sqrt2.one()], [q_sqrt2.generator()]])
-    rank, _ = quasilattice_rank(q)
+    rank, _ = q.rank_certificate()
     assert rank == 2
     assert not q.is_lattice
 
 
 def test_rank_halves(qq):
     q = Quasilattice(qq, [[1], [Fraction(1, 2)]])
-    rank, basis = quasilattice_rank(q)
+    rank, basis = q.rank_certificate()
     assert rank == 1 and q.is_lattice
     # the basis certificate generates both generators
     assert basis[0][0].as_fraction() in (Fraction(1, 2), Fraction(-1, 2))
@@ -35,12 +34,12 @@ def test_rank_halves(qq):
 
 def test_membership(qq, q_sqrt2):
     q = Quasilattice(q_sqrt2, [[q_sqrt2.one()], [q_sqrt2.generator()]])
-    assert quasilattice_membership(q, [q_sqrt2.zero()])
+    assert q.contains([q_sqrt2.zero()])
     v = q_sqrt2.scalar([3, -2])  # 3 - 2 sqrt2
-    assert quasilattice_membership(q, [v])
+    assert q.contains([v])
     q2 = Quasilattice(q_sqrt2, [[q_sqrt2.from_rational(2)],
                                 [q_sqrt2.generator() * 2]])
-    assert not quasilattice_membership(q2, [q_sqrt2.one()])
+    assert not q2.contains([q_sqrt2.one()])
 
 
 def test_non_spanning_rejected(qq):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -97,3 +98,48 @@ def test_quotient_invariants_mixed():
     images = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
     order, factors = intlat.quotient_invariants(images, 2)
     assert order == 4 and factors == [2, 2]
+
+
+def _group_mod_one(images, n):
+    """Oracle: every element of (Z^n + sum Z*v) / Z^n, by breadth-first
+    search over the images reduced mod 1."""
+    zero = tuple(Fraction(0) for _ in range(n))
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for v in images:
+                h = tuple((a + b) % 1 for a, b in zip(g, v))
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+def test_quotient_invariants_match_enumerated_group():
+    rng = random.Random(13)
+    for _ in range(50):
+        n, k = rng.randint(1, 3), rng.randint(1, 3)
+        images = [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)]
+                  for _ in range(k)]
+        order, factors = intlat.quotient_invariants(images, n)
+        group = _group_mod_one(images, n)
+        assert order == len(group)
+        assert all(f > 1 for f in factors) and factors == sorted(factors)
+        # the m-torsion of Z/f_1 + ... + Z/f_r has prod gcd(m, f_i) elements
+        for m in range(1, order + 1):
+            if order % m:
+                continue
+            torsion = sum(1 for g in group if all((m * x) % 1 == 0 for x in g))
+            expected = 1
+            for f in factors:
+                expected *= math.gcd(m, f)
+            assert torsion == expected
+        # the n x (n+k) matrix the invariants are read from
+        denom, cleared = intlat.clear_denominators(images)
+        rows = [[denom if c == r else 0 for c in range(n)] + [v[r] for v in cleared]
+                for r in range(n)]
+        ref = smith_normal_form(sympy.Matrix(rows))
+        assert intlat.smith_diagonal(rows) == [abs(ref[i, i]) for i in range(n)]

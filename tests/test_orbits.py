@@ -1,15 +1,22 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from toricq import orbits
 from toricq.errors import DomainError, PreconditionError
+from toricq.moment import retract
 from toricq.orbits import (MAXIMAL_PIECE, ExactVector, classify_orbit,
                            equivalent, n_orbit_equal, p_function, stratum_of)
 from toricq.sampling import Sampler, nonclosed_flow_direction
+from toricq.serialize import load_instance
 
 SQ2 = math.sqrt(0.5)
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_classify_interior(pyramid):
@@ -236,3 +243,27 @@ def test_canonical_reduced_witness(pyramid):
     x, xi = oc.canonical()
     support = np.flatnonzero(x != 0)
     assert np.angle(x[support[0]]) == pytest.approx(0.0)
+
+
+def test_no_module_state_pins_a_polytope():
+    def classify_fresh():
+        p = load_instance(str(INSTANCES / "square_pyramid.json")).polytope
+        classify_orbit(p, p.face_lattice(), [1, 1, 1, 1, 1])
+        return weakref.ref(p)
+
+    ref = classify_fresh()
+    gc.collect()
+    assert ref() is None
+
+
+def test_sampler_shares_the_moment_data_of_classify(monkeypatch):
+    p = load_instance(str(INSTANCES / "square_pyramid.json")).polytope
+    used = []
+
+    def spy(md, *args, **kwargs):
+        used.append(md)
+        return retract(md, *args, **kwargs)
+
+    monkeypatch.setattr(orbits, "retract", spy)
+    classify_orbit(p, p.face_lattice(), [1, 1, 1, 1, 1])
+    assert Sampler(p, 5).md is used[0]

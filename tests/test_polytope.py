@@ -8,7 +8,7 @@ import pytest
 
 from toricq.errors import ValidationError
 from toricq.groups import Quasilattice
-from toricq.polytope import Polytope, enumerate_faces, singularity_depth
+from toricq.polytope import Polytope
 
 
 def brute_force_faces(p):
@@ -60,7 +60,7 @@ def test_pyramid_faces(pyramid):
 
 def test_pyramid_depth(pyramid):
     lat = pyramid.face_lattice()
-    depths, total = singularity_depth(lat)
+    depths, total = lat.depths(), lat.polytope_depth
     assert total == 1
     assert depths[(1, 2, 3, 4)] == 1
     assert all(d == 0 for iset, d in depths.items() if iset != (1, 2, 3, 4))
@@ -68,13 +68,13 @@ def test_pyramid_depth(pyramid):
 
 def test_simple_polytopes_have_depth_zero(cube, triangle, unit_square):
     for p in (cube, triangle, unit_square):
-        _, total = singularity_depth(p.face_lattice())
+        total = p.face_lattice().polytope_depth
         assert total == 0
 
 
 def test_pyramid4_depth_two(pyramid4):
     lat = pyramid4.face_lattice()
-    _, total = singularity_depth(lat)
+    total = lat.polytope_depth
     assert total == 2
     # brute-force longest singular ascent oracle
     faces = lat.faces
@@ -190,6 +190,6 @@ def test_normal_outside_quasilattice_rejected(qq):
         Polytope(qq, [[1], [-1]], [0, -1], q)
 
 
-def test_enumerate_faces_alias(interval):
-    lat = enumerate_faces(interval)
+def test_interval_face_lattice(interval):
+    lat = interval.face_lattice()
     assert len(lat.faces) == 3  # two vertices and the interior

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from toricq.errors import PreconditionError
 from toricq.groups import Quasilattice, kernel_data
 from toricq.moment import derived_moment_data, psi, retract, upsilon
 from toricq.polytope import Polytope
-from toricq.strata import (build_link, build_stratification, local_model,
-                           node_key)
+from toricq.serialize import load_instance
+from toricq.strata import (_pivot_basis, build_link, build_stratification,
+                           local_model, node_key)
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +271,22 @@ def test_nonrational_pyramid_stratifies(pyramid_sqrt2):
     s = report.strata[0]
     assert s.link.delta_F.d == 4 and s.link.delta_F.n == 2
     assert s.link.n_f_dim == 1 and s.link.n_f0_dim == 2
+
+
+def _greedy_pivot_basis(p, labels):
+    """Oracle: keep each active normal that raises the rank, in label order."""
+    basis, basis_labels = [], []
+    for j in labels:
+        cand = basis + [p.normals[j - 1]]
+        if linalg.rank(cand, p.n) == len(cand):
+            basis = cand
+            basis_labels.append(j)
+    return basis, tuple(basis_labels)
+
+
+@pytest.mark.parametrize("name", sorted(f.stem for f in INSTANCES.glob("*.json")))
+def test_pivot_basis_matches_greedy_rank_loop(name):
+    p = load_instance(str(INSTANCES / f"{name}.json")).polytope
+    for face in p.face_lattice().singular_faces():
+        assert _pivot_basis(p, face.index_set) == \
+            _greedy_pivot_basis(p, face.index_set)
