@@ -14,6 +14,7 @@ zero level; the Hessian 4pi R^T diag(|x|^2) R is positive definite there.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,7 +59,15 @@ class RetractionResult:
 @dataclass
 class MomentData:
     """Float shadows of the moment-map data, with the exact sources kept
-    alongside for stabilizer computations and consistency checks."""
+    alongside for stabilizer computations and consistency checks.
+
+    Two caches hold per-face solver data, filled on first use and keyed by
+    the face's index set (the sorted zero labels of a point whose orbit
+    closure is that face): ``subspaces`` maps it to the read-only reduced
+    subspace R of :func:`_reduced_subspace`, and ``phase_tests`` to the
+    phase-test data of ``orbits._phase_test``.  A polytope has finitely
+    many faces, so each cache holds at most one entry per face and dies
+    with this object."""
 
     field: NumberField
     exact_normals: list                 # list of field n-vectors (d entries)
@@ -73,6 +82,10 @@ class MomentData:
     closed_support: Callable[[tuple[int, ...]], bool]
     polytope: object | None = None
     label: str = "polytope"
+    subspaces: dict = dataclasses.field(default_factory=dict, repr=False,
+                                        compare=False)
+    phase_tests: dict = dataclasses.field(default_factory=dict, repr=False,
+                                          compare=False)
 
     @property
     def d(self) -> int:
@@ -85,6 +98,17 @@ class MomentData:
     @property
     def m(self) -> int:
         return len(self.exact_kernel)
+
+    def face_data(self, cache: dict, zero_labels: tuple[int, ...], build):
+        """``build(zero_labels)``, computed once per face: kept in ``cache``
+        when ``zero_labels`` is a face index set, rebuilt on every call
+        otherwise, so that no cache outgrows the face lattice."""
+        data = cache.get(zero_labels)
+        if data is None:
+            data = build(zero_labels)
+            if self.closed_support(zero_labels):
+                cache[zero_labels] = data
+        return data
 
 
 def _shadow_matrix(vectors, precision) -> tuple[np.ndarray, float]:
@@ -177,10 +201,35 @@ def _zero_labels(z: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) + 1 for j in np.flatnonzero(z == 0))
 
 
+def _level_residual(m: MomentData, ups: np.ndarray) -> float:
+    """|Psi| = |K ups|.  Huge moduli can overflow it; a value that is not
+    finite reads as infinitely far from the zero level."""
+    if not m.m:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(m.kernel_float @ ups))
+    return residual if math.isfinite(residual) else math.inf
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only so that callers cannot corrupt a cache."""
+    a.flags.writeable = False
+    return a
+
+
 def _reduced_subspace(m: MomentData, zero_labels: tuple[int, ...]) -> np.ndarray:
     """Orthonormal basis (as columns) of the orthogonal complement of the
     kernel directions supported on the zero coordinates, inside the kernel
-    subspace.  The stabilizer directions come from an exact nullspace."""
+    subspace; computed once per face and kept read-only on ``m``."""
+    return m.face_data(
+        m.subspaces, tuple(zero_labels),
+        lambda labels: _read_only(_compute_reduced_subspace(m, labels)))
+
+
+def _compute_reduced_subspace(m: MomentData,
+                              zero_labels: tuple[int, ...]) -> np.ndarray:
+    """The uncached :func:`_reduced_subspace`.  The stabilizer directions
+    come from an exact nullspace."""
     if m.m == 0:
         return np.zeros((m.d, 0))
     B = m.kernel_float.T  # d x m
@@ -224,7 +273,6 @@ def retract(m: MomentData, z: Sequence[complex],
     r = R.shape[1]
     lam = m.offsets_float
     z2 = np.abs(z) ** 2
-    K = m.kernel_float
 
     def objective(u):
         w = R @ u
@@ -234,7 +282,7 @@ def retract(m: MomentData, z: Sequence[complex],
 
     if start is None:
         u = np.zeros(r)
-        at_zero = float(np.linalg.norm(K @ (z2 + lam))) if m.m else 0.0
+        at_zero = _level_residual(m, z2 + lam)
         support = np.flatnonzero(z2 > 0)
         if r and len(support) and at_zero > cfg.tolerance:
             # pre-translate along the orbit so the support moduli start
@@ -249,7 +297,7 @@ def retract(m: MomentData, z: Sequence[complex],
         w = R @ u
         x2 = np.exp(-FOUR_PI * w) * z2
         ups = x2 + lam
-        residual = float(np.linalg.norm(K @ ups)) if m.m else 0.0
+        residual = _level_residual(m, ups)
         iterations = it
         if residual <= cfg.tolerance:
             break
@@ -304,7 +352,7 @@ def polytope_point_of(m: MomentData, x: Sequence[complex],
     ups = np.abs(x) ** 2 + m.offsets_float
     resid = _residual
     if resid is None:
-        resid = float(np.linalg.norm(m.kernel_float @ ups)) if m.m else 0.0
+        resid = _level_residual(m, ups)
     if resid > 10 * cfg.tolerance:
         raise PreconditionError(
             f"point is off the moment zero level (|Psi| = {resid:.3e})")

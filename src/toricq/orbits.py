@@ -21,7 +21,8 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, PreconditionError, ValidationError
 from .groups import Quasilattice
-from .moment import MomentData, RetractionResult, SolverConfig, moment_data, retract
+from .moment import (MomentData, RetractionResult, SolverConfig, _read_only,
+                     moment_data, retract)
 from .polytope import Face, FaceLattice, Polytope
 
 MAXIMAL_PIECE = "maximal piece"
@@ -187,31 +188,55 @@ class OrbitEqualVerdict:
     reason: str
 
 
-def _ann_basis(p: Polytope, zero_labels):
-    """Exact functionals vanishing on the normals of the zero coordinates."""
-    rows = [p.normals[j - 1] for j in zero_labels]
-    return linalg.nullspace(rows, p.n, p.field)
+@dataclass(frozen=True)
+class _PhaseTest:
+    """What the phase test of one zero set needs, whatever the shift: the
+    exact functionals ``ann`` vanishing on the zero-set normals, the
+    quasilattice's image ``group`` under them (the group phase differences
+    are tested against), and the float shadows ``Ff`` of ``ann`` (k x n)
+    and ``B`` of the group's Z-basis (k x r, None when r = 0).  Without
+    functionals every shift passes and the other fields are None."""
+
+    ann: list
+    group: Quasilattice | None
+    Ff: np.ndarray | None
+    B: np.ndarray | None
 
 
-def _image_group(p: Polytope, ann) -> Quasilattice:
-    """The quasilattice's image under the functionals ``ann``: the group
-    phase differences are tested against."""
-    images = [[linalg.dot(f, g) for f in ann] for g in p.quasilattice.generators]
-    return Quasilattice(p.field, images, validate=False)
+def _phase_test(md: MomentData, zero_labels) -> _PhaseTest:
+    """The phase-test data of a zero set, computed once per face and kept
+    on the moment data."""
+    return md.face_data(md.phase_tests, tuple(zero_labels),
+                        lambda labels: _compute_phase_test(md, labels))
+
+
+def _compute_phase_test(md: MomentData, zero_labels) -> _PhaseTest:
+    """The uncached :func:`_phase_test`."""
+    rows = [md.exact_normals[j - 1] for j in zero_labels]
+    ann = linalg.nullspace(rows, md.n, md.field)
+    if not ann:
+        return _PhaseTest(ann, None, None, None)
+    images = [[linalg.dot(f, g) for f in ann]
+              for g in md.polytope.quasilattice.generators]
+    group = Quasilattice(md.field, images, validate=False)
+    _, basis = group.rank_certificate()
+    Ff = _read_only(np.array([[s.shadow(53)[0] for s in f] for f in ann]))
+    B = _read_only(np.array([[s.shadow(53)[0] for s in b]
+                             for b in basis]).T) if basis else None
+    return _PhaseTest(ann, group, Ff, B)
 
 
 def _phase_shift_in_n_exact(p: Polytope, support, zero_labels, delta) -> bool:
     """Whether a phase shift (delta_j turns on the support, free elsewhere)
     extends to an element of the kernel subgroup: exact integer test."""
+    test = _phase_test(_moment_for(p), zero_labels)
+    if not test.ann:
+        return True
     field = p.field
     u = [field.zero()] * p.n
     for j, dlt in zip(support, delta):
         u = linalg.vec_add(u, linalg.vec_scale(dlt, p.normals[j - 1]))
-    ann = _ann_basis(p, zero_labels)
-    if not ann:
-        return True
-    target = [linalg.dot(f, u) for f in ann]
-    return _image_group(p, ann).contains(target)
+    return test.group.contains([linalg.dot(f, u) for f in test.ann])
 
 
 def _phase_shift_in_n_float(p: Polytope, support, zero_labels, delta,
@@ -225,22 +250,20 @@ def _phase_shift_in_n_float(p: Polytope, support, zero_labels, delta,
     membership-with-tolerance test; for dense images it degrades to a
     small-coefficient heuristic, which is why this path is always flagged
     approximate."""
-    ann = _ann_basis(p, zero_labels)
-    if not ann:
+    md = _moment_for(p)
+    test = _phase_test(md, zero_labels)
+    if not test.ann:
         return True
-    k = len(ann)
-    _, basis = _image_group(p, ann).rank_certificate()
-    Ff = np.array([[s.shadow(53)[0] for s in f] for f in ann])
-    Xf = np.array([[s.shadow(53)[0] for s in x] for x in p.normals])
+    Xf = md.normals_float
     u = np.zeros(p.n)
     for j, dlt in zip(support, delta):
         u += float(dlt) * Xf[j - 1]
-    tgt = Ff @ u
+    tgt = test.Ff @ u
     floor = max(tol, 1e-9)
-    if not basis:
+    B = test.B
+    if B is None:
         return bool(np.linalg.norm(tgt) <= floor)
-    B = np.array([[s.shadow(53)[0] for s in b] for b in basis]).T  # k x r
-    if B.shape[1] == k:
+    if B.shape[1] == len(test.ann):
         # the image group is a lattice: express in its basis and round
         coeffs = np.linalg.solve(B, tgt)
         return bool(np.linalg.norm(B @ np.round(coeffs) - tgt) <= floor)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -88,19 +89,27 @@ class Sampler:
 
     # -- subgroup elements ---------------------------------------------------
 
+    @cached_property
+    def _generator_preimages(self) -> list[list]:
+        """For each quasilattice generator g, the angles theta on the first
+        chart with sum theta_j X_j = g."""
+        chart = self._charts[0]
+        return [_chart_preimage(self.p, chart, g)
+                for g in self.p.quasilattice.generators]
+
     def n_element(self, bound: int = 3):
-        """Exact angle vector theta (in turns) with pi(theta) in Q."""
+        """Exact angle vector theta (in turns) with pi(theta) in Q: a
+        random integer combination of the generator preimages."""
         field = self.p.field
-        q = [field.zero()] * self.p.n
-        for g in self.p.quasilattice.generators:
+        theta_chart = [field.zero()] * self.p.n
+        for pre in self._generator_preimages:
             c = self.rng.randint(-bound, bound)
             if c:
-                q = linalg.vec_add(q, linalg.vec_scale(field.from_rational(c), g))
-        chart = self._charts[0]
-        theta_chart = _chart_preimage(self.p, chart, q)
+                theta_chart = linalg.vec_add(
+                    theta_chart, linalg.vec_scale(field.from_rational(c), pre))
         theta = [field.zero()] * self.p.d
-        for pos, j in enumerate(chart):
-            theta[j - 1] = theta_chart[pos]
+        for j, t in zip(self._charts[0], theta_chart):
+            theta[j - 1] = t
         return theta
 
     def a_element(self, bound: float = 2.0) -> np.ndarray:

@@ -321,7 +321,6 @@ def moment_retraction_unique(ctx: _Context) -> PropertyResult:
         face = faces[i % len(faces)]
         z = ctx.sampler.point_for_face(face)
         base = retract(ctx.md, z, ctx.cfg)
-        R_dim = len(base.y_star)
         for _ in range(2):
             start = np.array([rng.uniform(-0.5, 0.5)
                               for _ in range(_reduced_subspace(

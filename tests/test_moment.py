@@ -1,13 +1,20 @@
 import math
+import warnings
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toricq.errors import PreconditionError, ValidationError
-from toricq.moment import (SolverConfig, moment_data, polytope_point_of, psi,
-                           retract, upsilon)
+from toricq.errors import PreconditionError, SolverError, ValidationError
+from toricq.moment import (SolverConfig, _compute_reduced_subspace,
+                           _reduced_subspace, moment_data, polytope_point_of,
+                           psi, retract, upsilon)
+from toricq.serialize import load_instance
 
 SQ2 = math.sqrt(0.5)
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+SHIPPED = sorted(INSTANCES.glob("*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +191,38 @@ def test_zero_level_point_per_face(pyramid, pyramid_md):
         assert np.linalg.norm(psi(pyramid_md, x)) < 1e-12
         got = tuple(int(j) + 1 for j in np.flatnonzero(x == 0))
         assert got == f.index_set
+
+
+def test_retract_huge_moduli_raise_no_overflow_warning():
+    # |z_j|^2 = 1e308: the start test K (|z|^2 + lambda) and the residual
+    # norm overflow.  The solver still gives up exactly as it did before
+    # they were guarded, but without a RuntimeWarning.
+    p = load_instance(str(INSTANCES / "square_pyramid.json")).polytope
+    z = np.full(p.d, 1e154, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as info:
+            retract(moment_data(p), z)
+    assert info.value.iterations == 100
+    assert info.value.residual == pytest.approx(2.3472092590961647e+141,
+                                                rel=1e-6)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda f: f.stem)
+def test_reduced_subspace_cache_matches_recomputation(path):
+    p = load_instance(str(path)).polytope
+    md = moment_data(p)
+    faces = p.face_lattice().faces
+    for face in faces:
+        R = _reduced_subspace(md, face.index_set)
+        assert np.array_equal(R, _compute_reduced_subspace(md, face.index_set))
+        assert not R.flags.writeable
+        assert _reduced_subspace(md, face.index_set) is R
+    assert set(md.subspaces) == {f.index_set for f in faces}
+    index_sets = set(md.subspaces)
+    labels = range(1, p.d + 1)
+    open_sets = [s for k in range(1, p.d + 1) for s in combinations(labels, k)
+                 if s not in index_sets]
+    for zero_labels in open_sets[:3]:
+        _reduced_subspace(md, zero_labels)
+    assert set(md.subspaces) == index_sets

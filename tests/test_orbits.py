@@ -7,16 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toricq import orbits
+from toricq import linalg, orbits
 from toricq.errors import DomainError, PreconditionError
+from toricq.groups import Quasilattice, _chart_preimage
 from toricq.moment import retract
-from toricq.orbits import (MAXIMAL_PIECE, ExactVector, classify_orbit,
-                           equivalent, n_orbit_equal, p_function, stratum_of)
+from toricq.orbits import (MAXIMAL_PIECE, ExactVector, _moment_for,
+                           _phase_test, classify_orbit, equivalent,
+                           n_orbit_equal, p_function, stratum_of)
 from toricq.sampling import Sampler, nonclosed_flow_direction
 from toricq.serialize import load_instance
+from toricq.verify import run_verification
 
 SQ2 = math.sqrt(0.5)
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+SHIPPED = sorted(INSTANCES.glob("*.json"))
 
 
 def test_classify_interior(pyramid):
@@ -251,9 +255,20 @@ def test_no_module_state_pins_a_polytope():
         classify_orbit(p, p.face_lattice(), [1, 1, 1, 1, 1])
         return weakref.ref(p)
 
-    ref = classify_fresh()
+    def equivalent_fresh():
+        # fills both per-face caches of the polytope's moment data
+        inst = load_instance(str(INSTANCES / "square_pyramid.json"))
+        p = inst.polytope
+        s = Sampler(p, 3)
+        face = p.face_lattice().faces[0]
+        z = s.exact_point_for_face(face)
+        assert equivalent(p, z, z.with_phase_shift(s.n_element())).equivalent
+        assert _moment_for(p).phase_tests
+        return weakref.ref(p)
+
+    refs = [classify_fresh(), equivalent_fresh()]
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_sampler_shares_the_moment_data_of_classify(monkeypatch):
@@ -267,3 +282,58 @@ def test_sampler_shares_the_moment_data_of_classify(monkeypatch):
     monkeypatch.setattr(orbits, "retract", spy)
     classify_orbit(p, p.face_lattice(), [1, 1, 1, 1, 1])
     assert Sampler(p, 5).md is used[0]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda f: f.stem)
+def test_phase_test_cache_matches_fresh_data(path):
+    p = load_instance(str(path)).polytope
+    md = _moment_for(p)
+    for face in p.face_lattice().faces:
+        test = _phase_test(md, face.index_set)
+        assert _phase_test(md, face.index_set) is test
+        ann = linalg.nullspace([p.normals[j - 1] for j in face.index_set],
+                               p.n, p.field)
+        assert test.ann == ann
+        if not ann:
+            assert test.group is None
+            continue
+        images = [[linalg.dot(f, g) for f in ann]
+                  for g in p.quasilattice.generators]
+        fresh = Quasilattice(p.field, images, validate=False)
+        assert test.group.rank_certificate() == fresh.rank_certificate()
+        assert not test.Ff.flags.writeable
+        assert test.B is None or not test.B.flags.writeable
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda f: f.stem)
+def test_per_face_caches_stay_within_the_face_lattice(path):
+    inst = load_instance(str(path))
+    assert run_verification(inst, samples=200, seed=7).passed
+    md = _moment_for(inst.polytope)
+    n_faces = len(inst.polytope.face_lattice().faces)
+    assert 0 < len(md.subspaces) <= n_faces
+    assert 0 < len(md.phase_tests) <= n_faces
+    for R in md.subspaces.values():
+        assert not R.flags.writeable
+    for test in md.phase_tests.values():
+        for a in (test.Ff, test.B):
+            assert a is None or not a.flags.writeable
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda f: f.stem)
+def test_n_element_matches_the_chart_solve_of_the_combination(path):
+    p = load_instance(str(path)).polytope
+    field = p.field
+    fast, slow = Sampler(p, 11), Sampler(p, 11)
+    chart = slow._charts[0]
+    for _ in range(200):
+        # the former formula: combine the generators, then solve on the chart
+        q = [field.zero()] * p.n
+        for g in p.quasilattice.generators:
+            c = slow.rng.randint(-3, 3)
+            if c:
+                q = linalg.vec_add(q, linalg.vec_scale(field.from_rational(c), g))
+        theta = [field.zero()] * p.d
+        for j, t in zip(chart, _chart_preimage(p, chart, q)):
+            theta[j - 1] = t
+        assert fast.n_element() == theta
