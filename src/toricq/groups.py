@@ -47,14 +47,22 @@ class Quasilattice:
             raise ValidationError("generators have inconsistent dimensions")
         if validate and linalg.rank(self.generators, self.ambient_dim) != self.ambient_dim:
             raise ValidationError("generators do not span the ambient space")
+        self._echelon_data: tuple[int, list[list[int]]] | None = None
         self._rank_data: tuple[int, list[list[FieldScalar]]] | None = None
+
+    def _echelon(self) -> tuple[int, list[list[int]]]:
+        """Common denominator D of the generators' power-basis coordinates
+        and the ``column_echelon`` basis of D times the group."""
+        if self._echelon_data is None:
+            denom, cleared = intlat.clear_denominators(
+                [_expand(g) for g in self.generators])
+            self._echelon_data = (denom, intlat.column_echelon(cleared))
+        return self._echelon_data
 
     def rank_certificate(self) -> tuple[int, list[list[FieldScalar]]]:
         """Rank as a free abelian group plus a basis of the group."""
         if self._rank_data is None:
-            expanded = [_expand(g) for g in self.generators]
-            denom, cleared = intlat.clear_denominators(expanded)
-            echelon = intlat.column_echelon(cleared)
+            denom, echelon = self._echelon()
             basis = [_unexpand(self.field,
                                [Fraction(c, denom) for c in col],
                                self.ambient_dim)
@@ -75,9 +83,12 @@ class Quasilattice:
         v = linalg.vec(self.field, v)
         if len(v) != self.ambient_dim:
             raise ValidationError("vector has wrong dimension")
-        vectors = [_expand(g) for g in self.generators] + [_expand(v)]
-        _, cleared = intlat.clear_denominators(vectors)
-        return intlat.in_column_lattice(cleared[:-1], cleared[-1])
+        # every member of the group times D is integral
+        denom, echelon = self._echelon()
+        scaled = [x * denom for x in _expand(v)]
+        if any(x.denominator != 1 for x in scaled):
+            return False
+        return intlat.in_echelon_lattice(echelon, [int(x) for x in scaled])
 
     def __repr__(self):
         return f"Quasilattice(n={self.ambient_dim}, generators={len(self.generators)})"
@@ -113,14 +124,16 @@ class SequenceData:
         return [linalg.dot(mu, col) for col in cols]
 
 
-def kernel_data(p: "Polytope") -> SequenceData:
+def kernel_data(p: "Polytope", kernel=None) -> SequenceData:
     """Exact kernel basis of the normal map, with both maps verified to
-    compose to zero."""
+    compose to zero.  ``kernel`` is a basis computed before for ``p``
+    (``MomentData.exact_kernel``); it is checked, not recomputed."""
     field = p.field
     pi_rows = [[p.normals[j][i] for j in range(p.d)] for i in range(p.n)]
     if linalg.rank(p.normals, p.n) != p.n:
         raise ValidationError("facet normals do not span the ambient space")
-    kernel = linalg.nullspace(pi_rows, p.d, field)
+    if kernel is None:
+        kernel = linalg.nullspace(pi_rows, p.d, field)
     seq = SequenceData(pi_rows=pi_rows, kernel_basis=kernel, field=field)
     for v in kernel:
         if not all(s.is_zero() for s in seq.pi(v)):
@@ -176,15 +189,10 @@ def _chart_preimage(p: "Polytope", index_set, target) -> list[FieldScalar]:
     I = tuple(index_set)
     inverse = p._chart_inverses.get(I)
     if inverse is None:
-        field = p.field
-        n = p.n
-        aug = [[p.normals[j - 1][i] for j in I]
-               + [field.one() if c == i else field.zero() for c in range(n)]
-               for i in range(n)]
-        red, pivots, _ = linalg._rref(aug, n)
-        if pivots != list(range(n)):
+        chart = [[p.normals[j - 1][i] for j in I] for i in range(p.n)]
+        inverse = linalg.inverse(chart, p.field)
+        if inverse is None:
             raise PreconditionError("chart normals are not a basis")
-        inverse = [row[n:] for row in red]
         p._chart_inverses[I] = inverse
     return linalg.mat_vec(inverse, target)
 

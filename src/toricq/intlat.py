@@ -59,7 +59,12 @@ def column_echelon(cols: list[list[int]]) -> list[list[int]]:
 
 def in_column_lattice(cols: list[list[int]], target: Sequence[int]) -> bool:
     """Exact membership of target in the integer column span."""
-    basis = column_echelon(cols)
+    return in_echelon_lattice(column_echelon(cols), target)
+
+
+def in_echelon_lattice(basis: list[list[int]], target: Sequence[int]) -> bool:
+    """Exact membership of target in the lattice of a ``column_echelon``
+    basis."""
     t = list(target)
     n = len(t)
     for b in basis:

@@ -125,6 +125,17 @@ def solve_unique(rows, b, field: NumberField):
     return [red[i][n] for i in range(n)]
 
 
+def inverse(rows, field: NumberField):
+    """Inverse of a square matrix, or None if singular."""
+    n = len(rows)
+    aug = [list(r) + [field.one() if c == i else field.zero() for c in range(n)]
+           for i, r in enumerate(rows)]
+    red, pivots, _ = _rref(aug, n)
+    if len(pivots) != n:
+        return None
+    return [row[n:] for row in red]
+
+
 def in_span(vectors, v, ncols: int, field: NumberField):
     """Coordinates of v in the span of the given vectors, or None."""
     if not vectors:

@@ -2,6 +2,18 @@
 lattice enumeration, regular/singular classification, singularity depth,
 and membership in the admissible open subset of C^d.
 
+Vertices come from one double-description pass (Motzkin et al. 1953;
+Fukuda & Prodon 1996) over the homogenised cone
+{(y, t) : <X_j, y> >= lambda_j t, t >= 0}.  The pass starts from the
+simplicial cone on the first n+1 independent constraints, adds the others
+one at a time, and combines two rays across a new constraint only when the
+combinatorial test on their zero sets says they are adjacent.  It needs
+nothing but exact ``sign()``, so it holds over any declared field.  A final
+ray with t = 0 is a recession direction (the polytope is unbounded); the
+rays with t > 0 are the vertices, and their zero sets are the vertex
+active sets.  Faces are the intersections of facet vertex sets, and a
+face's dimension is read off the grading of that lattice.
+
 Facets carry 1-based labels 1..d throughout; index sets are sorted tuples
 of labels.  Coordinate arrays are 0-based, so coordinate j-1 belongs to
 facet label j.
@@ -10,7 +22,6 @@ facet label j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -66,18 +77,11 @@ class FaceLattice:
     def lt(self, a: Face, b: Face) -> bool:
         return a != b and self.le(a, b)
 
-    def faces_above(self, f: Face) -> list[Face]:
-        return [g for g in self.faces if g != f and self.le(f, g)]
-
     def covers(self) -> list[tuple[Face, Face]]:
-        """Hasse diagram edges (lower, upper)."""
-        out = []
-        for a in self.faces:
-            ups = self.faces_above(a)
-            for b in ups:
-                if not any(self.lt(a, c) and self.lt(c, b) for c in ups):
-                    out.append((a, b))
-        return out
+        """Hasse diagram edges (lower, upper): the lattice is graded by
+        dimension, so b covers a exactly when a < b and dim b = dim a + 1."""
+        return [(a, b) for a in self.faces for b in self.faces
+                if b.dim == a.dim + 1 and a.vertex_ids < b.vertex_ids]
 
     # -- queries ------------------------------------------------------------
 
@@ -156,7 +160,6 @@ class Polytope:
         self._moment = None    # MomentData, built by orbits._moment_for
         if validate:
             self._validate()
-            self.face_lattice()
 
     # -- exact pairings ---------------------------------------------------
 
@@ -178,69 +181,70 @@ class Polytope:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
-        field = self.field
-        if linalg.rank(self.normals, self.n) != self.n:
-            raise ValidationError("facet normals do not span the ambient space")
-        # unboundedness: a nonzero recession ray lies on n-1 independent
-        # active constraints, so scanning those subsets is exhaustive
-        for subset in combinations(range(self.d), self.n - 1):
-            rows = [self.normals[i] for i in subset]
-            kernel = linalg.nullspace(rows, self.n, field)
-            if len(kernel) != 1:
-                continue
-            ray = kernel[0]
-            signs = [linalg.dot(ray, x).sign() for x in self.normals]
-            if all(s >= 0 for s in signs) or all(s <= 0 for s in signs):
-                raise ValidationError("polytope is unbounded")
+        coords, active = self._enumerate_vertices()
         if self.quasilattice is None:
             raise ValidationError("polytope needs a quasilattice")
         for j, x in enumerate(self.normals, start=1):
             if not self.quasilattice.contains(x):
                 raise ValidationError(
                     f"facet normal {j} is not in the quasilattice")
+        self._lattice = self._build_lattice(coords, active)
 
     def _enumerate_vertices(self):
+        """Vertex coordinates and active sets, in the order of the
+        lexicographically first facet basis inside each active set.
+
+        One double-description pass over the homogenised cone; raises
+        ``ValidationError`` when a final ray has t = 0 (unbounded)."""
         field = self.field
-        coords: list[list[FieldScalar]] = []
-        seen: dict[tuple, int] = {}
-        for subset in combinations(range(self.d), self.n):
-            rows = [self.normals[i] for i in subset]
-            rhs = [self.offsets[i] for i in subset]
-            mu = linalg.solve_unique(rows, rhs, field)
-            if mu is None:
+        n, d = self.n, self.d
+        # row k < d is facet k+1 as (X, -lambda); row d is t >= 0
+        rows = [list(x) + [-lam] for x, lam in zip(self.normals, self.offsets)]
+        rows.append([field.zero()] * n + [field.one()])
+        order = [d] + list(range(d))
+        _, pivots, _ = linalg._rref(linalg.transpose([rows[k] for k in order]),
+                                    d + 1)
+        if len(pivots) != n + 1:
+            raise ValidationError("facet normals do not span the ambient space")
+        start = [order[c] for c in pivots]
+        inverse = linalg.inverse([rows[k] for k in start], field)
+        # ray i of the simplicial cone is column i of the inverse: it is
+        # zero on every starting row but start[i]
+        rays = [_normalised([row[i] for row in inverse]) for i in range(n + 1)]
+        everything = sum(1 << k for k in start)
+        zeros = [everything & ~(1 << k) for k in start]
+        for k in order:
+            if k in start:
                 continue
-            if not self.contains_point(mu):
-                continue
-            key = tuple(s.coeffs for s in mu)
-            if key not in seen:
-                seen[key] = len(coords)
-                coords.append(mu)
-        if not coords:
-            raise ValidationError("polytope is empty")
-        active = [self.active_set(mu) for mu in coords]
-        base = coords[0]
-        diffs = [linalg.vec_sub(v, base) for v in coords[1:]]
-        if linalg.rank(diffs, self.n) != self.n:
-            raise ValidationError("polytope is lower-dimensional")
-        for j in range(1, self.d + 1):
-            on = [coords[v] for v in range(len(coords)) if j in active[v]]
-            if not on:
-                raise ValidationError(f"facet {j} is never active (redundant)")
-            ds = [linalg.vec_sub(v, on[0]) for v in on[1:]]
-            if linalg.rank(ds, self.n) != self.n - 1:
-                raise ValidationError(f"facet {j} is not an (n-1)-face (redundant)")
-        return coords, active
+            rays, zeros = _add_constraint(rows[k], 1 << k, rays, zeros, n)
+        if any(r[n].is_zero() for r in rays):
+            raise ValidationError("polytope is unbounded")
+        # Sorting by active set is sorting by the lexicographically first
+        # basis inside it: where two active sets first differ, the smaller
+        # label is active at one vertex only, so it is independent of the
+        # common prefix (a dependent label would be tight on the prefix's
+        # whole affine hull, at both vertices), and both bases differ there.
+        found = sorted(((tuple(k + 1 for k in range(d) if zero >> k & 1), ray[:n])
+                        for ray, zero in zip(rays, zeros)), key=lambda e: e[0])
+        return [coords for _, coords in found], [act for act, _ in found]
 
     # -- face lattice ---------------------------------------------------------
 
     def face_lattice(self) -> FaceLattice:
-        if self._lattice is not None:
-            return self._lattice
-        coords, active = self._enumerate_vertices()
+        if self._lattice is None:
+            self._lattice = self._build_lattice(*self._enumerate_vertices())
+        return self._lattice
+
+    def _build_lattice(self, coords, active) -> FaceLattice:
+        """The face lattice on the given vertices; rejects empty,
+        lower-dimensional and redundant descriptions."""
+        if not coords:
+            raise ValidationError("polytope is empty")
         nverts = len(coords)
         all_ids = frozenset(range(nverts))
-        sets = {frozenset(v for v in range(nverts) if j in active[v])
-                for j in range(1, self.d + 1)}
+        facet_sets = [frozenset(v for v in range(nverts) if j in active[v])
+                      for j in range(1, self.d + 1)]
+        sets = {s for s in facet_sets if s}
         sets.add(all_ids)
         # close under intersection; every face is an intersection of facets
         frontier = set(sets)
@@ -254,6 +258,21 @@ class Polytope:
             sets |= new
             frontier = new
 
+        # the lattice is graded: a vertex has dim 0, any other face one
+        # more than its largest proper subface
+        by_size = sorted(sets, key=len)
+        dims: dict[frozenset, int] = {}
+        for i, vset in enumerate(by_size):
+            below = [dims[u] for u in by_size[:i] if u < vset]
+            dims[vset] = 1 + max(below) if below else 0
+        if dims[all_ids] != self.n:
+            raise ValidationError("polytope is lower-dimensional")
+        for j, vset in enumerate(facet_sets, start=1):
+            if not vset:
+                raise ValidationError(f"facet {j} is never active (redundant)")
+            if dims[vset] != self.n - 1:
+                raise ValidationError(f"facet {j} is not an (n-1)-face (redundant)")
+
         entries = []
         index_sets = {}
         for vset in sets:
@@ -265,9 +284,7 @@ class Polytope:
             if iset in index_sets:
                 raise InternalConsistencyError("two faces share an index set")
             index_sets[iset] = vset
-            rows = [self.normals[j - 1] for j in iset]
-            dim = self.n - linalg.rank(rows, self.n)
-            entries.append((iset, dim, frozenset(vset)))
+            entries.append((iset, dims[vset], vset))
         if sum(1 for iset, _, _ in entries if len(iset) == 1) != self.d:
             raise ValidationError("duplicate or redundant facet detected")
 
@@ -288,8 +305,46 @@ class Polytope:
 
         faces = [Face(iset, dim, regular[iset], depth[iset], vset)
                  for iset, dim, vset in entries]
-        self._lattice = FaceLattice(self, faces, coords, active)
-        return self._lattice
+        return FaceLattice(self, faces, coords, active)
 
     def __repr__(self):
         return f"Polytope(n={self.n}, d={self.d})"
+
+
+def _normalised(ray):
+    """The ray scaled to |t| = 1, or, when t = 0, to a first nonzero
+    coordinate of absolute value 1."""
+    scale = ray[-1]
+    if scale.is_zero():
+        scale = next(x for x in ray if not x.is_zero())
+    if scale.sign() < 0:
+        scale = -scale
+    if scale == scale.field.one():
+        return ray
+    inv = scale.inverse()
+    return [inv * x for x in ray]
+
+
+def _add_constraint(row, bit, rays, zeros, n):
+    """One double-description step: the extreme rays of the cone cut by
+    <row, .> >= 0, with their zero sets (bit masks over the rows added)."""
+    values = [linalg.dot(row, r) for r in rays]
+    signs = [v.sign() for v in values]
+    keep = [i for i, s in enumerate(signs) if s >= 0]
+    new_rays = [rays[i] for i in keep]
+    new_zeros = [zeros[i] | bit if signs[i] == 0 else zeros[i] for i in keep]
+    neg = [i for i, s in enumerate(signs) if s < 0]
+    for i in (i for i, s in enumerate(signs) if s > 0):
+        for j in neg:
+            common = zeros[i] & zeros[j]
+            # adjacent: n-1 shared independent constraints (checked by
+            # count) and no third ray on all of them (combinatorial test)
+            if common.bit_count() < n - 1:
+                continue
+            if any(zeros[k] & common == common
+                   for k in range(len(rays)) if k != i and k != j):
+                continue
+            w = [values[i] * b - values[j] * a for a, b in zip(rays[i], rays[j])]
+            new_rays.append(_normalised(w))
+            new_zeros.append(common | bit)
+    return new_rays, new_zeros

@@ -69,12 +69,12 @@ class _Context:
         self.instance = instance
         self.p: Polytope = instance.polytope
         self.lat: FaceLattice = self.p.face_lattice()
-        self.seq = kernel_data(self.p)
         self.cfg: SolverConfig = instance.solver
         self.samples = samples
         self.seed = seed
         self.sampler = Sampler(self.p, seed)
         self.md = self.sampler.md
+        self.seq = kernel_data(self.p, self.md.exact_kernel)
 
     def rand_scalar(self) -> FieldScalar:
         rng = self.sampler.rng

@@ -1,13 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from toricq import linalg
+from toricq import intlat, linalg
 from toricq.errors import PreconditionError, ValidationError
-from toricq.groups import (Quasilattice, chart_index_sets, gamma_check,
-                           gamma_group, kernel_data, n_membership)
+from toricq.groups import (Quasilattice, _expand, chart_index_sets,
+                           gamma_check, gamma_group, kernel_data, n_membership)
 
 
 def test_rank_standard_lattice(qq):
@@ -40,6 +41,61 @@ def test_membership(qq, q_sqrt2):
     q2 = Quasilattice(q_sqrt2, [[q_sqrt2.from_rational(2)],
                                 [q_sqrt2.generator() * 2]])
     assert not q2.contains([q_sqrt2.one()])
+
+
+def _fresh_contains(q, v):
+    """Membership by the direct formula: clear the denominators of the
+    generators and the target together, then reduce in the column lattice."""
+    vectors = [_expand(g) for g in q.generators] + [_expand(linalg.vec(q.field, v))]
+    _, cleared = intlat.clear_denominators(vectors)
+    return intlat.in_column_lattice(cleared[:-1], cleared[-1])
+
+
+def test_contains_matches_the_fresh_formula(qq, q_sqrt2):
+    rng = random.Random(11)
+
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+
+    verdicts = set()
+    for field in (qq, q_sqrt2):
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            gens = [[field.scalar([frac() for _ in range(field.degree)])
+                     for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+            if linalg.rank(gens, n) < n:
+                continue
+            q = Quasilattice(field, gens)
+            targets = []
+            for _ in range(6):
+                coeffs = [rng.randint(-3, 3) for _ in gens]
+                member = [sum((c * g[i] for c, g in zip(coeffs, gens)),
+                              field.zero()) for i in range(n)]
+                targets.append(member)
+                # a member shifted by a fraction of a generator, and noise
+                half = linalg.vec_scale(field.from_rational(Fraction(1, 2)),
+                                        rng.choice(gens))
+                targets.append(linalg.vec_add(member, half))
+                targets.append([field.scalar([frac() for _ in range(field.degree)])
+                                for _ in range(n)])
+            for v in targets:
+                got = q.contains(v)
+                assert got == _fresh_contains(q, v)
+                verdicts.add(got)
+            assert all(q.contains(g) for g in gens)
+    assert verdicts == {True, False}
+
+
+def test_contains_reduces_only_the_target(pyramid_sqrt2, monkeypatch):
+    q = Quasilattice(pyramid_sqrt2.field, pyramid_sqrt2.quasilattice.generators)
+    q.contains(q.generators[0])
+    calls = []
+    real = intlat.column_echelon
+    monkeypatch.setattr(intlat, "column_echelon",
+                        lambda cols: calls.append(1) or real(cols))
+    for x in pyramid_sqrt2.normals:
+        assert q.contains(x)
+    assert calls == []
 
 
 def test_non_spanning_rejected(qq):

@@ -1,26 +1,126 @@
-"""Face lattice enumeration against a brute-force oracle, plus the
+"""Face lattice enumeration against brute-force oracles, plus the
 structural invariants of the lattice."""
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from toricq import linalg
 from toricq.errors import ValidationError
 from toricq.groups import Quasilattice
 from toricq.polytope import Polytope
 
 
+# -- oracles: subset scans, independent of the double-description pass --------
+
+
+def oracle_vertices(p):
+    """Solve every n-subset of facets in lexicographic order; keep each
+    feasible solution once, in order of first appearance."""
+    coords, seen = [], set()
+    for subset in combinations(range(p.d), p.n):
+        mu = linalg.solve_unique([p.normals[i] for i in subset],
+                                 [p.offsets[i] for i in subset], p.field)
+        if mu is None or not p.contains_point(mu):
+            continue
+        key = tuple(s.coeffs for s in mu)
+        if key not in seen:
+            seen.add(key)
+            coords.append(mu)
+    return coords, [p.active_set(mu) for mu in coords]
+
+
+def oracle_validation_error(p):
+    """The first message of the reference checks (subset scans and ranks)
+    in the order span, unbounded, quasilattice, empty, lower-dimensional,
+    redundant, duplicate; None when the description is valid."""
+    n, d = p.n, p.d
+    if linalg.rank(p.normals, n) != n:
+        return "facet normals do not span the ambient space"
+    # a recession ray lies on n-1 independent active constraints
+    for subset in combinations(range(d), n - 1):
+        kernel = linalg.nullspace([p.normals[i] for i in subset], n, p.field)
+        if len(kernel) != 1:
+            continue
+        signs = [linalg.dot(kernel[0], x).sign() for x in p.normals]
+        if all(s >= 0 for s in signs) or all(s <= 0 for s in signs):
+            return "polytope is unbounded"
+    if p.quasilattice is None:
+        return "polytope needs a quasilattice"
+    for j, x in enumerate(p.normals, start=1):
+        if not p.quasilattice.contains(x):
+            return f"facet normal {j} is not in the quasilattice"
+    coords, active = oracle_vertices(p)
+    if not coords:
+        return "polytope is empty"
+    diffs = [linalg.vec_sub(v, coords[0]) for v in coords[1:]]
+    if linalg.rank(diffs, n) != n:
+        return "polytope is lower-dimensional"
+    for j in range(1, d + 1):
+        on = [coords[v] for v in range(len(coords)) if j in active[v]]
+        if not on:
+            return f"facet {j} is never active (redundant)"
+        ds = [linalg.vec_sub(v, on[0]) for v in on[1:]]
+        if linalg.rank(ds, n) != n - 1:
+            return f"facet {j} is not an (n-1)-face (redundant)"
+    if sum(1 for f in oracle_faces(p, active) if len(f[0]) == 1) != d:
+        return "duplicate or redundant facet detected"
+    return None
+
+
+def oracle_faces(p, active):
+    """(index set, dim, regular, depth, vertex ids) of every face in the
+    lattice order, with dim = n - rank(X_I) and depth by a direct scan."""
+    nverts = len(active)
+    sets = {frozenset(v for v in range(nverts) if j in active[v])
+            for j in range(1, p.d + 1)}
+    sets.add(frozenset(range(nverts)))
+    grown = True
+    while grown:
+        new = {a & b for a in sets for b in sets} - sets - {frozenset()}
+        sets |= new
+        grown = bool(new)
+    entries = []
+    for vset in sets:
+        iset = tuple(sorted(set.intersection(*(set(active[v]) for v in vset))))
+        rows = [p.normals[j - 1] for j in iset]
+        dim = p.n - (linalg.rank(rows, p.n) if rows else 0)
+        entries.append((iset, dim, len(iset) == p.n - dim, vset))
+    entries.sort(key=lambda e: (e[1], e[0]))
+
+    def depth(e):
+        if e[2]:
+            return 0
+        above = [g for g in entries if set(g[0]) < set(e[0]) and not g[2]]
+        return 1 + max((depth(g) for g in above), default=0)
+
+    return [(e[0], e[1], e[2], depth(e), e[3]) for e in entries]
+
+
+def oracle_covers(faces):
+    """Hasse edges by the definition: a < b with nothing strictly between."""
+    def lt(a, b):
+        return a != b and set(a[0]) >= set(b[0])
+    out = []
+    for a in faces:
+        ups = [b for b in faces if lt(a, b)]
+        for b in ups:
+            if not any(lt(a, c) and lt(c, b) for c in ups):
+                out.append((a[0], b[0]))
+    return out
+
+
 def brute_force_faces(p):
     """Oracle: all open faces as index sets, found by scanning every facet
-    subset and taking the active-set closure of its solution set's vertices."""
-    lat = p.face_lattice()  # vertices reused only as exact points
-    verts = lat.vertex_coords
-    active = lat.vertex_active
+    subset and taking the active-set closure of its solution set's
+    vertices, with the vertices from the subset-scan oracle."""
+    _, active = oracle_vertices(p)
     found = set()
     for k in range(p.d + 1):
         for subset in combinations(range(1, p.d + 1), k):
-            ids = [i for i in range(len(verts)) if set(subset) <= set(active[i])]
+            ids = [i for i in range(len(active)) if set(subset) <= set(active[i])]
             if not ids:
                 continue
             common = set(active[ids[0]])
@@ -28,6 +128,157 @@ def brute_force_faces(p):
                 common &= set(active[i])
             found.add(tuple(sorted(common)))
     return found
+
+
+# -- seeded random H-polytopes --------------------------------------------------
+
+
+def _scalar(field, rng, lo, hi):
+    """A random field element: an integer, plus an integer times the
+    generator over a field of degree 2."""
+    coeffs = [rng.randint(lo, hi)] + [rng.randint(-1, 1)
+                                      for _ in range(field.degree - 1)]
+    return field.scalar(coeffs)
+
+
+def _quasilattice(field, n):
+    """Z^n, plus generator * Z^n over a field of degree 2."""
+    gens = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    if field.degree > 1:
+        t = field.generator()
+        gens += [[t if i == j else field.zero() for i in range(n)]
+                 for j in range(n)]
+    return Quasilattice(field, gens)
+
+
+def random_polytope(rng, field, n, cross, cuts):
+    """A cube (or, with ``cross``, a cross-polytope) cut by up to ``cuts``
+    random halfspaces.
+
+    A cut goes halfway between two vertex levels or through a vertex that
+    is not lowest, so many cuts leave nonsimple vertices.  A cut that the
+    reference checks reject (it cut a facet away, or it only touches the
+    polytope) is dropped."""
+    one = field.one()
+    if cross:
+        normals = [[field.from_rational(s) for s in signs]
+                   for signs in product((1, -1), repeat=n)]
+    else:
+        normals = [[one if i == j else field.zero() for i in range(n)]
+                   for j in range(n)]
+        normals += [[-x for x in v] for v in normals]
+    # over a field of degree 2 some sides sit at -generator instead of -1
+    offsets = [-field.generator() if field.degree > 1 and rng.random() < 0.5
+               else -one for _ in normals]
+    q = _quasilattice(field, n)
+    p = Polytope(field, normals, offsets, q)
+    for _ in range(cuts):
+        a = [_scalar(field, rng, -2, 2) for _ in range(n)]
+        if all(x.is_zero() for x in a):
+            continue
+        levels = sorted({linalg.dot(a, v) for v in p.face_lattice().vertex_coords},
+                        key=lambda x: x.shadow()[0])
+        if len(levels) < 2:
+            continue
+        i = rng.randrange(len(levels) - 1)
+        lam = (levels[i] + levels[i + 1]) / 2
+        if i > 0 and rng.random() < 0.5:
+            lam = levels[i]
+        cand = Polytope(field, normals + [a], offsets + [lam], q,
+                        validate=False)
+        if oracle_validation_error(cand) is None:
+            normals, offsets = normals + [a], offsets + [lam]
+            p = Polytope(field, normals, offsets, q)
+    return p
+
+
+# (dimension, cross-polytope base, cuts) per generated polytope
+SHAPES = ([(2, False, 3), (2, True, 3), (3, False, 3), (3, True, 3)] * 3
+          + [(4, False, 3)] * 2)
+SHAPES_SQRT2 = [(2, False, 3), (2, True, 3), (3, False, 3), (3, True, 3)] * 2
+
+
+def _generated(qq, q_sqrt2):
+    rng = random.Random(20240611)
+    return ([random_polytope(rng, qq, *shape) for shape in SHAPES]
+            + [random_polytope(rng, q_sqrt2, *shape) for shape in SHAPES_SQRT2])
+
+
+def test_enumeration_matches_the_subset_scan(qq, q_sqrt2):
+    nonsimple = 0
+    for p in _generated(qq, q_sqrt2):
+        lat = p.face_lattice()
+        coords, active = oracle_vertices(p)
+        assert lat.vertex_coords == coords
+        assert lat.vertex_active == active
+        faces = oracle_faces(p, active)
+        assert [(f.index_set, f.dim, f.regular, f.depth, f.vertex_ids)
+                for f in lat.faces] == faces
+        assert [(a.index_set, b.index_set) for a, b in lat.covers()] \
+            == oracle_covers(faces)
+        assert brute_force_faces(p) == {f.index_set for f in lat.faces}
+        # Euler-Poincare over the proper faces
+        assert sum((-1) ** f.dim for f in lat.faces if f.dim < p.n) \
+            == 1 - (-1) ** p.n
+        nonsimple += any(len(a) > p.n for a in active)
+    assert nonsimple >= 3   # the generator does reach degenerate vertices
+
+
+def _random_description(rng, qq):
+    """A small description that is often unbounded, empty, redundant or
+    outside its quasilattice: random rows, half of the time added to the
+    box [0, 2]^n."""
+    n = rng.randint(1, 3)
+    normals, offsets = [], []
+    if rng.random() < 0.5:
+        for i in range(n):
+            normals += [[1 if k == i else 0 for k in range(n)],
+                        [-1 if k == i else 0 for k in range(n)]]
+            offsets += [0, -2]
+    for _ in range(rng.randint(1, n + 2)):
+        normals.append([rng.randint(-2, 2) for _ in range(n)])
+        offsets.append(rng.randint(-3, 1))
+    scale = rng.choice((1, 1, 2))
+    gens = [[scale if i == j else 0 for i in range(n)] for j in range(n)]
+    return n, normals, offsets, Quasilattice(qq, gens)
+
+
+VERDICTS = ("span", "unbounded", "quasilattice", "empty", "lower-dimensional",
+            "never active", "(n-1)-face", "duplicate")
+
+
+def test_validation_matches_the_reference_checks(qq):
+    """Same verdict and message as the reference checks, so the same
+    precedence when a description has several defects."""
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        n, normals, offsets, q = _random_description(rng, qq)
+        want = oracle_validation_error(
+            Polytope(qq, normals, offsets, q, validate=False))
+        if want is None:
+            p = Polytope(qq, normals, offsets, q)
+            assert p.face_lattice().vertex_coords == oracle_vertices(p)[0]
+            seen.add(None)
+        else:
+            with pytest.raises(ValidationError) as err:
+                Polytope(qq, normals, offsets, q)
+            assert str(err.value) == want
+            seen.add(next(k for k in VERDICTS if k in want))
+    assert seen == {None, *VERDICTS}
+
+
+def test_cross_polytope_5_f_vector(qq):
+    normals = [list(s) for s in product((1, -1), repeat=5)]
+    gens = [[1 if i == j else 0 for i in range(5)] for j in range(5)]
+    lat = Polytope(qq, normals, [-1] * 32, Quasilattice(qq, gens)).face_lattice()
+    assert [sum(1 for f in lat.faces if f.dim == k) for k in range(5)] \
+        == [10, 40, 80, 80, 32]
+    # the vertices are +-e_i, each on 16 facets
+    assert sorted(tuple(x.as_fraction() for x in v) for v in lat.vertex_coords) \
+        == sorted(tuple(s if i == j else 0 for i in range(5))
+                  for j in range(5) for s in (-1, 1))
+    assert all(len(a) == 16 for a in lat.vertex_active)
 
 
 def test_unit_square_faces(unit_square):
@@ -162,26 +413,48 @@ def test_unbounded_rejected(qq):
 
 def test_empty_rejected(qq):
     q = Quasilattice(qq, [[1], [1]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^polytope is empty$"):
         Polytope(qq, [[1], [-1]], [1, 0], q)  # x >= 1 and x <= 0
 
 
 def test_lower_dimensional_rejected(qq):
     q = Quasilattice(qq, [[1, 0], [0, 1]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^polytope is lower-dimensional$"):
         Polytope(qq, [[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 0, 0], q)
 
 
 def test_redundant_facet_rejected(qq):
     q = Quasilattice(qq, [[1], [1]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=r"^facet 3 is never active \(redundant\)$"):
         Polytope(qq, [[1], [-1], [1]], [0, -1, -5], q)  # x >= -5 never active
 
 
 def test_duplicate_facet_rejected(qq):
     q = Quasilattice(qq, [[1], [1]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^duplicate or redundant facet detected$"):
         Polytope(qq, [[1], [-1], [1]], [0, -1, 0], q)
+
+
+def test_empty_and_unbounded_reports_unbounded(qq):
+    q = Quasilattice(qq, [[1, 0], [0, 1]])
+    with pytest.raises(ValidationError, match="^polytope is unbounded$"):
+        # x >= 1, x <= 0, y >= 0: empty, with recession direction (0, 1)
+        Polytope(qq, [[1, 0], [-1, 0], [0, 1]], [1, 0, 0], q)
+
+
+def test_unbounded_and_outside_quasilattice_reports_unbounded(qq):
+    q = Quasilattice(qq, [[2]])
+    with pytest.raises(ValidationError, match="^polytope is unbounded$"):
+        Polytope(qq, [[1]], [0], q)
+
+
+def test_empty_and_outside_quasilattice_reports_quasilattice(qq):
+    q = Quasilattice(qq, [[2]])
+    with pytest.raises(ValidationError,
+                       match="^facet normal 1 is not in the quasilattice$"):
+        Polytope(qq, [[1], [-1]], [1, 0], q)
 
 
 def test_normal_outside_quasilattice_rejected(qq):

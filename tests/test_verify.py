@@ -2,9 +2,11 @@
 and a full run over a nonsimple instance."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from toricq import linalg, serialize
 from toricq import verify as verify_mod
 from toricq.cli import main
 from toricq.moment import SolverConfig
@@ -86,3 +88,24 @@ def test_nonclosed_orbit_equivalent_to_its_closed_rep(pyramid):
         res = equivalent(pyramid, z, oc.closed_rep, lat)
         assert res.equivalent
     assert seen > 5
+
+
+@pytest.mark.parametrize("name", ["square_pyramid", "pyramid_sqrt2",
+                                  "weighted_triangle"])
+def test_one_kernel_elimination_per_run(name, monkeypatch):
+    """The verify context reuses the kernel the moment data computed."""
+    path = Path(__file__).resolve().parent.parent / "instances" / f"{name}.json"
+    instance = serialize.load_instance(str(path))
+    p = instance.polytope
+    pi_rows = [[p.normals[j][i] for j in range(p.d)] for i in range(p.n)]
+    kernel_calls = []
+    real = linalg.nullspace
+
+    def counted(rows, ncols, field):
+        if rows == pi_rows:
+            kernel_calls.append(ncols)
+        return real(rows, ncols, field)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    assert run_verification(instance, samples=10, seed=7).passed
+    assert kernel_calls == [p.d]
