@@ -10,15 +10,17 @@ failure.  Set TORICQ_LOG=DEBUG|INFO|... for logging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
 from . import serialize
-from .errors import ToricQError, ValidationError
+from .errors import SolverError, ToricQError, ValidationError
 from .groups import chart_index_sets, gamma_group
-from .moment import SolverConfig, retract
+from .moment import SolverConfig
 from .orbits import classify_orbit, equivalent
 from .strata import build_stratification
 from .verify import run_verification
@@ -66,18 +68,9 @@ def _emit(args, payload: dict | None = None, dot: str | None = None):
 
 
 def _solver(instance, args) -> SolverConfig:
-    cfg = instance.solver
-    if getattr(args, "tol", None):
-        cfg = SolverConfig(tolerance=args.tol,
-                           max_iterations=cfg.max_iterations,
-                           line_search_shrink=cfg.line_search_shrink,
-                           precision_bits=cfg.precision_bits)
-    if getattr(args, "precision", None):
-        cfg = SolverConfig(tolerance=cfg.tolerance,
-                           max_iterations=cfg.max_iterations,
-                           line_search_shrink=cfg.line_search_shrink,
-                           precision_bits=args.precision)
-    return cfg
+    if args.tol:
+        return dataclasses.replace(instance.solver, tolerance=args.tol)
+    return instance.solver
 
 
 def _parse_point(text: str):
@@ -188,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point", required=True,
                     help='complex vector as JSON [[re, im], ...]')
     sp.add_argument("--tol", type=float, help="residual tolerance")
-    sp.add_argument("--precision", type=int, help="float shadow bits")
     sp.set_defaults(func=cmd_retract)
 
     sp = sub.add_parser("equiv", help="orbit equivalence verdict")
@@ -196,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", required=True,
                     help="JSON pair of complex vectors")
     sp.add_argument("--tol", type=float, help="residual tolerance")
-    sp.add_argument("--precision", type=int, help="float shadow bits")
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("gamma", help="chart group table or one chart group")
@@ -219,8 +210,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ToricQError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(serialize.dumps(payload))
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SolverError):
+            # json would print a non-finite residual as the nonstandard Infinity
+            finite = exc.residual is not None and math.isfinite(exc.residual)
+            error["residual"] = exc.residual if finite else None
+            error["iterations"] = exc.iterations
+        sys.stdout.write(serialize.dumps({"error": error}))
         log.debug("command failed", exc_info=True)
         return exc.exit_code
 

@@ -124,16 +124,16 @@ class SequenceData:
         return [linalg.dot(mu, col) for col in cols]
 
 
-def kernel_data(p: "Polytope", kernel=None) -> SequenceData:
+def kernel_data(p: "Polytope") -> SequenceData:
     """Exact kernel basis of the normal map, with both maps verified to
-    compose to zero.  ``kernel`` is a basis computed before for ``p``
-    (``MomentData.exact_kernel``); it is checked, not recomputed."""
+    compose to zero.  It is computed once per polytope and kept on it."""
+    if p._kernel is not None:
+        return p._kernel
     field = p.field
     pi_rows = [[p.normals[j][i] for j in range(p.d)] for i in range(p.n)]
     if linalg.rank(p.normals, p.n) != p.n:
         raise ValidationError("facet normals do not span the ambient space")
-    if kernel is None:
-        kernel = linalg.nullspace(pi_rows, p.d, field)
+    kernel = linalg.nullspace(pi_rows, p.d, field)
     seq = SequenceData(pi_rows=pi_rows, kernel_basis=kernel, field=field)
     for v in kernel:
         if not all(s.is_zero() for s in seq.pi(v)):
@@ -141,6 +141,7 @@ def kernel_data(p: "Polytope", kernel=None) -> SequenceData:
     for mu in _standard_basis(field, p.n):
         if not all(s.is_zero() for s in seq.iota_star(seq.pi_star(mu))):
             raise ValidationError("dual sequence fails iota* . pi* = 0")
+    p._kernel = seq
     return seq
 
 

@@ -22,6 +22,23 @@ def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, list
     return denom, cleared
 
 
+def _reduce_row(work: list[list[int]], row: int) -> list[int] | None:
+    """Unimodular column operations on ``work`` (in place) until at most
+    one column is nonzero in ``row``: every other column is reduced modulo
+    the one of smallest absolute entry there, until one is left.  Returns
+    that column, or None when the row is zero."""
+    while True:
+        cand = [c for c in work if c[row] != 0]
+        if len(cand) <= 1:
+            return cand[0] if cand else None
+        cand.sort(key=lambda c: abs(c[row]))
+        small = cand[0]
+        for c in cand[1:]:
+            q = c[row] // small[row]
+            for r in range(len(c)):
+                c[r] -= q * small[r]
+
+
 def column_echelon(cols: list[list[int]]) -> list[list[int]]:
     """Basis of the column lattice, in echelon form (pivots descend).
 
@@ -35,20 +52,9 @@ def column_echelon(cols: list[list[int]]) -> list[list[int]]:
     basis: list[list[int]] = []
     for row in range(n):
         work = [c for c in work if any(x != 0 for x in c)]
-        if not any(c[row] != 0 for c in work):
+        pivot = _reduce_row(work, row)
+        if pivot is None:
             continue
-        # gcd elimination on the current row
-        while True:
-            cand = [c for c in work if c[row] != 0]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda c: abs(c[row]))
-            small = cand[0]
-            for c in cand[1:]:
-                q = c[row] // small[row]
-                for r in range(n):
-                    c[r] -= q * small[r]
-        pivot = next(c for c in work if c[row] != 0)
         if pivot[row] < 0:
             for r in range(n):
                 pivot[r] = -pivot[r]
@@ -91,19 +97,9 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     work = [list(c) for c in stacked]
     # eliminate the top m rows with unimodular column ops
     for row in range(m):
-        while True:
-            cand = [c for c in work if c[row] != 0]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda c: abs(c[row]))
-            small = cand[0]
-            for c in cand[1:]:
-                q = c[row] // small[row]
-                for r in range(m + ncols):
-                    c[r] -= q * small[r]
-        cand = [c for c in work if c[row] != 0]
-        if cand:
-            work.remove(cand[0])  # pivot column leaves the kernel pool
+        pivot = _reduce_row(work, row)
+        if pivot is not None:
+            work.remove(pivot)  # pivot column leaves the kernel pool
     kernel = []
     for c in work:
         if all(c[r] == 0 for r in range(m)):

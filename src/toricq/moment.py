@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .errors import PreconditionError, SolverError, ValidationError
 from .field import NumberField
-from .groups import SequenceData, kernel_data
+from .groups import kernel_data
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -35,7 +35,6 @@ class SolverConfig:
     tolerance: float = 1e-9
     max_iterations: int = 100
     line_search_shrink: float = 0.5
-    precision_bits: int = 53
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -71,17 +70,14 @@ class MomentData:
 
     field: NumberField
     exact_normals: list                 # list of field n-vectors (d entries)
-    exact_offsets: list                 # field scalars (d entries)
     exact_kernel: list                  # field d-vectors (d-n entries)
     normals_float: np.ndarray           # d x n
     offsets_float: np.ndarray           # d
     kernel_float: np.ndarray            # (d-n) x d rows = kernel basis
-    alpha_vectors: np.ndarray           # (d-n) x d, column k is -2pi iota*(e_k*)
     lambda_vector: np.ndarray           # (d-n)
     shadow_error: float                 # max error bound over all shadows
     closed_support: Callable[[tuple[int, ...]], bool]
     polytope: object | None = None
-    label: str = "polytope"
     subspaces: dict = dataclasses.field(default_factory=dict, repr=False,
                                         compare=False)
     phase_tests: dict = dataclasses.field(default_factory=dict, repr=False,
@@ -111,41 +107,46 @@ class MomentData:
         return data
 
 
-def _shadow_matrix(vectors, precision) -> tuple[np.ndarray, float]:
+def _shadow_matrix(vectors) -> tuple[np.ndarray, float]:
     rows = []
     worst = 0.0
     for v in vectors:
         row = []
         for s in v:
-            val, err = s.shadow(precision)
+            val, err = s.shadow(53)
             row.append(val)
             worst = max(worst, err)
         rows.append(row)
     return np.array(rows, dtype=float), worst
 
 
-def moment_data(p, seq: SequenceData | None = None,
-                precision: int = 53) -> MomentData:
-    """Moment-map data of a validated polytope."""
-    seq = seq or kernel_data(p)
-    lat = p.face_lattice()
-    Xf, e1 = _shadow_matrix(p.normals, precision)
-    lamf, e2 = _shadow_matrix([p.offsets], precision)
-    Kf, e3 = _shadow_matrix(seq.kernel_basis, precision) if seq.kernel_basis \
-        else (np.zeros((0, p.d)), 0.0)
+def _moment_data(field: NumberField, normals, offsets, kernel,
+                 closed_support, polytope=None) -> MomentData:
+    """Moment data from exact normals, offsets and kernel basis: their
+    float shadows, the kernel pairing lambda of the offsets, and the worst
+    shadow error bound."""
+    Xf, e1 = _shadow_matrix(normals)
+    lamf, e2 = _shadow_matrix([offsets])
+    Kf, e3 = _shadow_matrix(kernel) if kernel \
+        else (np.zeros((0, len(normals))), 0.0)
     lamf = lamf[0]
-    index_sets = {f.index_set for f in lat.faces}
+    return MomentData(
+        field=field, exact_normals=normals, exact_kernel=kernel,
+        normals_float=Xf, offsets_float=lamf, kernel_float=Kf,
+        lambda_vector=Kf @ lamf if kernel else np.zeros(0),
+        shadow_error=max(e1, e2, e3), closed_support=closed_support,
+        polytope=polytope)
+
+
+def moment_data(p) -> MomentData:
+    """Moment-map data of a validated polytope."""
+    index_sets = {f.index_set for f in p.face_lattice().faces}
 
     def closed_support(labels: tuple[int, ...]) -> bool:
         return tuple(sorted(labels)) in index_sets
 
-    return MomentData(
-        field=p.field, exact_normals=p.normals, exact_offsets=p.offsets,
-        exact_kernel=seq.kernel_basis, normals_float=Xf, offsets_float=lamf,
-        kernel_float=Kf, alpha_vectors=-TWO_PI * Kf,
-        lambda_vector=Kf @ lamf if len(seq.kernel_basis) else np.zeros(0),
-        shadow_error=max(e1, e2, e3), closed_support=closed_support,
-        polytope=p)
+    return _moment_data(p.field, p.normals, p.offsets,
+                        kernel_data(p).kernel_basis, closed_support, p)
 
 
 def derived_moment_data(kind: str, link) -> MomentData:
@@ -157,17 +158,6 @@ def derived_moment_data(kind: str, link) -> MomentData:
         return moment_data(link.delta_F)
     if kind != "sigma_F":
         raise PreconditionError(f"unknown derived moment data kind: {kind}")
-
-    fld = link.parent.field
-    normals = link.sigma_normals
-    zero = fld.zero()
-    offsets = [zero] * len(normals)
-    kernel = link.cone_kernel
-    precision = 53
-    Xf, e1 = _shadow_matrix(normals, precision)
-    Kf, e3 = _shadow_matrix(kernel, precision) if kernel \
-        else (np.zeros((0, len(normals))), 0.0)
-    lamf = np.zeros(len(normals))
     parent_lat = link.parent.face_lattice()
     labels = link.facet_labels
 
@@ -175,13 +165,10 @@ def derived_moment_data(kind: str, link) -> MomentData:
         parent_labels = tuple(sorted(labels[i - 1] for i in local))
         return parent_lat.face_by_index_set(parent_labels) is not None
 
-    return MomentData(
-        field=fld, exact_normals=normals, exact_offsets=offsets,
-        exact_kernel=kernel, normals_float=Xf, offsets_float=lamf,
-        kernel_float=Kf, alpha_vectors=-TWO_PI * Kf,
-        lambda_vector=Kf @ lamf if kernel else np.zeros(0),
-        shadow_error=max(e1, e3), closed_support=closed_support,
-        polytope=None, label="sigma_F")
+    field = link.parent.field
+    return _moment_data(field, link.sigma_normals,
+                        [field.zero()] * len(link.sigma_normals),
+                        link.cone_kernel, closed_support)
 
 
 def upsilon(m: MomentData, z: Sequence[complex]) -> np.ndarray:
@@ -198,6 +185,7 @@ def psi(m: MomentData, z: Sequence[complex]) -> np.ndarray:
 
 
 def _zero_labels(z: np.ndarray) -> tuple[int, ...]:
+    """The labels (1-based) of the zero coordinates of a complex vector."""
     return tuple(int(j) + 1 for j in np.flatnonzero(z == 0))
 
 

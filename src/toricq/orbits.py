@@ -22,7 +22,7 @@ from . import linalg
 from .errors import DomainError, PreconditionError, ValidationError
 from .groups import Quasilattice
 from .moment import (MomentData, RetractionResult, SolverConfig, _read_only,
-                     moment_data, retract)
+                     _zero_labels, moment_data, retract)
 from .polytope import Face, FaceLattice, Polytope
 
 MAXIMAL_PIECE = "maximal piece"
@@ -83,9 +83,7 @@ def _as_point(z) -> tuple[np.ndarray, ExactVector | None]:
 
 
 def _zero_labels_of(z, exact: ExactVector | None) -> tuple[int, ...]:
-    if exact is not None:
-        return exact.zero_labels()
-    return tuple(int(j) + 1 for j in np.flatnonzero(z == 0))
+    return exact.zero_labels() if exact is not None else _zero_labels(z)
 
 
 @dataclass

@@ -157,6 +157,7 @@ class Polytope:
             raise ValidationError("offsets and normals disagree in length")
         self._lattice: FaceLattice | None = None
         self._chart_inverses: dict[tuple[int, ...], list] = {}
+        self._kernel = None    # SequenceData, built by groups.kernel_data
         self._moment = None    # MomentData, built by orbits._moment_for
         if validate:
             self._validate()

@@ -115,16 +115,18 @@ class ProblemInstance:
 
 def solver_to_json(cfg: SolverConfig) -> dict:
     return {"tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations,
-            "line_search_shrink": cfg.line_search_shrink,
-            "precision_bits": cfg.precision_bits}
+            "line_search_shrink": cfg.line_search_shrink}
 
 
 def solver_from_json(data) -> SolverConfig:
+    # float shadows are always 53-bit; older instances still carry the key
+    if data.get("precision_bits", 53) != 53:
+        raise ValidationError(
+            f"solver.precision_bits must be 53, got {data['precision_bits']!r}")
     return SolverConfig(
         tolerance=float(data.get("tolerance", 1e-9)),
         max_iterations=int(data.get("max_iterations", 100)),
-        line_search_shrink=float(data.get("line_search_shrink", 0.5)),
-        precision_bits=int(data.get("precision_bits", 53)))
+        line_search_shrink=float(data.get("line_search_shrink", 0.5)))
 
 
 def instance_to_json(inst: ProblemInstance) -> dict:

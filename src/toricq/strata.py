@@ -19,7 +19,7 @@ from .errors import (InternalConsistencyError, PreconditionError,
                      ValidationError)
 from .field import FieldScalar
 from .groups import (DiscreteGroupPresentation, Quasilattice, _chart_preimage,
-                     chart_index_sets, gamma_check, gamma_group)
+                     chart_index_sets, gamma_check, gamma_group, kernel_data)
 from .polytope import Face, FaceLattice, Polytope
 
 
@@ -220,7 +220,6 @@ def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
             f"link polytope of face {list(labels)} failed validation: {exc}"
         ) from exc
 
-    from .groups import kernel_data
     n_f0_dim = len(kernel_data(delta_f).kernel_basis)
     if n_f0_dim != n_f_dim + 1:
         raise InternalConsistencyError("link kernel dimensions disagree")

@@ -20,7 +20,7 @@ from . import linalg
 from .errors import ToricQError
 from .field import FieldScalar
 from .groups import chart_index_sets, gamma_check, gamma_group, kernel_data, n_membership
-from .moment import FOUR_PI, SolverConfig, _reduced_subspace, psi, retract
+from .moment import FOUR_PI, SolverConfig, _reduced_subspace, _zero_labels, psi, retract
 from .orbits import classify_orbit, equivalent, p_function
 from .polytope import FaceLattice, Polytope
 from .sampling import Sampler, nonclosed_flow_direction
@@ -74,7 +74,8 @@ class _Context:
         self.seed = seed
         self.sampler = Sampler(self.p, seed)
         self.md = self.sampler.md
-        self.seq = kernel_data(self.p, self.md.exact_kernel)
+        self.seq = kernel_data(self.p)
+        self.report = None  # StratificationReport, built by _strata_context
 
     def rand_scalar(self) -> FieldScalar:
         rng = self.sampler.rng
@@ -375,7 +376,7 @@ def moment_zero_level_per_face(ctx: _Context) -> PropertyResult:
                 x[j - 1] = math.sqrt(ctx.p.slack(xi, j).shadow(53)[0])
         if np.linalg.norm(psi(ctx.md, x)) > 1e-9:
             return _fail(name, 1, {"face": list(f.index_set)})
-        support = tuple(int(j) + 1 for j in np.flatnonzero(x == 0))
+        support = _zero_labels(x)
         if support != f.index_set:
             return _fail(name, 1, {"face": list(f.index_set),
                                    "support": list(support)})
@@ -457,7 +458,7 @@ def orbits_flow_nonclosed(ctx: _Context) -> PropertyResult:
         if oc.closed:
             Y = ctx.sampler.a_element()
             moved = ctx.sampler.apply(z, None, Y)
-            if tuple(int(j) + 1 for j in np.flatnonzero(moved == 0)) != oc.i_z:
+            if _zero_labels(moved) != oc.i_z:
                 return _fail(name, i + 1, {"case": "closed support moved"})
             continue
         nonclosed_seen += 1
@@ -526,9 +527,9 @@ def orbits_face_orbit_bijection(ctx: _Context) -> PropertyResult:
 def _strata_context(ctx: _Context):
     if not ctx.lat.singular_faces():
         return None
-    if not hasattr(ctx, "_report"):
-        ctx._report = build_stratification(ctx.p, ctx.lat)
-    return ctx._report
+    if ctx.report is None:
+        ctx.report = build_stratification(ctx.p, ctx.lat)
+    return ctx.report
 
 
 def strata_kernel_dims(ctx: _Context) -> PropertyResult:

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
-from toricq import serialize
+from toricq import cli, serialize
 from toricq.cli import main
+from toricq.errors import SolverError, ValidationError
 
 PYRAMID_JSON = {
     "field": {"minpoly": [0, 1], "root_interval": ["0", "0"],
@@ -184,6 +186,7 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ValidationError"
+    assert set(err["error"]) == {"type", "message"}
 
 
 def test_malformed_json_exit_code(tmp_path, capsys):
@@ -199,6 +202,41 @@ def test_solver_nonconvergence_exit_code(interval_file, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "SolverError"
+    assert err["error"]["iterations"] == 100
+    assert 0 < err["error"]["residual"] < 1e-9
+
+
+def test_solver_error_payload_writes_a_nonfinite_residual_as_null(
+        interval_file, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise SolverError("iterates diverged", residual=math.inf, iterations=4)
+
+    monkeypatch.setattr(cli, "classify_orbit", diverge)
+    assert main(["retract", interval_file, "--point", "[[1,0],[1,0]]"]) == 3
+
+    def reject(name):
+        raise AssertionError(f"nonstandard JSON constant {name}")
+
+    err = json.loads(capsys.readouterr().out, parse_constant=reject)["error"]
+    assert err["residual"] is None and err["iterations"] == 4
+
+
+def test_precision_bits_only_53_is_accepted():
+    inst = serialize.instance_from_json(INTERVAL_JSON)
+    assert "precision_bits" not in serialize.instance_to_json(inst)["solver"]
+    without = dict(INTERVAL_JSON, solver={"tolerance": 1e-9})
+    assert serialize.instance_from_json(without).solver == inst.solver
+    for bits in (80, 24, "53"):
+        bad = dict(INTERVAL_JSON, solver=dict(INTERVAL_JSON["solver"],
+                                              precision_bits=bits))
+        with pytest.raises(ValidationError, match="precision_bits"):
+            serialize.instance_from_json(bad)
+
+
+def test_precision_flag_is_gone(interval_file):
+    with pytest.raises(SystemExit):
+        main(["retract", interval_file, "--point", "[[1,0],[1,0]]",
+              "--precision", "80"])
 
 
 def test_nested_strata_json_depth_two(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """The reports of the shipped instances, pinned by digest.
 
-Every number in `analyze`, `faces` and `strata` output is exact, so the
-stdout of each command is the same on every platform.  A change that
-alters any of these bytes must say why and update the digest."""
+Every number in `analyze`, `faces` and `strata` output is exact, and a
+`verify` report holds only suite names, sample counts, verdicts, fixed
+tolerances and notes, so the stdout of each command is the same on every
+platform.  A change that alters any of these bytes must say why and update
+the digest."""
 
 import hashlib
 from pathlib import Path
@@ -13,38 +15,51 @@ from toricq.cli import main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
+# extra arguments per command
+ARGS = {"verify": ["--samples", "20", "--seed", "7"]}
+
 SHA256 = {
     ("interval", "analyze"): "d9191182ab8ff7e0bab8d6b72de5320dca9bd73d657e7c57caac76383be3fa7f",
     ("interval", "faces"): "a975a936d0c2f0c691a8d7beb53f831106604d54856c2b07bf65f86cc61c6eaf",
     ("interval", "strata"): "2af5fb2b29d86c846fb72b03a1f064aa70bd74b0e497c23db62216e1e05d3e0b",
+    ("interval", "verify"): "08ccf2f15ab433ec9ff6d812790c43f4b435cfc5cab3ee71b4faa960c7defaee",
     ("interval_sqrt2", "analyze"): "a06ae7035f8b5bf6c7de574a2e984491422963334920ec4f8f52a9d69971825a",
     ("interval_sqrt2", "faces"): "51cf3801fd0c2b658e414ac66d21fd6065670c7d8095302839ac466a376a0f6c",
     ("interval_sqrt2", "strata"): "2af5fb2b29d86c846fb72b03a1f064aa70bd74b0e497c23db62216e1e05d3e0b",
+    ("interval_sqrt2", "verify"): "2ec800ed9ed9c6221be73a09e074904b89bbd39f764686cb09dd4a228c09c0e2",
     ("octahedron", "analyze"): "5b0303c581b6d97de661e57c1a2dbde08ea2c99ce6d0ed56d23b2b4512dfb4d2",
     ("octahedron", "faces"): "1b6e5a6d3edea1559cdc8761ea4710858487362c956d74ddf680fa3682c81546",
     ("octahedron", "strata"): "048a1962a0601ed1c2232bf359dd714ffc89bf21c0390f1f157ed98ea5f544ba",
+    ("octahedron", "verify"): "4119cd2a3361e20c2d67697ad705326e354a7bd3f6fc771b150db9b751259b7b",
     ("pyramid4", "analyze"): "ba1d9ceb2c57c4f9f1ff47d31fcb62babe33bae86f6056717d27a8213d7e4021",
     ("pyramid4", "faces"): "be3b7d40a5cb8f5cddfd36f11e4e079d295c647f4ae5f03c9fe190e3b93a5b6e",
     ("pyramid4", "strata"): "6305cd6f70cd4e809c422d3712b93780f115b2c8fff90999a698e603b9d6e705",
+    ("pyramid4", "verify"): "f73f672b8021d3d8b0ef3527d324b6fcdc66c8bbdd39c0d1d1b52368e29fb2c8",
     ("pyramid_sqrt2", "analyze"): "0d008e11b7f4994d68aedd3bb0379e7c11edf9b01bdb23d45163b321e1eccc37",
     ("pyramid_sqrt2", "faces"): "b694669c67db0bad5c629b18c962498613f1636f52bf0bcb95c36ebca1f7330e",
     ("pyramid_sqrt2", "strata"): "f69f55b701d90a28ee549606f1fdca0ff2c57e41bb5e00ea27badd1986d56eea",
+    ("pyramid_sqrt2", "verify"): "e0c6194645cbde31d2efe8c2e92c0acf261ce0bb516e601a723ba22e1bf3727e",
     ("square_pyramid", "analyze"): "ed4b27c0ed59dd7a219db8c6428a176b0e9b0654656962d5977d6e9a5de3baf9",
     ("square_pyramid", "faces"): "410bbbc1d464d991432121ed97f093e86204ce691c22cf34de07940c753829a7",
     ("square_pyramid", "strata"): "bd0596690ec6ca8a2db64535aa712cd6bb85e4b2fbaefcb37bbd90bea05131da",
+    ("square_pyramid", "verify"): "df4f6cb91965a52b0a38df39ea568085291e3b5c9a272eddb89be9ca99088660",
     ("weighted_triangle", "analyze"): "e91cfcd438a3dfdcd22bd05576d1bf43c4eb45f251413a9f56b6104ac939f7ec",
     ("weighted_triangle", "faces"): "b0226ad316433f512aa9a6cde6c648999f7b5f97d3caf5eb2707bc83fb7620db",
     ("weighted_triangle", "strata"): "417eb77ad3d675e974b3eab6c6c710679beb00768b2d5524c891278f54dcf285",
+    ("weighted_triangle", "verify"): "3c1080695c4423d7ad96051dda5b1a788a70501e60299da822a07fc0345b5842",
 }
 
 
 def test_every_shipped_instance_is_pinned():
     names = {path.stem for path in INSTANCES.glob("*.json")}
     assert {name for name, _ in SHA256} == names
+    assert {command for _, command in SHA256} == {"analyze", "faces",
+                                                   "strata", "verify"}
 
 
 @pytest.mark.parametrize("name,command", sorted(SHA256))
 def test_report_digest(name, command, capsys):
-    assert main([command, str(INSTANCES / f"{name}.json")]) == 0
+    path = str(INSTANCES / f"{name}.json")
+    assert main([command, path, *ARGS.get(command, [])]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SHA256[name, command]

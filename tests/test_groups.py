@@ -9,6 +9,7 @@ from toricq import intlat, linalg
 from toricq.errors import PreconditionError, ValidationError
 from toricq.groups import (Quasilattice, _expand, chart_index_sets,
                            gamma_check, gamma_group, kernel_data, n_membership)
+from toricq.polytope import Polytope
 
 
 def test_rank_standard_lattice(qq):
@@ -127,6 +128,22 @@ def test_kernel_data_square(unit_square):
 def test_kernel_data_simplex_corank_one(triangle):
     seq = kernel_data(triangle)
     assert len(seq.kernel_basis) == 1
+
+
+def test_kernel_data_is_computed_once_per_polytope(qq, monkeypatch):
+    p = Polytope(qq, [[1, 0], [0, 1], [-1, -1]], [0, 0, -1],
+                 Quasilattice(qq, [[1, 0], [0, 1]]))
+    calls = []
+    real = linalg.nullspace
+
+    def counted(rows, ncols, field):
+        calls.append(ncols)
+        return real(rows, ncols, field)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    seq = kernel_data(p)
+    assert kernel_data(p) is seq
+    assert calls == [3]
 
 
 def test_chart_sets_simple(triangle):

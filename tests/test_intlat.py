@@ -143,3 +143,69 @@ def test_quotient_invariants_match_enumerated_group():
                 for r in range(n)]
         ref = smith_normal_form(sympy.Matrix(rows))
         assert intlat.smith_diagonal(rows) == [abs(ref[i, i]) for i in range(n)]
+
+
+def _echelon_reference(cols):
+    """``column_echelon`` as it was written before its row reduction was
+    shared with ``integer_kernel``."""
+    if not cols:
+        return []
+    n = len(cols[0])
+    work = [list(c) for c in cols]
+    basis = []
+    for row in range(n):
+        work = [c for c in work if any(x != 0 for x in c)]
+        if not any(c[row] != 0 for c in work):
+            continue
+        while True:
+            cand = [c for c in work if c[row] != 0]
+            if len(cand) <= 1:
+                break
+            cand.sort(key=lambda c: abs(c[row]))
+            small = cand[0]
+            for c in cand[1:]:
+                q = c[row] // small[row]
+                for r in range(n):
+                    c[r] -= q * small[r]
+        pivot = next(c for c in work if c[row] != 0)
+        if pivot[row] < 0:
+            for r in range(n):
+                pivot[r] = -pivot[r]
+        work.remove(pivot)
+        basis.append(pivot)
+    return basis
+
+
+def _kernel_reference(rows, ncols):
+    """``integer_kernel`` as it was written before its row reduction was
+    shared with ``column_echelon``."""
+    m = len(rows)
+    work = [[rows[i][j] for i in range(m)] + [1 if r == j else 0 for r in range(ncols)]
+            for j in range(ncols)]
+    for row in range(m):
+        while True:
+            cand = [c for c in work if c[row] != 0]
+            if len(cand) <= 1:
+                break
+            cand.sort(key=lambda c: abs(c[row]))
+            small = cand[0]
+            for c in cand[1:]:
+                q = c[row] // small[row]
+                for r in range(m + ncols):
+                    c[r] -= q * small[r]
+        cand = [c for c in work if c[row] != 0]
+        if cand:
+            work.remove(cand[0])
+    return [c[m:] for c in work if all(c[r] == 0 for r in range(m))]
+
+
+def test_shared_row_reduction_keeps_every_basis():
+    rng = random.Random(17)
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        rows = _random_matrix(rng, m, n, -9, 9)
+        if rng.random() < 0.3:  # repeated and zero columns
+            rows = [r[:n // 2] * 2 + [0] * (n - 2 * (n // 2)) for r in rows]
+        cols = [[rows[i][j] for i in range(m)] for j in range(n)]
+        assert intlat.column_echelon(cols) == _echelon_reference(cols)
+        assert intlat.integer_kernel(rows, n) == _kernel_reference(rows, n)

@@ -109,3 +109,35 @@ def test_one_kernel_elimination_per_run(name, monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", counted)
     assert run_verification(instance, samples=10, seed=7).passed
     assert kernel_calls == [p.d]
+
+
+@pytest.mark.parametrize("name", ["octahedron", "pyramid4"])
+def test_kernel_split_eliminates_no_link_kernel(name, monkeypatch):
+    """Once the strata report is built, every link polytope already has its
+    kernel sequence; the kernel split suite reads it instead of redoing it."""
+    path = Path(__file__).resolve().parent.parent / "instances" / f"{name}.json"
+    instance = serialize.load_instance(str(path))
+    ctx = verify_mod._Context(instance, samples=10, seed=7)
+    assert ctx.report is None
+    report = verify_mod._strata_context(ctx)
+    assert ctx.report is report and report.strata
+
+    links, pending = [], [report]
+    while pending:
+        for entry in pending.pop().strata:
+            links.append(entry.link.delta_F)
+            pending.append(entry.link.recursive_report)
+    link_rows = [[[q.normals[j][i] for j in range(q.d)] for i in range(q.n)]
+                 for q in links]
+    kernel_calls = []
+    real = linalg.nullspace
+
+    def counted(rows, ncols, field):
+        if rows in link_rows:
+            kernel_calls.append(ncols)
+        return real(rows, ncols, field)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    assert verify_mod.strata_kernel_split(ctx).passed
+    assert kernel_calls == []
+    assert verify_mod._strata_context(ctx) is report
