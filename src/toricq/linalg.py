@@ -27,6 +27,14 @@ def vec_scale(c, a):
     return [c * x for x in a]
 
 
+def barycenter(vectors, field: NumberField):
+    """The exact average of a nonempty list of vectors."""
+    acc = list(vectors[0])
+    for v in vectors[1:]:
+        acc = vec_add(acc, v)
+    return vec_scale(field.one() / len(vectors), acc)
+
+
 def dot(a, b) -> FieldScalar:
     acc = a[0] * b[0]
     for x, y in zip(a[1:], b[1:]):

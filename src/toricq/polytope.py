@@ -2,17 +2,19 @@
 lattice enumeration, regular/singular classification, singularity depth,
 and membership in the admissible open subset of C^d.
 
-Vertices come from one double-description pass (Motzkin et al. 1953;
-Fukuda & Prodon 1996) over the homogenised cone
-{(y, t) : <X_j, y> >= lambda_j t, t >= 0}.  The pass starts from the
-simplicial cone on the first n+1 independent constraints, adds the others
-one at a time, and combines two rays across a new constraint only when the
-combinatorial test on their zero sets says they are adjacent.  It needs
-nothing but exact ``sign()``, so it holds over any declared field.  A final
-ray with t = 0 is a recession direction (the polytope is unbounded); the
-rays with t > 0 are the vertices, and their zero sets are the vertex
-active sets.  Faces are the intersections of facet vertex sets, and a
-face's dimension is read off the grading of that lattice.
+One double-description kernel, :func:`cone_rays` (Motzkin et al. 1953;
+Fukuda & Prodon 1996), finds the extreme rays of a pointed cone
+{x : <row, x> >= 0}.  It starts from the simplicial cone on the first
+independent rows, adds the others one at a time, and combines two rays
+across a new row only when the combinatorial test on their zero sets says
+they are adjacent.  It needs nothing but exact ``sign()``, so it holds over
+any declared field.  It serves the contraction rates of nonclosed orbits
+(``sampling._positive_decay_rates``) and the vertices, on the homogenised
+cone {(y, t) : t >= 0, <X_j, y> >= lambda_j t}: a final ray with t = 0 is a
+recession direction (the polytope is unbounded); the rays with t > 0 are
+the vertices, and their zero sets are the vertex active sets.  Faces are
+the intersections of facet vertex sets, and a face's dimension is read off
+the grading of that lattice.
 
 Facets carry 1-based labels 1..d throughout; index sets are sorted tuples
 of labels.  Coordinate arrays are 0-based, so coordinate j-1 belongs to
@@ -103,10 +105,7 @@ class FaceLattice:
                if want <= set(self.vertex_active[v])]
         if not ids:
             return None
-        common = set(self.vertex_active[ids[0]])
-        for v in ids[1:]:
-            common &= set(self.vertex_active[v])
-        face = self._by_index.get(tuple(sorted(common)))
+        face = self._by_index.get(_common_active(self.vertex_active, ids))
         if face is None:
             raise InternalConsistencyError("active-set closure missed the lattice")
         return face
@@ -125,13 +124,7 @@ class FaceLattice:
 
     def relint_point(self, f: Face) -> list[FieldScalar]:
         """An exact point in the relative interior (vertex barycenter)."""
-        vs = self.vertices_of(f)
-        field = self.polytope.field
-        acc = list(vs[0])
-        for v in vs[1:]:
-            acc = linalg.vec_add(acc, v)
-        inv = field.from_rational(1) / len(vs)
-        return linalg.vec_scale(inv, acc)
+        return linalg.barycenter(self.vertices_of(f), self.polytope.field)
 
     def depths(self) -> dict[tuple[int, ...], int]:
         return {f.index_set: f.depth for f in self.faces}
@@ -199,25 +192,13 @@ class Polytope:
         ``ValidationError`` when a final ray has t = 0 (unbounded)."""
         field = self.field
         n, d = self.n, self.d
-        # row k < d is facet k+1 as (X, -lambda); row d is t >= 0
-        rows = [list(x) + [-lam] for x, lam in zip(self.normals, self.offsets)]
-        rows.append([field.zero()] * n + [field.one()])
-        order = [d] + list(range(d))
-        _, pivots, _ = linalg._rref(linalg.transpose([rows[k] for k in order]),
-                                    d + 1)
-        if len(pivots) != n + 1:
+        # row 0 is t >= 0, row j is facet j as (X_j, -lambda_j)
+        rows = [[field.zero()] * n + [field.one()]]
+        rows += [list(x) + [-lam] for x, lam in zip(self.normals, self.offsets)]
+        cone = cone_rays(rows)
+        if cone is None:
             raise ValidationError("facet normals do not span the ambient space")
-        start = [order[c] for c in pivots]
-        inverse = linalg.inverse([rows[k] for k in start], field)
-        # ray i of the simplicial cone is column i of the inverse: it is
-        # zero on every starting row but start[i]
-        rays = [_normalised([row[i] for row in inverse]) for i in range(n + 1)]
-        everything = sum(1 << k for k in start)
-        zeros = [everything & ~(1 << k) for k in start]
-        for k in order:
-            if k in start:
-                continue
-            rays, zeros = _add_constraint(rows[k], 1 << k, rays, zeros, n)
+        rays, zeros = cone
         if any(r[n].is_zero() for r in rays):
             raise ValidationError("polytope is unbounded")
         # Sorting by active set is sorting by the lexicographically first
@@ -225,7 +206,7 @@ class Polytope:
         # label is active at one vertex only, so it is independent of the
         # common prefix (a dependent label would be tight on the prefix's
         # whole affine hull, at both vertices), and both bases differ there.
-        found = sorted(((tuple(k + 1 for k in range(d) if zero >> k & 1), ray[:n])
+        found = sorted(((tuple(j for j in range(1, d + 1) if zero >> j & 1), ray[:n])
                         for ray, zero in zip(rays, zeros)), key=lambda e: e[0])
         return [coords for _, coords in found], [act for act, _ in found]
 
@@ -277,11 +258,7 @@ class Polytope:
         entries = []
         index_sets = {}
         for vset in sets:
-            ids = sorted(vset)
-            common = set(active[ids[0]])
-            for v in ids[1:]:
-                common &= set(active[v])
-            iset = tuple(sorted(common))
+            iset = _common_active(active, vset)
             if iset in index_sets:
                 raise InternalConsistencyError("two faces share an index set")
             index_sets[iset] = vset
@@ -312,9 +289,37 @@ class Polytope:
         return f"Polytope(n={self.n}, d={self.d})"
 
 
+def _common_active(active, ids) -> tuple[int, ...]:
+    """The sorted labels active at every vertex in the nonempty ``ids``."""
+    return tuple(sorted(set.intersection(*(set(active[v]) for v in ids))))
+
+
+def cone_rays(rows):
+    """Extreme rays of the pointed cone {x : <row, x> >= 0 for every row}
+    and their zero sets (bit k set when the ray is on rows[k]), or None when
+    the rows do not span the space.
+
+    One double-description pass: the simplicial cone on the first
+    independent rows, then the remaining rows one at a time, in order."""
+    dim = len(rows[0])
+    _, start, _ = linalg._rref(linalg.transpose(rows), len(rows))
+    if len(start) != dim:
+        return None
+    inverse = linalg.inverse([rows[k] for k in start], rows[0][0].field)
+    # ray i of the simplicial cone is column i of the inverse: it is zero
+    # on every starting row but start[i]
+    rays = [_normalised([row[i] for row in inverse]) for i in range(dim)]
+    everything = sum(1 << k for k in start)
+    zeros = [everything & ~(1 << k) for k in start]
+    for k, row in enumerate(rows):
+        if k not in start:
+            rays, zeros = _add_constraint(row, 1 << k, rays, zeros, dim - 1)
+    return rays, zeros
+
+
 def _normalised(ray):
-    """The ray scaled to |t| = 1, or, when t = 0, to a first nonzero
-    coordinate of absolute value 1."""
+    """The ray scaled to a last coordinate of absolute value 1, or, when
+    that is 0, to a first nonzero coordinate of absolute value 1."""
     scale = ray[-1]
     if scale.is_zero():
         scale = next(x for x in ray if not x.is_zero())
@@ -328,7 +333,8 @@ def _normalised(ray):
 
 def _add_constraint(row, bit, rays, zeros, n):
     """One double-description step: the extreme rays of the cone cut by
-    <row, .> >= 0, with their zero sets (bit masks over the rows added)."""
+    <row, .> >= 0, with their zero sets (bit masks over the rows added).
+    ``n`` is the cone's dimension minus one."""
     values = [linalg.dot(row, r) for r in rays]
     signs = [v.sign() for v in values]
     keep = [i for i, s in enumerate(signs) if s >= 0]

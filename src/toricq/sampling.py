@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, PreconditionError
 from .groups import _chart_preimage, chart_index_sets
-from .orbits import OrbitClass, _moment_for
-from .polytope import Face, Polytope
+from .orbits import ExactVector, OrbitClass, _moment_for
+from .polytope import Face, Polytope, cone_rays
 
 
 class Sampler:
@@ -71,13 +72,10 @@ class Sampler:
     def exact_point_for_face(self, face: Face):
         """A field-exact admissible point with closed orbit on the face:
         rational squared moduli and sixteenth-turn phases."""
-        from .orbits import ExactVector
-
         field = self.p.field
         mod2 = []
         phase = []
         kill = set(face.index_set)
-        from fractions import Fraction
         for j in range(1, self.p.d + 1):
             if j in kill:
                 mod2.append(Fraction(0))
@@ -144,45 +142,26 @@ def _positive_decay_rates(p: Polytope, decay, zero):
     closure of the zero set: otherwise some direction inside the equality
     affine space would leave one closure-face constraint while keeping the
     rest, contradicting that the constraint is active on the whole face.
-    The rates form a polytope {c >= 0, sum c = 1, projected combination 0};
-    its vertex barycenter is strictly positive and exact.
+    With A c the combination projected off that span, the rates form the
+    polytope {c >= 0, sum c = 1, A c = 0}.  Its vertices are the extreme
+    rays of the cone {c >= 0, A c = 0} scaled to sum c = 1; over a basis K
+    of ker A (c = K u) that cone is {u : K u >= 0}, which is pointed, so one
+    double-description pass (:func:`polytope.cone_rays`) finds them.  Their
+    barycenter is strictly positive and exact.
     """
-    from itertools import combinations
-
     field = p.field
     span_rows = [p.normals[k - 1] for k in zero]
     ann = linalg.nullspace(span_rows, p.n, field)  # functionals killing the span
-    t = len(decay)
     rows = [[linalg.dot(f, p.normals[j - 1]) for j in decay] for f in ann]
-    rows.append([field.one()] * t)
-    rhs = [field.zero()] * len(ann) + [field.one()]
+    kernel = linalg.nullspace(rows, len(decay), field)
+    K = linalg.transpose(kernel)   # row j is the functional u -> c_j
     vertices = []
-    seen = set()
-    for size in range(t):
-        for off in combinations(range(t), size):
-            sub_cols = [c for c in range(t) if c not in off]
-            sub_rows = [[row[c] for c in sub_cols] for row in rows]
-            if linalg.rank(sub_rows, len(sub_cols)) != len(sub_cols):
-                continue
-            sol = linalg.solve(sub_rows, rhs, len(sub_cols), field)
-            if sol is None:
-                continue
-            if any(s.sign() < 0 for s in sol):
-                continue
-            full = [field.zero()] * t
-            for c, s in zip(sub_cols, sol):
-                full[c] = s
-            key = tuple(s.coeffs for s in full)
-            if key not in seen:
-                seen.add(key)
-                vertices.append(full)
+    for u in cone_rays(K)[0] if kernel else []:
+        c = linalg.mat_vec(K, u)
+        vertices.append(linalg.vec_scale(sum(c).inverse(), c))
     if not vertices:
         raise InternalConsistencyError("no positive contraction rates exist")
-    acc = list(vertices[0])
-    for v in vertices[1:]:
-        acc = linalg.vec_add(acc, v)
-    inv = field.one() / len(vertices)
-    bary = linalg.vec_scale(inv, acc)
+    bary = linalg.barycenter(vertices, field)
     if any(s.sign() <= 0 for s in bary):
         raise InternalConsistencyError("contraction rates are not positive")
     cmin = min(bary)
