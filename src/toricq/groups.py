@@ -3,13 +3,20 @@ sets, and the discrete chart groups with exact finiteness certificates.
 
 The ambient torus never appears as an object; the dense subgroups it
 contains exist only through exact membership tests and kernel data.
+
+Each polytope owns one chart table, the only holder of chart data: chart
+index set I -> the generators' preimages under the basis {X_j : j in I}.
+A chart lies in exactly one vertex (n independent active normals fix it).
+Per vertex, one elimination of the tableau [X_A | G] (active set A,
+generators G) gives a first basis; a depth-first search over basis
+exchanges inside A, one pivot per new basis, gives the others, each with
+its preimages in the G columns (Avis & Fukuda 1992).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 from . import intlat, linalg
@@ -150,19 +157,48 @@ def _standard_basis(field: NumberField, n: int):
             for j in range(n)]
 
 
+def _chart_table(p: "Polytope", lat: "FaceLattice") -> dict:
+    """The polytope's chart table, built on the first chart query.  A
+    simple vertex's one chart is its active set; its preimages wait for the
+    first :func:`_chart` query."""
+    if p._charts is None:
+        p._charts = {}
+        for active in lat.vertex_active:
+            p._charts.update(_vertex_charts(p, active) if len(active) > p.n
+                             else {active: None})
+    return p._charts
+
+
+def _vertex_charts(p: "Polytope", active) -> dict:
+    """Every basis inside one vertex's active set, with its generator
+    preimages, by basis exchange from the first pivot basis."""
+    a, k = len(active), len(p.quasilattice.generators)
+    rows = [[p.normals[j - 1][i] for j in active]
+            + [g[i] for g in p.quasilattice.generators] for i in range(p.n)]
+    tableau, basis, _ = linalg._rref(rows, a)
+    charts, stack = {}, [(tableau, basis)]
+    while stack:
+        tableau, basis = stack.pop()
+        order = sorted(range(p.n), key=basis.__getitem__)
+        charts[tuple(active[basis[r]] for r in order)] = [
+            [tableau[r][a + t] for r in order] for t in range(k)]
+        nonbasic = [c for c in range(a) if c not in basis]
+        for r, row in enumerate(tableau):
+            for c in nonbasic:
+                if row[c].is_zero():
+                    continue
+                swapped = basis[:r] + [c] + basis[r + 1:]
+                key = tuple(sorted(active[x] for x in swapped))
+                if key not in charts:
+                    charts[key] = None   # filled in when popped
+                    stack.append((linalg.pivot(tableau, r, c), swapped))
+    return charts
+
+
 def chart_index_sets(p: "Polytope", lat: "FaceLattice") -> list[tuple[int, ...]]:
     """All I with {X_j : j in I} a basis and I inside some vertex's active
     set, sorted lexicographically."""
-    found = set()
-    for v in lat.vertices():
-        labels = v.index_set
-        for sub in combinations(labels, p.n):
-            if sub in found:
-                continue
-            rows = [p.normals[j - 1] for j in sub]
-            if linalg.rank(rows, p.n) == p.n:
-                found.add(sub)
-    return sorted(found)
+    return sorted(_chart_table(p, lat))
 
 
 @dataclass
@@ -182,34 +218,24 @@ class DiscreteGroupPresentation:
         return "infinite" if self.order is None else str(self.order)
 
 
-def _chart_preimage(p: "Polytope", index_set, target) -> list[FieldScalar]:
-    """theta supported on the chart with sum theta_j X_j = target.
-
-    The inverse of the chart matrix is computed once per chart and kept on
-    the polytope."""
-    I = tuple(index_set)
-    inverse = p._chart_inverses.get(I)
-    if inverse is None:
-        chart = [[p.normals[j - 1][i] for j in I] for i in range(p.n)]
-        inverse = linalg.inverse(chart, p.field)
-        if inverse is None:
-            raise PreconditionError("chart normals are not a basis")
-        p._chart_inverses[I] = inverse
-    return linalg.mat_vec(inverse, target)
-
-
-def _validate_chart(p: "Polytope", lat: "FaceLattice", index_set) -> tuple[int, ...]:
+def _chart(p: "Polytope", lat: "FaceLattice | None", index_set):
+    """The sorted chart index set and its generator preimages, read from
+    the chart table; the preconditions are checked in a fixed order."""
+    lat = lat or p.face_lattice()
     I = tuple(sorted(int(j) for j in index_set))
     if len(I) != p.n or len(set(I)) != p.n:
         raise PreconditionError("chart index set must have size n")
     if any(j < 1 or j > p.d for j in I):
         raise PreconditionError("chart index set out of range")
-    rows = [p.normals[j - 1] for j in I]
-    if linalg.rank(rows, p.n) != p.n:
-        raise PreconditionError("chart normals are not a basis")
-    if not any(set(I) <= set(v.index_set) for v in lat.vertices()):
+    table = _chart_table(p, lat)
+    if I not in table:
+        # a basis inside a vertex's active set would be in the table
+        if linalg.rank([p.normals[j - 1] for j in I], p.n) != p.n:
+            raise PreconditionError("chart normals are not a basis")
         raise PreconditionError("chart index set is not contained in a vertex")
-    return I
+    if table[I] is None:
+        table[I] = _vertex_charts(p, I)[I]
+    return I, table[I]
 
 
 def _presentation(p: "Polytope", I, coords, images_on_chart) -> DiscreteGroupPresentation:
@@ -217,16 +243,14 @@ def _presentation(p: "Polytope", I, coords, images_on_chart) -> DiscreteGroupPre
     field = p.field
     coord_list = tuple(coords)
     pos = {j: k for k, j in enumerate(I)}
-    reduced = []
-    seen = set()
+    distinct = {}
     for theta in images_on_chart:
         full = [field.zero()] * p.d
         for j in coord_list:
             full[j - 1] = theta[pos[j]].frac_part()
-        key = tuple(s.coeffs for s in full)
-        if any(not s.is_zero() for s in full) and key not in seen:
-            seen.add(key)
-            reduced.append(full)
+        if any(not s.is_zero() for s in full):
+            distinct.setdefault(tuple(s.coeffs for s in full), full)
+    reduced = list(distinct.values())
     finite = all(s.is_rational() for img in reduced for s in img)
     if finite:
         restricted = [[img[j - 1].as_fraction() for j in coord_list]
@@ -243,9 +267,7 @@ def gamma_group(p: "Polytope", index_set,
                 lat: "FaceLattice | None" = None) -> DiscreteGroupPresentation:
     """The discrete group attached to a chart index set: quasilattice
     preimages under the chart basis, modulo the integer lattice."""
-    lat = lat or p.face_lattice()
-    I = _validate_chart(p, lat, index_set)
-    images = [_chart_preimage(p, I, g) for g in p.quasilattice.generators]
+    I, images = _chart(p, lat, index_set)
     return _presentation(p, I, I, images)
 
 
@@ -253,14 +275,12 @@ def gamma_check(p: "Polytope", index_set, face: "Face",
                 lat: "FaceLattice | None" = None) -> DiscreteGroupPresentation:
     """The quotient group acting on a stratum chart: generator images
     restricted to the chart coordinates away from the face."""
-    lat = lat or p.face_lattice()
-    I = _validate_chart(p, lat, index_set)
+    I, images = _chart(p, lat, index_set)
     overlap = set(I) & set(face.index_set)
     if len(overlap) != p.n - face.dim:
         raise PreconditionError(
             "chart must meet the face's active set in exactly n - p facets")
     coords = tuple(sorted(set(I) - overlap))
-    images = [_chart_preimage(p, I, g) for g in p.quasilattice.generators]
     return _presentation(p, I, coords, images)
 
 

@@ -70,20 +70,36 @@ def _rref(rows, ncols):
                 break
         if pivot_row is None:
             continue
-        pivot = work[pivot_row][c]
-        values.append(pivot if pivot_row == r else -pivot)
+        value = work[pivot_row][c]
+        values.append(value if pivot_row == r else -value)
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pivot.inverse()
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        work = pivot(work, r, c)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
     return work, pivots, values
+
+
+def pivot(rows, r, c):
+    """The rows after one Gauss-Jordan step on the nonzero entry (r, c):
+    row r scaled to 1 there, column c cleared from every other row.  In a
+    simplex tableau this is the basis exchange that makes column c the
+    pivot of row r."""
+    inv = rows[r][c].inverse()
+    support = [k for k, y in enumerate(rows[r]) if not y.is_zero()]
+    top = list(rows[r])
+    for k in support:
+        top[k] = inv * top[k]
+    out = []
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and not f.is_zero():
+            row = list(row)
+            for k in support:
+                row[k] = row[k] - f * top[k]
+        out.append(top if i == r else row)
+    return out
 
 
 def rank(rows, ncols: int) -> int:

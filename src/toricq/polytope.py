@@ -149,7 +149,7 @@ class Polytope:
         if len(self.offsets) != self.d:
             raise ValidationError("offsets and normals disagree in length")
         self._lattice: FaceLattice | None = None
-        self._chart_inverses: dict[tuple[int, ...], list] = {}
+        self._charts = None    # chart table, built by groups._chart_table
         self._kernel = None    # SequenceData, built by groups.kernel_data
         self._moment = None    # MomentData, built by orbits._moment_for
         if validate:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError, PreconditionError
-from .groups import _chart_preimage, chart_index_sets
+from .groups import _chart, chart_index_sets
 from .orbits import ExactVector, OrbitClass, _moment_for
 from .polytope import Face, Polytope, cone_rays
 
@@ -87,20 +86,13 @@ class Sampler:
 
     # -- subgroup elements ---------------------------------------------------
 
-    @cached_property
-    def _generator_preimages(self) -> list[list]:
-        """For each quasilattice generator g, the angles theta on the first
-        chart with sum theta_j X_j = g."""
-        chart = self._charts[0]
-        return [_chart_preimage(self.p, chart, g)
-                for g in self.p.quasilattice.generators]
-
     def n_element(self, bound: int = 3):
         """Exact angle vector theta (in turns) with pi(theta) in Q: a
         random integer combination of the generator preimages."""
         field = self.p.field
         theta_chart = [field.zero()] * self.p.n
-        for pre in self._generator_preimages:
+        # the angles on the first chart with sum theta_j X_j = g, per generator g
+        for pre in _chart(self.p, self.lat, self._charts[0])[1]:
             c = self.rng.randint(-bound, bound)
             if c:
                 theta_chart = linalg.vec_add(
@@ -172,8 +164,6 @@ def nonclosed_flow_direction(p: Polytope, orbit: OrbitClass) -> np.ndarray:
     """A kernel direction whose imaginary-time flow contracts exactly the
     closure-face coordinates of a nonclosed orbit (slowest rate 1), fixing
     every coordinate off the closure face."""
-    from .errors import PreconditionError
-
     if orbit.closed:
         raise PreconditionError("orbit is closed: no contraction direction")
     field = p.field

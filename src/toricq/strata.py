@@ -18,8 +18,8 @@ from . import intlat, linalg
 from .errors import (InternalConsistencyError, PreconditionError,
                      ValidationError)
 from .field import FieldScalar
-from .groups import (DiscreteGroupPresentation, Quasilattice, _chart_preimage,
-                     chart_index_sets, gamma_check, gamma_group, kernel_data)
+from .groups import (DiscreteGroupPresentation, Quasilattice, chart_index_sets,
+                     gamma_check, gamma_group, kernel_data)
 from .polytope import Face, FaceLattice, Polytope
 
 
@@ -120,13 +120,12 @@ def _span_coords(basis, v, n, field):
     return coords
 
 
-def _sub_quasilattice(p: Polytope, basis, basis_labels):
+def _sub_quasilattice(p: Polytope, basis):
     """Generators of the quasilattice's intersection with the span of the
     basis, written in span coordinates, via integer saturation of the
     coefficient vectors."""
     field = p.field
     q = p.quasilattice
-    k = len(basis)
     ann = linalg.nullspace(basis, p.n, field)  # functionals vanishing on the span
     if not ann:
         kept = list(q.generators)
@@ -148,12 +147,8 @@ def _sub_quasilattice(p: Polytope, basis, basis_labels):
                     acc = linalg.vec_add(acc, linalg.vec_scale(
                         field.from_rational(c), g))
             kept.append(acc)
-    gens = []
-    for g in kept:
-        coords = _span_coords(basis, g, p.n, field)
-        if any(not s.is_zero() for s in coords):
-            gens.append(coords)
-    return Quasilattice(field, gens)
+    coords = (_span_coords(basis, g, p.n, field) for g in kept)
+    return Quasilattice(field, [c for c in coords if any(not s.is_zero() for s in c)])
 
 
 def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
@@ -179,15 +174,11 @@ def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
     if n_f_dim != face.r - p.n + face.dim:
         raise InternalConsistencyError("cone kernel dimension is off")
 
-    q_f = _sub_quasilattice(p, basis, basis_labels)
+    q_f = _sub_quasilattice(p, basis)
 
     ones = [field.one()] * len(labels)
-    x0 = [field.zero()] * k
-    for v in sigma_normals:
-        x0 = linalg.vec_add(x0, v)
-    level = field.one()
-    for lam in sigma_offsets:
-        level = level + lam
+    x0 = [sum(col, field.zero()) for col in zip(*sigma_normals)]
+    level = sum(sigma_offsets, field.one())
 
     pivot = next((i for i, c in enumerate(x0) if not c.is_zero()), None)
     if pivot is None:
@@ -207,11 +198,8 @@ def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
     delta_normals = [[linalg.dot(w, v) for w in ann_basis] for v in sigma_normals]
     delta_offsets = [sigma_offsets[jj] - linalg.dot(xi0, sigma_normals[jj])
                      for jj in range(len(labels))]
-    q_f0_gens = []
-    for g in q_f.generators:
-        img = [linalg.dot(w, g) for w in ann_basis]
-        if any(not s.is_zero() for s in img):
-            q_f0_gens.append(img)
+    images = ([linalg.dot(w, g) for w in ann_basis] for g in q_f.generators)
+    q_f0_gens = [img for img in images if any(not s.is_zero() for s in img)]
     try:
         q_f0 = Quasilattice(field, q_f0_gens)
         delta_f = Polytope(field, delta_normals, delta_offsets, q_f0)
@@ -245,9 +233,10 @@ def _chart_for_face(p: Polytope, lat: FaceLattice, face: Face,
 
 
 def _b_tilde(p: Polytope, face: Face, I) -> BTildeData:
-    matrix_cols = [_chart_preimage(p, I, x) for x in p.normals]
-    matrix_rows = [[matrix_cols[k][h] for k in range(p.d)]
-                   for h in range(len(I))]
+    # M_I^-1 [X_1 ... X_d] from one elimination of [X_I | X_1 ... X_d]
+    rows = [[p.normals[j - 1][i] for j in I] + [x[i] for x in p.normals]
+            for i in range(p.n)]
+    matrix_rows = [row[p.n:] for row in linalg._rref(rows, p.n)[0]]
     domain = tuple(k for k in range(1, p.d + 1)
                    if k not in set(I) | set(face.index_set))
     return BTildeData(chart_index_set=tuple(I), matrix=matrix_rows,

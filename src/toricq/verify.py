@@ -217,12 +217,15 @@ def groups_gamma_check_divides(ctx: _Context) -> PropertyResult:
     if not singular:
         return _ok(name, 0, note="inapplicable: no singular faces")
     charts = chart_index_sets(ctx.p, ctx.lat)
+    full = {}    # one gamma_group per chart, shared by every face
     checked = 0
     for face in singular:
         for I in charts:
             if len(set(I) & set(face.index_set)) != ctx.p.n - face.dim:
                 continue
-            gi = gamma_group(ctx.p, I, ctx.lat)
+            if I not in full:
+                full[I] = gamma_group(ctx.p, I, ctx.lat)
+            gi = full[I]
             gc = gamma_check(ctx.p, I, face, ctx.lat)
             checked += 1
             if gi.finite and gc.finite and gi.order % gc.order != 0:

@@ -7,6 +7,8 @@ from toricq import cli, serialize
 from toricq.cli import main
 from toricq.errors import SolverError, ValidationError
 
+from test_groups import CHART_PRECONDITIONS, TRAPEZOID
+
 PYRAMID_JSON = {
     "field": {"minpoly": [0, 1], "root_interval": ["0", "0"],
               "irreducibility_checked": True},
@@ -151,6 +153,20 @@ def test_cmd_gamma(pyramid_file, capsys):
     assert out["invariant_factors"] == [2]
     code = main(["gamma", pyramid_file, "--chart", "1,2,5"])
     assert code == 2  # those three normals are linearly dependent
+
+
+def test_cmd_gamma_chart_precondition_messages(tmp_path, capsys):
+    normals, offsets = TRAPEZOID
+    path = tmp_path / "trapezoid.json"
+    path.write_text(json.dumps(dict(
+        INTERVAL_JSON, n=2, normals=[[[str(x)] for x in v] for v in normals],
+        offsets=[[str(x)] for x in offsets],
+        quasilattice=[[["1"], ["0"]], [["0"], ["1"]]])))
+    for chart, message in CHART_PRECONDITIONS:
+        code = main(["gamma", str(path), "--chart", ",".join(map(str, chart))])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"type": "PreconditionError", "message": message}}
 
 
 def test_cmd_gamma_table(pyramid_file, capsys):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 import sympy
@@ -7,9 +9,17 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from toricq import intlat, linalg
 from toricq.errors import PreconditionError, ValidationError
-from toricq.groups import (Quasilattice, _expand, chart_index_sets,
-                           gamma_check, gamma_group, kernel_data, n_membership)
+from toricq.groups import (Quasilattice, _expand, _presentation,
+                           chart_index_sets, gamma_check, gamma_group,
+                           kernel_data, n_membership)
 from toricq.polytope import Polytope
+from toricq.sampling import Sampler
+from toricq.serialize import load_instance
+from toricq.strata import _b_tilde
+
+from test_polytope import _generated
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_rank_standard_lattice(qq):
@@ -213,6 +223,92 @@ def test_gamma_precondition(triangle):
         gamma_group(triangle, (1,), lat)
     with pytest.raises(PreconditionError):
         gamma_group(triangle, (1, 2, 3), lat)
+
+
+# The trapezoid x >= 0, y >= 0, x <= 2, x + y <= 3 has vertices on the
+# facets {1, 2}, {2, 3}, {3, 4} and {1, 4}; X_1 and X_3 are parallel, and
+# the basis {2, 4} meets at (3, 0), outside it.
+TRAPEZOID = ([[1, 0], [0, 1], [-1, 0], [-1, -1]], [0, 0, -2, -3])
+SIZE = "chart index set must have size n"
+RANGE = "chart index set out of range"
+BASIS = "chart normals are not a basis"
+VERTEX = "chart index set is not contained in a vertex"
+# (chart, message); the later rows hold several faults, the first in the
+# order size, range, basis, vertex is the one reported
+CHART_PRECONDITIONS = [
+    ((1,), SIZE), ((1, 2, 3), SIZE), ((2, 2), SIZE),
+    ((0, 1), RANGE), ((1, 5), RANGE),
+    ((1, 3), BASIS), ((2, 4), VERTEX),
+    ((5, 5), SIZE), ((0, 2, 9), SIZE), ((3, 5), RANGE), ((3, 1), BASIS),
+]
+
+
+def test_gamma_precondition_messages_in_order(qq):
+    p = Polytope(qq, *TRAPEZOID, Quasilattice(qq, [[1, 0], [0, 1]]))
+    lat = p.face_lattice()
+    assert chart_index_sets(p, lat) == [(1, 2), (1, 4), (2, 3), (3, 4)]
+    for chart, message in CHART_PRECONDITIONS:
+        with pytest.raises(PreconditionError) as exc:
+            gamma_group(p, chart, lat)
+        assert str(exc.value) == message, chart
+        with pytest.raises(PreconditionError) as exc:
+            gamma_check(p, chart, lat.interior, lat)
+        assert str(exc.value) == message, chart
+
+
+# -- the chart table against the subset scan ---------------------------------
+
+
+def oracle_charts(p):
+    """Chart index set -> (inverse chart matrix, generator preimages): one
+    rank test per n-subset of each vertex's active set, then the inverse
+    of each basis and one product per generator."""
+    charts = {}
+    for active in p.face_lattice().vertex_active:
+        for I in combinations(active, p.n):
+            if I in charts or linalg.rank([p.normals[j - 1] for j in I],
+                                          p.n) != p.n:
+                continue
+            inverse = linalg.inverse([[p.normals[j - 1][i] for j in I]
+                                      for i in range(p.n)], p.field)
+            charts[I] = (inverse, [linalg.mat_vec(inverse, g)
+                                   for g in p.quasilattice.generators])
+    return charts
+
+
+def test_chart_table_matches_the_subset_scan(qq, q_sqrt2):
+    shipped = [load_instance(str(path)).polytope
+               for path in sorted(INSTANCES.glob("*.json"))]
+    nonsimple = 0
+    for p in _generated(qq, q_sqrt2) + shipped:
+        lat = p.face_lattice()
+        field = p.field
+        oracle = oracle_charts(p)
+        assert chart_index_sets(p, lat) == sorted(oracle)
+        face = (lat.singular_faces() or [lat.interior])[0]
+        for I, (inverse, images) in oracle.items():
+            assert gamma_group(p, I, lat) == _presentation(p, I, I, images)
+            for f in lat.faces:
+                overlap = set(I) & set(f.index_set)
+                if len(overlap) == p.n - f.dim:
+                    coords = tuple(sorted(set(I) - overlap))
+                    assert gamma_check(p, I, f, lat) \
+                        == _presentation(p, I, coords, images)
+            columns = [linalg.mat_vec(inverse, x) for x in p.normals]
+            assert _b_tilde(p, face, I).matrix == linalg.transpose(columns)
+        # n_element: a seeded integer combination of the first chart's
+        # generator preimages
+        first = min(oracle)
+        sampler, rng = Sampler(p, 5), random.Random(5)
+        for _ in range(10):
+            theta = [field.zero()] * p.d
+            for pre in oracle[first][1]:
+                c = rng.randint(-3, 3)
+                for j, t in zip(first, pre):
+                    theta[j - 1] += field.from_rational(c) * t
+            assert sampler.n_element() == theta
+        nonsimple += any(len(a) > p.n for a in lat.vertex_active)
+    assert nonsimple >= 3
 
 
 def test_gamma_check_vertex_trivial(weighted_triangle):

@@ -9,7 +9,7 @@ import pytest
 
 from toricq import linalg, orbits
 from toricq.errors import DomainError, PreconditionError
-from toricq.groups import Quasilattice, _chart_preimage
+from toricq.groups import Quasilattice
 from toricq.moment import retract
 from toricq.orbits import (MAXIMAL_PIECE, ExactVector, _moment_for,
                            _phase_test, classify_orbit, equivalent,
@@ -334,6 +334,7 @@ def test_n_element_matches_the_chart_solve_of_the_combination(path):
             if c:
                 q = linalg.vec_add(q, linalg.vec_scale(field.from_rational(c), g))
         theta = [field.zero()] * p.d
-        for j, t in zip(chart, _chart_preimage(p, chart, q)):
+        matrix = [[p.normals[j - 1][i] for j in chart] for i in range(p.n)]
+        for j, t in zip(chart, linalg.solve_unique(matrix, q, field)):
             theta[j - 1] = t
         assert fast.n_element() == theta
