@@ -68,7 +68,7 @@ def _emit(args, payload: dict | None = None, dot: str | None = None):
 
 
 def _solver(instance, args) -> SolverConfig:
-    if args.tol:
+    if args.tol is not None:
         return dataclasses.replace(instance.solver, tolerance=args.tol)
     return instance.solver
 
@@ -119,7 +119,7 @@ def cmd_equiv(args) -> int:
         pair = json.loads(args.points)
         z = serialize.complex_vector_from_json(pair[0])
         w = serialize.complex_vector_from_json(pair[1])
-    except (json.JSONDecodeError, IndexError, TypeError) as exc:
+    except (json.JSONDecodeError, IndexError, KeyError, TypeError) as exc:
         raise ValidationError(f"--points must be a JSON pair: {exc}") from exc
     res = equivalent(p, z, w, cfg=cfg)
     _emit(args, serialize.equivalence_to_json(res, cfg))

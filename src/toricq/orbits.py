@@ -1,12 +1,14 @@
 """Closed-orbit classification, monomial-modulus invariants, canonical
 retraction, and the orbit equivalence test defining the quotient space.
 
-Points come in two flavours.  Plain complex vectors give tolerance-based
-("approximate") verdicts.  An :class:`ExactVector` carries field-exact
-squared moduli and phases measured in full turns, enabling exact verdicts:
-two zero-level points differ by a kernel-subgroup phase exactly when the
-image of the phase difference under the normal map lies in the quasilattice
-plus the real span of the normals on the zero coordinates.
+Points are plain complex vectors or :class:`ExactVector`s, which carry
+field-exact squared moduli and phases in full turns.  Two zero-level points
+differ by a kernel-subgroup phase exactly when the image of the phase
+difference under the normal map lies in the quasilattice plus the real span
+of the normals on the zero coordinates: integer linear algebra for two exact
+points, a tolerance-based rounding otherwise.  A verdict is "exact" only
+when no float comparison decided it; ``equivalent`` compares the retracted
+polytope points in floats, so only its negative verdicts can be exact.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, PreconditionError, ValidationError
 from .groups import Quasilattice
-from .moment import (MomentData, RetractionResult, SolverConfig, _read_only,
-                     _zero_labels, moment_data, retract)
+from .moment import (MomentData, RetractionResult, SolverConfig, _level_residual,
+                     _read_only, _zero_labels, moment_data, retract)
 from .polytope import Face, FaceLattice, Polytope
 
 MAXIMAL_PIECE = "maximal piece"
@@ -76,14 +78,31 @@ class ExactVector:
                            [p + t for p, t in zip(self.phase, shift)])
 
 
-def _as_point(z) -> tuple[np.ndarray, ExactVector | None]:
+def _as_point(z) -> tuple[np.ndarray, ExactVector | None, tuple[int, ...]]:
+    """The point as a complex vector, its exact form (None for a float
+    point), and the labels of its zero coordinates."""
     if isinstance(z, ExactVector):
-        return z.to_complex(), z
-    return np.asarray(z, dtype=complex), None
+        return z.to_complex(), z, z.zero_labels()
+    zc = np.asarray(z, dtype=complex)
+    return zc, None, _zero_labels(zc)
 
 
-def _zero_labels_of(z, exact: ExactVector | None) -> tuple[int, ...]:
-    return exact.zero_labels() if exact is not None else _zero_labels(z)
+def _exactness(exact: bool) -> str:
+    return "exact" if exact else "approximate"
+
+
+def _support_face(p: Polytope, lat: FaceLattice, z):
+    """The point split as by :func:`_as_point`, and the face whose active
+    set its zero labels close up to; a point of the wrong length or outside
+    the admissible open set is an error."""
+    zc, exact, labels = _as_point(z)
+    if zc.shape != (p.d,):
+        raise ValidationError("point has wrong length")
+    face = lat.face_of_active_set(labels)
+    if face is None:
+        raise DomainError(
+            f"support pattern {labels} lies outside the admissible open set")
+    return zc, exact, labels, face
 
 
 @dataclass
@@ -111,27 +130,18 @@ def classify_orbit(p: Polytope, lat: FaceLattice, z,
                    cfg: SolverConfig | None = None) -> OrbitClass:
     """Decide closedness of the orbit through z, produce the closed
     representative in its closure, and retract it onto the zero level."""
-    zc, exact = _as_point(z)
-    if zc.shape != (p.d,):
-        raise ValidationError("point has wrong length")
-    labels = _zero_labels_of(zc, exact)
-    face = lat.face_of_active_set(labels)
-    if face is None:
-        raise DomainError(
-            f"support pattern {labels} lies outside the admissible open set")
+    zc, exact, labels, face = _support_face(p, lat, z)
     closed = labels == face.index_set
     if exact is not None:
         rep = exact.zeroed(face.index_set)
         rep_c = rep.to_complex()
     else:
-        rep = np.array(zc)
-        for j in face.index_set:
-            rep[j - 1] = 0
-        rep_c = rep
+        rep = rep_c = zc.copy()
+        rep[[j - 1 for j in face.index_set]] = 0
     res = retract(_moment_for(p), rep_c, cfg)
     return OrbitClass(z=z, i_z=labels, closed=closed, face_E=face,
                       closed_rep=rep, retracted=res,
-                      exactness="exact" if exact is not None else "approximate")
+                      exactness=_exactness(exact is not None))
 
 
 @dataclass
@@ -224,47 +234,42 @@ def _compute_phase_test(md: MomentData, zero_labels) -> _PhaseTest:
     return _PhaseTest(ann, group, Ff, B)
 
 
-def _phase_shift_in_n_exact(p: Polytope, support, zero_labels, delta) -> bool:
-    """Whether a phase shift (delta_j turns on the support, free elsewhere)
-    extends to an element of the kernel subgroup: exact integer test."""
-    test = _phase_test(_moment_for(p), zero_labels)
-    if not test.ann:
-        return True
-    field = p.field
-    u = [field.zero()] * p.n
-    for j, dlt in zip(support, delta):
-        u = linalg.vec_add(u, linalg.vec_scale(dlt, p.normals[j - 1]))
-    return test.group.contains([linalg.dot(f, u) for f in test.ann])
-
-
-def _phase_shift_in_n_float(p: Polytope, support, zero_labels, delta,
-                            tol: float) -> bool:
-    """Tolerance-based version of the phase test.
-
-    The quasilattice image in the quotient by the zero-coordinate normals
-    is reduced to an exact integer basis first; the float target is then
-    expressed in that basis and its coefficients rounded.  When the image
-    group is a genuine lattice (every rational instance) this is a sound
-    membership-with-tolerance test; for dense images it degrades to a
-    small-coefficient heuristic, which is why this path is always flagged
-    approximate."""
+def _phase_verdict(p: Polytope, zero_labels, x, y,
+                   tol: float) -> tuple[bool, bool]:
+    """Whether the phase difference of two points with these zero labels
+    (free off the support) extends to a kernel-subgroup element, and whether
+    that was decided exactly: by the integer test for two
+    :class:`ExactVector` points, else by rounding the float target in the
+    exact integer basis of the quasilattice image, which is sound when that
+    image is a lattice (every rational instance) and a small-coefficient
+    heuristic when it is dense."""
     md = _moment_for(p)
     test = _phase_test(md, zero_labels)
+    exact = isinstance(x, ExactVector) and isinstance(y, ExactVector)
     if not test.ann:
-        return True
+        return True, exact
+    support = [j for j in range(1, p.d + 1) if j not in set(zero_labels)]
+    if exact:
+        u = [p.field.zero()] * p.n
+        for j in support:
+            dlt = y.phase[j - 1] - x.phase[j - 1]
+            u = linalg.vec_add(u, linalg.vec_scale(dlt, p.normals[j - 1]))
+        return test.group.contains([linalg.dot(f, u) for f in test.ann]), True
+    xc, yc = _as_point(x)[0], _as_point(y)[0]
     Xf = md.normals_float
     u = np.zeros(p.n)
-    for j, dlt in zip(support, delta):
+    for j in support:
+        dlt = (np.angle(yc[j - 1]) - np.angle(xc[j - 1])) / (2 * math.pi)
         u += float(dlt) * Xf[j - 1]
     tgt = test.Ff @ u
     floor = max(tol, 1e-9)
     B = test.B
     if B is None:
-        return bool(np.linalg.norm(tgt) <= floor)
+        return bool(np.linalg.norm(tgt) <= floor), False
     if B.shape[1] == len(test.ann):
         # the image group is a lattice: express in its basis and round
         coeffs = np.linalg.solve(B, tgt)
-        return bool(np.linalg.norm(B @ np.round(coeffs) - tgt) <= floor)
+        return bool(np.linalg.norm(B @ np.round(coeffs) - tgt) <= floor), False
     # dense image group: greedily round one coefficient at a time,
     # re-solving the rest; a heuristic, hence the approximate flag
     cols = list(range(B.shape[1]))
@@ -276,7 +281,7 @@ def _phase_shift_in_n_float(p: Polytope, support, zero_labels, delta,
         i = int(np.argmin(frac))
         residual = residual - float(np.round(sol[i])) * B[:, cols[i]]
         cols.pop(i)
-    return bool(np.linalg.norm(residual) <= floor)
+    return bool(np.linalg.norm(residual) <= floor), False
 
 
 def n_orbit_equal(p: Polytope, x, y, tol: float = 1e-8) -> OrbitEqualVerdict:
@@ -284,38 +289,27 @@ def n_orbit_equal(p: Polytope, x, y, tol: float = 1e-8) -> OrbitEqualVerdict:
     supports match, moduli match (equivalently the polytope points match),
     and the phase difference exponentiates into the subgroup."""
     md = _moment_for(p)
-    xc, xe = _as_point(x)
-    yc, ye = _as_point(y)
+    xc, xe, zx = _as_point(x)
+    yc, ye, zy = _as_point(y)
     for vec_c, name in ((xc, "x"), (yc, "y")):
         if vec_c.shape != (p.d,):
             raise ValidationError(f"{name} has wrong length")
         ups = np.abs(vec_c) ** 2 + md.offsets_float
-        if md.m and np.linalg.norm(md.kernel_float @ ups) > max(10 * tol, 1e-7):
+        if _level_residual(md, ups) > max(10 * tol, 1e-7):
             raise PreconditionError(f"{name} is off the moment zero level")
     exact = xe is not None and ye is not None
-    zx = _zero_labels_of(xc, xe)
-    zy = _zero_labels_of(yc, ye)
     if zx != zy:
-        return OrbitEqualVerdict(False, "exact" if exact else "approximate",
-                                 "supports differ")
-    support = tuple(j for j in range(1, p.d + 1) if j not in set(zx))
+        return OrbitEqualVerdict(False, _exactness(exact), "supports differ")
+    # the supports agree, so every modulus is compared, not just theirs
     if exact:
-        for j in support:
-            if xe.mod2[j - 1] != ye.mod2[j - 1]:
-                return OrbitEqualVerdict(False, "exact", "moduli differ")
-        delta = [ye.phase[j - 1] - xe.phase[j - 1] for j in support]
-        ok = _phase_shift_in_n_exact(p, support, zx, delta)
-        return OrbitEqualVerdict(ok, "exact",
-                                 "phase shift in subgroup" if ok else
-                                 "phase shift not in subgroup")
-    mods_x = np.abs(xc) ** 2
-    mods_y = np.abs(yc) ** 2
-    if not np.allclose(mods_x, mods_y, atol=10 * tol, rtol=0):
-        return OrbitEqualVerdict(False, "approximate", "moduli differ")
-    delta = [(np.angle(yc[j - 1]) - np.angle(xc[j - 1])) / (2 * math.pi)
-             for j in support]
-    ok = _phase_shift_in_n_float(p, support, zx, delta, tol)
-    return OrbitEqualVerdict(ok, "approximate",
+        moduli_agree = xe.mod2 == ye.mod2
+    else:
+        moduli_agree = np.allclose(np.abs(xc) ** 2, np.abs(yc) ** 2,
+                                   atol=10 * tol, rtol=0)
+    if not moduli_agree:
+        return OrbitEqualVerdict(False, _exactness(exact), "moduli differ")
+    ok, exact = _phase_verdict(p, zx, x, y, tol)
+    return OrbitEqualVerdict(ok, _exactness(exact),
                              "phase shift in subgroup" if ok else
                              "phase shift not in subgroup")
 
@@ -338,47 +332,24 @@ def equivalent(p: Polytope, z, w, lat: FaceLattice | None = None,
     cfg = cfg or SolverConfig()
     oz = classify_orbit(p, lat, z, cfg)
     ow = classify_orbit(p, lat, w, cfg)
-    both_exact = oz.exactness == "exact" and ow.exactness == "exact"
     if oz.face_E.index_set != ow.face_E.index_set:
-        return EquivalenceResult(False, "exact" if both_exact else "approximate",
-                                 oz, ow, "closure faces differ")
+        both_exact = oz.exactness == ow.exactness == "exact"
+        return EquivalenceResult(False, _exactness(both_exact), oz, ow,
+                                 "closure faces differ")
     xi_gap = float(np.max(np.abs(oz.retracted.xi - ow.retracted.xi)))
     if xi_gap > 100 * cfg.tolerance:
         return EquivalenceResult(False, "approximate", oz, ow,
                                  "retracted polytope points differ")
-    support = tuple(j for j in range(1, p.d + 1)
-                    if j not in set(oz.face_E.index_set))
-    if both_exact:
-        delta = [ow.closed_rep.phase[j - 1] - oz.closed_rep.phase[j - 1]
-                 for j in support]
-        ok = _phase_shift_in_n_exact(p, support, oz.face_E.index_set, delta)
-        # moduli agreement was decided with floats, so the overall verdict
-        # stays approximate unless the phases alone already separate
-        exactness = "exact" if not ok else "approximate"
-        return EquivalenceResult(ok, exactness, oz, ow,
-                                 "same face, moduli and phases agree" if ok
-                                 else "phase shift not in subgroup")
-    xc = np.asarray(oz.closed_rep if oz.exactness != "exact"
-                    else oz.closed_rep.to_complex(), dtype=complex)
-    wc = np.asarray(ow.closed_rep if ow.exactness != "exact"
-                    else ow.closed_rep.to_complex(), dtype=complex)
-    delta = [(np.angle(wc[j - 1]) - np.angle(xc[j - 1])) / (2 * math.pi)
-             for j in support]
-    ok = _phase_shift_in_n_float(p, support, oz.face_E.index_set, delta,
-                                 cfg.tolerance)
-    return EquivalenceResult(ok, "approximate", oz, ow,
+    ok, exact = _phase_verdict(p, oz.face_E.index_set, oz.closed_rep,
+                               ow.closed_rep, cfg.tolerance)
+    # moduli agreement was decided with floats, so the verdict stays
+    # approximate unless the phases alone already separate
+    return EquivalenceResult(ok, _exactness(exact and not ok), oz, ow,
                              "same face, moduli and phases agree" if ok
                              else "phase shift not in subgroup")
 
 
 def stratum_of(p: Polytope, lat: FaceLattice, z):
     """The singular face labelling the stratum of z, or the maximal piece."""
-    zc, exact = _as_point(z)
-    if zc.shape != (p.d,):
-        raise ValidationError("point has wrong length")
-    labels = _zero_labels_of(zc, exact)
-    face = lat.face_of_active_set(labels)
-    if face is None:
-        raise DomainError(
-            f"support pattern {labels} lies outside the admissible open set")
+    face = _support_face(p, lat, z)[3]
     return face if not face.regular else MAXIMAL_PIECE

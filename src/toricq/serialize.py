@@ -97,11 +97,12 @@ def polytope_from_json(data) -> Polytope:
         normals = [vector_from_json(field, x) for x in data["normals"]]
         offsets = [scalar_from_json(field, s) for s in data["offsets"]]
         gens = [vector_from_json(field, g) for g in data["quasilattice"]]
-    except (KeyError, TypeError) as exc:
+        n = int(data["n"]) if "n" in data else None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed polytope: {exc}") from exc
     quasilattice = Quasilattice(field, gens)
     p = Polytope(field, normals, offsets, quasilattice)
-    if "n" in data and int(data["n"]) != p.n:
+    if n is not None and n != p.n:
         raise ValidationError("declared dimension disagrees with the normals")
     return p
 
@@ -119,14 +120,19 @@ def solver_to_json(cfg: SolverConfig) -> dict:
 
 
 def solver_from_json(data) -> SolverConfig:
+    if not isinstance(data, dict):
+        raise ValidationError("solver settings must be a JSON object")
     # float shadows are always 53-bit; older instances still carry the key
     if data.get("precision_bits", 53) != 53:
         raise ValidationError(
             f"solver.precision_bits must be 53, got {data['precision_bits']!r}")
-    return SolverConfig(
-        tolerance=float(data.get("tolerance", 1e-9)),
-        max_iterations=int(data.get("max_iterations", 100)),
-        line_search_shrink=float(data.get("line_search_shrink", 0.5)))
+    try:
+        return SolverConfig(
+            tolerance=float(data.get("tolerance", 1e-9)),
+            max_iterations=int(data.get("max_iterations", 100)),
+            line_search_shrink=float(data.get("line_search_shrink", 0.5)))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed solver settings: {exc}") from exc
 
 
 def instance_to_json(inst: ProblemInstance) -> dict:
@@ -137,9 +143,13 @@ def instance_to_json(inst: ProblemInstance) -> dict:
 
 
 def instance_from_json(data) -> ProblemInstance:
-    return ProblemInstance(polytope=polytope_from_json(data),
-                           solver=solver_from_json(data.get("solver", {})),
-                           seed=int(data.get("seed", 0)))
+    polytope = polytope_from_json(data)
+    solver = solver_from_json(data.get("solver", {}))
+    try:
+        seed = int(data.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed seed: {exc}") from exc
+    return ProblemInstance(polytope, solver, seed)
 
 
 def load_instance(path: str) -> ProblemInstance:

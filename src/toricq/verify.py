@@ -84,104 +84,95 @@ class _Context:
              for _ in range(self.p.field.degree)])
 
 
-def _ok(name, samples, tol=None, note="") -> PropertyResult:
-    return PropertyResult(name, True, samples, tol, note)
+def _ok(samples, tol=None, note="") -> PropertyResult:
+    return PropertyResult("", True, samples, tol, note)
 
 
-def _fail(name, samples, witness, tol=None) -> PropertyResult:
-    return PropertyResult(name, False, samples, tol, witness=witness)
+def _fail(samples, witness, tol=None) -> PropertyResult:
+    return PropertyResult("", False, samples, tol, witness=witness)
 
 
 # -- scalar suites ---------------------------------------------------------
 
 
 def scalars_field_axioms(ctx: _Context) -> PropertyResult:
-    name = "scalars.field_axioms"
     for i in range(ctx.samples):
         a, b, c = ctx.rand_scalar(), ctx.rand_scalar(), ctx.rand_scalar()
         if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c) \
                 or a * (b + c) != a * b + a * c:
-            return _fail(name, i + 1, {"sample": i})
-    return _ok(name, ctx.samples)
+            return _fail(i + 1, {"sample": i})
+    return _ok(ctx.samples)
 
 
 def scalars_sign_multiplicative(ctx: _Context) -> PropertyResult:
-    name = "scalars.sign_multiplicative"
     for i in range(ctx.samples):
         s, t = ctx.rand_scalar(), ctx.rand_scalar()
         if (s * t).sign() != s.sign() * t.sign():
-            return _fail(name, i + 1, {"sample": i})
-    return _ok(name, ctx.samples)
+            return _fail(i + 1, {"sample": i})
+    return _ok(ctx.samples)
 
 
 def scalars_shadow_monotone(ctx: _Context) -> PropertyResult:
-    name = "scalars.shadow_monotone"
     precisions = (24, 36, 53, 80)
     count = max(5, ctx.samples // 10)
     for i in range(count):
         s = ctx.rand_scalar()
         bounds = [s.shadow(p)[1] for p in precisions]
         if any(b1 < b2 for b1, b2 in zip(bounds, bounds[1:])):
-            return _fail(name, i + 1, {"bounds": bounds})
-    return _ok(name, count)
+            return _fail(i + 1, {"bounds": bounds})
+    return _ok(count)
 
 
 # -- polytope suites ---------------------------------------------------------
 
 
 def polytope_rank_regularity(ctx: _Context) -> PropertyResult:
-    name = "polytope.rank_regularity"
     for f in ctx.lat.faces:
         if f.r < ctx.p.n - f.dim or f.regular != (f.r == ctx.p.n - f.dim):
-            return _fail(name, len(ctx.lat.faces), {"face": list(f.index_set)})
-    return _ok(name, len(ctx.lat.faces))
+            return _fail(len(ctx.lat.faces), {"face": list(f.index_set)})
+    return _ok(len(ctx.lat.faces))
 
 
 def polytope_order_duality(ctx: _Context) -> PropertyResult:
-    name = "polytope.order_duality"
     faces = ctx.lat.faces
     for a in faces:
         for b in faces:
             if (a.vertex_ids <= b.vertex_ids) != \
                     (set(a.index_set) >= set(b.index_set)):
-                return _fail(name, len(faces) ** 2,
+                return _fail(len(faces) ** 2,
                              {"a": list(a.index_set), "b": list(b.index_set)})
-    return _ok(name, len(faces) ** 2)
+    return _ok(len(faces) ** 2)
 
 
 def polytope_facet_count(ctx: _Context) -> PropertyResult:
-    name = "polytope.facet_count"
     count = sum(1 for f in ctx.lat.faces if f.r == 1)
     if count != ctx.p.d:
-        return _fail(name, 1, {"facet_faces": count, "d": ctx.p.d})
-    return _ok(name, 1)
+        return _fail(1, {"facet_faces": count, "d": ctx.p.d})
+    return _ok(1)
 
 
 def polytope_active_set_idempotent(ctx: _Context) -> PropertyResult:
-    name = "polytope.active_set_idempotent"
     for f in ctx.lat.faces:
         if ctx.lat.face_of_active_set(f.index_set) is not f:
-            return _fail(name, len(ctx.lat.faces), {"face": list(f.index_set)})
-    return _ok(name, len(ctx.lat.faces))
+            return _fail(len(ctx.lat.faces), {"face": list(f.index_set)})
+    return _ok(len(ctx.lat.faces))
 
 
 def polytope_singular_codim(ctx: _Context) -> PropertyResult:
-    name = "polytope.singular_codim"
     for f in ctx.lat.singular_faces():
         if not f.dim < ctx.p.n - 2:
-            return _fail(name, 1, {"face": list(f.index_set), "dim": f.dim})
-    return _ok(name, len(ctx.lat.faces))
+            return _fail(1, {"face": list(f.index_set), "dim": f.dim})
+    return _ok(len(ctx.lat.faces))
 
 
 # -- group suites ---------------------------------------------------------
 
 
 def groups_pi_iota_zero(ctx: _Context) -> PropertyResult:
-    name = "groups.pi_iota_zero"
     for v in ctx.seq.kernel_basis:
         if any(not s.is_zero() for s in ctx.seq.pi(v)):
-            return _fail(name, 1, {"vector": "kernel basis"})
-    return _ok(name, len(ctx.seq.kernel_basis))
+            return _fail(1, {"vector": "kernel basis"})
+    return _ok(len(ctx.seq.kernel_basis))
 
 
 def _is_standard_lattice(p: Polytope) -> bool:
@@ -198,24 +189,22 @@ def _is_standard_lattice(p: Polytope) -> bool:
 
 
 def groups_det_orders(ctx: _Context) -> PropertyResult:
-    name = "groups.det_orders"
     if not _is_standard_lattice(ctx.p):
-        return _ok(name, 0, note="inapplicable: quasilattice is not Z^n")
+        return _ok(0, note="inapplicable: quasilattice is not Z^n")
     charts = chart_index_sets(ctx.p, ctx.lat)
     for I in charts:
         g = gamma_group(ctx.p, I, ctx.lat)
         det = linalg.det([ctx.p.normals[j - 1] for j in I], ctx.p.field)
         if not g.finite or g.order != abs(det.as_fraction()):
-            return _fail(name, len(charts), {"I": list(I),
-                                             "order": g.order_text})
-    return _ok(name, len(charts))
+            return _fail(len(charts), {"I": list(I),
+                                       "order": g.order_text})
+    return _ok(len(charts))
 
 
 def groups_gamma_check_divides(ctx: _Context) -> PropertyResult:
-    name = "groups.gamma_check_divides"
     singular = ctx.lat.singular_faces()
     if not singular:
-        return _ok(name, 0, note="inapplicable: no singular faces")
+        return _ok(0, note="inapplicable: no singular faces")
     charts = chart_index_sets(ctx.p, ctx.lat)
     full = {}    # one gamma_group per chart, shared by every face
     checked = 0
@@ -229,50 +218,47 @@ def groups_gamma_check_divides(ctx: _Context) -> PropertyResult:
             gc = gamma_check(ctx.p, I, face, ctx.lat)
             checked += 1
             if gi.finite and gc.finite and gi.order % gc.order != 0:
-                return _fail(name, checked, {"I": list(I),
-                                             "face": list(face.index_set)})
+                return _fail(checked, {"I": list(I),
+                                       "face": list(face.index_set)})
             if gi.finite and not gc.finite:
-                return _fail(name, checked, {"I": list(I),
-                                             "face": list(face.index_set),
-                                             "reason": "quotient infinite"})
-    return _ok(name, checked)
+                return _fail(checked, {"I": list(I),
+                                       "face": list(face.index_set),
+                                       "reason": "quotient infinite"})
+    return _ok(checked)
 
 
 def groups_polar_decomposition(ctx: _Context) -> PropertyResult:
-    name = "groups.polar_decomposition"
     count = max(5, ctx.samples // 10)
     for i in range(count):
         theta, Y = ctx.sampler.nc_pair()
         if not n_membership(ctx.seq, ctx.p.quasilattice, theta):
-            return _fail(name, i + 1, {"part": "angle vector not in subgroup"})
+            return _fail(i + 1, {"part": "angle vector not in subgroup"})
         image = ctx.md.normals_float.T @ Y
         if np.linalg.norm(image) > 1e-9:
-            return _fail(name, i + 1, {"part": "direction not in kernel"})
+            return _fail(i + 1, {"part": "direction not in kernel"})
         z = ctx.sampler.point_with_zeros(())
         both = ctx.sampler.apply(z, theta, Y)
         swapped = ctx.sampler.apply(ctx.sampler.apply(z, None, Y), theta, None)
         if not np.allclose(both, swapped, atol=1e-10):
-            return _fail(name, i + 1, {"part": "polar parts do not commute"})
-    return _ok(name, count)
+            return _fail(i + 1, {"part": "polar parts do not commute"})
+    return _ok(count)
 
 
 # -- moment suites ---------------------------------------------------------
 
 
 def moment_shadow_consistency(ctx: _Context) -> PropertyResult:
-    name = "moment.shadow_consistency"
     exact_lambda = ctx.seq.iota_star(ctx.p.offsets)
     approx = ctx.md.lambda_vector
     bound = ctx.md.shadow_error * (ctx.p.d + 1) * 4 + 1e-12
     for k, s in enumerate(exact_lambda):
         val, err = s.shadow(53)
         if abs(val - approx[k]) > bound * max(1.0, abs(val)) + err:
-            return _fail(name, k + 1, {"component": k})
-    return _ok(name, len(exact_lambda))
+            return _fail(k + 1, {"component": k})
+    return _ok(len(exact_lambda))
 
 
 def moment_gradient_fd(ctx: _Context) -> PropertyResult:
-    name = "moment.gradient_fd"
     tol = 1e-5
     count = min(max(20, ctx.samples // 5), 100)
     R = _reduced_subspace(ctx.md, ())
@@ -293,13 +279,12 @@ def moment_gradient_fd(ctx: _Context) -> PropertyResult:
         fd = np.array([(f(u + h * e) - f(u - h * e)) / (2 * h)
                        for e in np.eye(R.shape[1])])
         if np.linalg.norm(fd - grad) > tol * max(1.0, np.linalg.norm(grad)):
-            return _fail(name, i + 1, {"gap": float(np.linalg.norm(fd - grad))},
+            return _fail(i + 1, {"gap": float(np.linalg.norm(fd - grad))},
                          tol)
-    return _ok(name, count, tol)
+    return _ok(count, tol)
 
 
 def moment_hessian_pd(ctx: _Context) -> PropertyResult:
-    name = "moment.hessian_pd"
     count = min(max(20, ctx.samples // 5), 100)
     R = _reduced_subspace(ctx.md, ())
     rng = ctx.sampler.rng
@@ -311,12 +296,11 @@ def moment_hessian_pd(ctx: _Context) -> PropertyResult:
         H = FOUR_PI * (R.T * x2) @ R
         lo = float(np.linalg.eigvalsh(H).min()) if R.shape[1] else 1.0
         if not lo > 0:
-            return _fail(name, i + 1, {"min_eigenvalue": lo})
-    return _ok(name, count)
+            return _fail(i + 1, {"min_eigenvalue": lo})
+    return _ok(count)
 
 
 def moment_retraction_unique(ctx: _Context) -> PropertyResult:
-    name = "moment.retraction_unique"
     tol = 10 * ctx.cfg.tolerance
     count = max(10, ctx.samples // 10)
     rng = ctx.sampler.rng
@@ -331,14 +315,13 @@ def moment_retraction_unique(ctx: _Context) -> PropertyResult:
                                   ctx.md, base.zero_set).shape[1])])
             again = retract(ctx.md, z, ctx.cfg, start=start)
             if np.max(np.abs(again.x - base.x)) > tol:
-                return _fail(name, i + 1,
+                return _fail(i + 1,
                              {"gap": float(np.max(np.abs(again.x - base.x)))},
                              tol)
-    return _ok(name, count, tol)
+    return _ok(count, tol)
 
 
 def moment_a_invariance(ctx: _Context) -> PropertyResult:
-    name = "moment.a_invariance"
     tol = 10 * ctx.cfg.tolerance
     count = max(10, ctx.samples // 10)
     faces = ctx.lat.faces
@@ -350,13 +333,12 @@ def moment_a_invariance(ctx: _Context) -> PropertyResult:
         moved = ctx.sampler.apply(z, None, Y)
         res = retract(ctx.md, moved, ctx.cfg)
         if np.max(np.abs(res.x - base.x)) > tol:
-            return _fail(name, i + 1,
+            return _fail(i + 1,
                          {"gap": float(np.max(np.abs(res.x - base.x)))}, tol)
-    return _ok(name, count, tol)
+    return _ok(count, tol)
 
 
 def moment_phi_in_delta(ctx: _Context) -> PropertyResult:
-    name = "moment.phi_in_delta"
     tol = 1e-8
     count = max(10, ctx.samples // 10)
     for i in range(count):
@@ -365,12 +347,11 @@ def moment_phi_in_delta(ctx: _Context) -> PropertyResult:
         margins = (ctx.md.normals_float @ oc.retracted.xi
                    - ctx.md.offsets_float)
         if margins.min() < -tol:
-            return _fail(name, i + 1, {"margin": float(margins.min())}, tol)
-    return _ok(name, count, tol)
+            return _fail(i + 1, {"margin": float(margins.min())}, tol)
+    return _ok(count, tol)
 
 
 def moment_zero_level_per_face(ctx: _Context) -> PropertyResult:
-    name = "moment.zero_level_per_face"
     for f in ctx.lat.faces:
         xi = ctx.lat.relint_point(f)
         x = np.zeros(ctx.p.d, dtype=complex)
@@ -378,12 +359,12 @@ def moment_zero_level_per_face(ctx: _Context) -> PropertyResult:
             if j not in f.index_set:
                 x[j - 1] = math.sqrt(ctx.p.slack(xi, j).shadow(53)[0])
         if np.linalg.norm(psi(ctx.md, x)) > 1e-9:
-            return _fail(name, 1, {"face": list(f.index_set)})
+            return _fail(1, {"face": list(f.index_set)})
         support = _zero_labels(x)
         if support != f.index_set:
-            return _fail(name, 1, {"face": list(f.index_set),
-                                   "support": list(support)})
-    return _ok(name, len(ctx.lat.faces))
+            return _fail(1, {"face": list(f.index_set),
+                             "support": list(support)})
+    return _ok(len(ctx.lat.faces))
 
 
 # -- orbit suites ---------------------------------------------------------
@@ -394,7 +375,6 @@ def _rational_generators(p: Polytope) -> bool:
 
 
 def orbits_equivalence_axioms(ctx: _Context) -> PropertyResult:
-    name = "orbits.equivalence_axioms"
     count = max(10, ctx.samples // 10)
     rational = _rational_generators(ctx.p)
     for i in range(count):
@@ -425,12 +405,11 @@ def orbits_equivalence_axioms(ctx: _Context) -> PropertyResult:
                            equivalent(ctx.p, zc, moved, ctx.lat, ctx.cfg)))
         for label, res in checks:
             if not res.equivalent:
-                return _fail(name, i + 1, {"axiom": label, "reason": res.reason})
-    return _ok(name, count)
+                return _fail(i + 1, {"axiom": label, "reason": res.reason})
+    return _ok(count)
 
 
 def orbits_p_invariance(ctx: _Context) -> PropertyResult:
-    name = "orbits.p_invariance"
     tol = 1e-7
     pairs = max(5, ctx.samples // 20)
     actions = max(5, ctx.samples // 20)
@@ -446,12 +425,11 @@ def orbits_p_invariance(ctx: _Context) -> PropertyResult:
             theta, Y = ctx.sampler.nc_pair()
             moved = ctx.sampler.apply(w, theta, Y)
             if abs(pf.evaluate(moved) - base) > tol * abs(base):
-                return _fail(name, i + 1, {"pair": i}, tol)
-    return _ok(name, pairs * actions, tol)
+                return _fail(i + 1, {"pair": i}, tol)
+    return _ok(pairs * actions, tol)
 
 
 def orbits_flow_nonclosed(ctx: _Context) -> PropertyResult:
-    name = "orbits.flow_nonclosed"
     tol = 1e-6
     count = max(10, ctx.samples // 5)
     nonclosed_seen = 0
@@ -462,7 +440,7 @@ def orbits_flow_nonclosed(ctx: _Context) -> PropertyResult:
             Y = ctx.sampler.a_element()
             moved = ctx.sampler.apply(z, None, Y)
             if _zero_labels(moved) != oc.i_z:
-                return _fail(name, i + 1, {"case": "closed support moved"})
+                return _fail(i + 1, {"case": "closed support moved"})
             continue
         nonclosed_seen += 1
         Y = nonclosed_flow_direction(ctx.p, oc)
@@ -473,21 +451,20 @@ def orbits_flow_nonclosed(ctx: _Context) -> PropertyResult:
             moved = np.exp(-2 * math.pi * t * Y) * zc
             size = max(abs(moved[j - 1]) for j in decay)
             if prev is not None and size >= prev:
-                return _fail(name, i + 1, {"case": "not monotone"}, tol)
+                return _fail(i + 1, {"case": "not monotone"}, tol)
             prev = size
             off = [abs(moved[j - 1]) for j in range(1, ctx.p.d + 1)
                    if j not in set(oc.face_E.index_set)]
             if off and min(off) == 0:
-                return _fail(name, i + 1, {"case": "support left the chart"})
+                return _fail(i + 1, {"case": "support left the chart"})
         start = max(abs(zc[j - 1]) for j in decay)
         if prev > tol * max(1.0, start):
-            return _fail(name, i + 1, {"case": "no decay", "final": prev}, tol)
+            return _fail(i + 1, {"case": "no decay", "final": prev}, tol)
     note = f"{nonclosed_seen} nonclosed orbits among {count} samples"
-    return _ok(name, count, tol, note)
+    return _ok(count, tol, note)
 
 
 def orbits_canonical_idempotent(ctx: _Context) -> PropertyResult:
-    name = "orbits.canonical_idempotent"
     count = max(10, ctx.samples // 10)
     for i in range(count):
         z = ctx.sampler.random_admissible_point()
@@ -496,32 +473,31 @@ def orbits_canonical_idempotent(ctx: _Context) -> PropertyResult:
         if not again.closed or not np.allclose(
                 np.asarray(again.closed_rep, dtype=complex),
                 np.asarray(oc.closed_rep, dtype=complex)):
-            return _fail(name, i + 1, {"sample": i})
-    return _ok(name, count)
+            return _fail(i + 1, {"sample": i})
+    return _ok(count)
 
 
 def orbits_face_orbit_bijection(ctx: _Context) -> PropertyResult:
-    name = "orbits.face_orbit_bijection"
     simple = not ctx.lat.singular_faces()
     if not (simple and _is_standard_lattice(ctx.p)):
-        return _ok(name, 0,
+        return _ok(0,
                    note="inapplicable: needs a rational simple instance")
     reached = set()
     for f in ctx.lat.faces:
         z = ctx.sampler.point_for_face(f)
         oc = classify_orbit(ctx.p, ctx.lat, z, ctx.cfg)
         if not oc.closed or oc.face_E.index_set != f.index_set:
-            return _fail(name, 1, {"face": list(f.index_set)})
+            return _fail(1, {"face": list(f.index_set)})
         reached.add(oc.face_E.index_set)
     if reached != {f.index_set for f in ctx.lat.faces}:
-        return _fail(name, len(ctx.lat.faces), {"missing": "faces unreached"})
+        return _fail(len(ctx.lat.faces), {"missing": "faces unreached"})
     charts = chart_index_sets(ctx.p, ctx.lat)
     for I in charts:
         g = gamma_group(ctx.p, I, ctx.lat)
         det = linalg.det([ctx.p.normals[j - 1] for j in I], ctx.p.field)
         if g.order != abs(det.as_fraction()):
-            return _fail(name, len(charts), {"I": list(I)})
-    return _ok(name, len(ctx.lat.faces) + len(charts))
+            return _fail(len(charts), {"I": list(I)})
+    return _ok(len(ctx.lat.faces) + len(charts))
 
 
 # -- strata suites ---------------------------------------------------------
@@ -536,42 +512,39 @@ def _strata_context(ctx: _Context):
 
 
 def strata_kernel_dims(ctx: _Context) -> PropertyResult:
-    name = "strata.kernel_dims"
     report = _strata_context(ctx)
     if report is None:
-        return _ok(name, 0, note="inapplicable: no singular faces")
+        return _ok(0, note="inapplicable: no singular faces")
     for s in report.strata:
         f = s.face
         if s.link.n_f_dim != f.r - ctx.p.n + f.dim \
                 or s.link.n_f0_dim != s.link.n_f_dim + 1:
-            return _fail(name, 1, {"face": list(f.index_set)})
-    return _ok(name, len(report.strata))
+            return _fail(1, {"face": list(f.index_set)})
+    return _ok(len(report.strata))
 
 
 def strata_kernel_split(ctx: _Context) -> PropertyResult:
-    name = "strata.kernel_split"
     report = _strata_context(ctx)
     if report is None:
-        return _ok(name, 0, note="inapplicable: no singular faces")
+        return _ok(0, note="inapplicable: no singular faces")
     field = ctx.p.field
     for s in report.strata:
         link = s.link
         r = len(link.facet_labels)
         combined = [list(v) for v in link.cone_kernel] + [[field.one()] * r]
         if linalg.rank(combined, r) != link.n_f0_dim:
-            return _fail(name, 1, {"face": list(s.face.index_set)})
+            return _fail(1, {"face": list(s.face.index_set)})
         dseq = kernel_data(link.delta_F)
         for v in combined:
             if any(not c.is_zero() for c in dseq.pi(v)):
-                return _fail(name, 1, {"face": list(s.face.index_set)})
-    return _ok(name, len(report.strata))
+                return _fail(1, {"face": list(s.face.index_set)})
+    return _ok(len(report.strata))
 
 
 def strata_face_bijection(ctx: _Context) -> PropertyResult:
-    name = "strata.face_bijection"
     report = _strata_context(ctx)
     if report is None:
-        return _ok(name, 0, note="inapplicable: no singular faces")
+        return _ok(0, note="inapplicable: no singular faces")
     for s in report.strata:
         link = s.link
         dlat = link.delta_F.face_lattice()
@@ -582,37 +555,35 @@ def strata_face_bijection(ctx: _Context) -> PropertyResult:
                 mapped[tuple(sorted(pos[j] for j in g.index_set))] = g
         link_sets = {f.index_set: f for f in dlat.faces}
         if set(mapped) != set(link_sets):
-            return _fail(name, 1, {"face": list(s.face.index_set)})
+            return _fail(1, {"face": list(s.face.index_set)})
         for local, g in mapped.items():
             lf = link_sets[local]
             if lf.dim != g.dim - s.face.dim - 1 or lf.regular != g.regular:
-                return _fail(name, 1, {"face": list(s.face.index_set),
-                                       "sub": list(local)})
-    return _ok(name, len(report.strata))
+                return _fail(1, {"face": list(s.face.index_set),
+                                 "sub": list(local)})
+    return _ok(len(report.strata))
 
 
 def strata_depth_decrease(ctx: _Context) -> PropertyResult:
-    name = "strata.depth_decrease"
     report = _strata_context(ctx)
     if report is None:
-        return _ok(name, 0, note="inapplicable: no singular faces")
+        return _ok(0, note="inapplicable: no singular faces")
     for s in report.strata:
         link_depth = s.link.recursive_report.polytope_depth
         # the link recursion drops the depth by exactly one, which forces
         # strict decrease of the polytope depth at every level
         if link_depth != s.face.depth - 1 or link_depth >= report.polytope_depth:
-            return _fail(name, 1, {"face": list(s.face.index_set),
-                                   "link_depth": link_depth})
-    return _ok(name, len(report.strata))
+            return _fail(1, {"face": list(s.face.index_set),
+                             "link_depth": link_depth})
+    return _ok(len(report.strata))
 
 
 def strata_poset_axioms(ctx: _Context) -> PropertyResult:
-    name = "strata.poset_axioms"
     report = _strata_context(ctx)
     if report is None:
-        return _ok(name, 0, note="inapplicable: no singular faces")
+        return _ok(0, note="inapplicable: no singular faces")
     if report.poset_nodes.count("max") != 1:
-        return _fail(name, 1, {"reason": "maximal element missing"})
+        return _fail(1, {"reason": "maximal element missing"})
     from .strata import node_key
     key_to_face = {node_key(s.face): s.face for s in report.strata}
     for a, b in report.poset_edges:
@@ -620,44 +591,42 @@ def strata_poset_axioms(ctx: _Context) -> PropertyResult:
             continue
         fa, fb = key_to_face[a], key_to_face[b]
         if not ctx.lat.lt(fa, fb):
-            return _fail(name, 1, {"edge": [a, b]})
-    return _ok(name, len(report.poset_edges))
+            return _fail(1, {"edge": [a, b]})
+    return _ok(len(report.poset_edges))
 
 
 # -- io suites ---------------------------------------------------------
 
 
 def io_roundtrip(ctx: _Context) -> PropertyResult:
-    name = "io.roundtrip"
     from . import serialize
     blob = serialize.dumps(serialize.instance_to_json(ctx.instance))
     parsed = serialize.instance_from_json(json.loads(blob))
     blob2 = serialize.dumps(serialize.instance_to_json(parsed))
     if blob != blob2:
-        return _fail(name, 1, {"reason": "instance JSON not stable"})
+        return _fail(1, {"reason": "instance JSON not stable"})
     pj = serialize.dumps(serialize.polytope_to_json(ctx.p))
     pj2 = serialize.dumps(serialize.polytope_to_json(
         serialize.polytope_from_json(json.loads(pj))))
     if pj != pj2:
-        return _fail(name, 1, {"reason": "polytope JSON not stable"})
-    return _ok(name, 2)
+        return _fail(1, {"reason": "polytope JSON not stable"})
+    return _ok(2)
 
 
 def io_determinism(ctx: _Context) -> PropertyResult:
-    name = "io.determinism"
     from . import serialize
     from .cli import analyze_report
     a = serialize.dumps(analyze_report(ctx.instance))
     b = serialize.dumps(analyze_report(ctx.instance))
     if a != b:
-        return _fail(name, 1, {"reason": "analyze report not deterministic"})
+        return _fail(1, {"reason": "analyze report not deterministic"})
     r1 = serialize.dumps(serialize.report_to_json(
         build_stratification(ctx.p, ctx.lat)))
     r2 = serialize.dumps(serialize.report_to_json(
         build_stratification(ctx.p, ctx.lat)))
     if r1 != r2:
-        return _fail(name, 1, {"reason": "strata report not deterministic"})
-    return _ok(name, 2)
+        return _fail(1, {"reason": "strata report not deterministic"})
+    return _ok(2)
 
 
 ALL_SUITES = [
@@ -686,9 +655,11 @@ def run_verification(instance, samples: int = 200,
     run = VerificationRun(seed=seed, samples=samples)
     for suite in ALL_SUITES:
         try:
-            run.results.append(suite(ctx))
+            result = suite(ctx)
         except ToricQError as exc:
-            run.results.append(PropertyResult(
-                suite.__name__.replace("_", ".", 1), False, 0,
-                witness={"error": type(exc).__name__, "message": str(exc)}))
+            result = _fail(0, {"error": type(exc).__name__, "message": str(exc)})
+        # each suite reports under its own name: scalars_field_axioms
+        # reports as scalars.field_axioms
+        result.name = suite.__name__.replace("_", ".", 1)
+        run.results.append(result)
     return run

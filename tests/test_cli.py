@@ -211,6 +211,42 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("offsets", [["0"], ["one"]]),
+    ("offsets", [["0"], ["1/0"]]),
+    ("normals", [[["1"]], [["-x"]]]),
+    ("quasilattice", [[["1/x"]]]),
+    ("n", "one"),
+    ("solver", {"tolerance": "x"}),
+    ("seed", "x"),
+    ("solver", [1]),
+], ids=["offsets", "zero-denominator", "normals", "quasilattice", "n",
+        "tolerance", "seed", "solver-list"])
+def test_malformed_instance_field_exit_code(tmp_path, capsys, key, value):
+    """A malformed field prints the error payload, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(INTERVAL_JSON, **{key: value})))
+    assert main(["analyze", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+
+
+def test_equiv_points_must_be_a_pair(interval_file, capsys):
+    assert main(["equiv", interval_file, "--points", '{"a": 1}']) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["message"].startswith("--points must be a JSON pair")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_nonpositive_tol_is_rejected(interval_file, capsys, tol):
+    assert main(["retract", interval_file, "--point", "[[1,0],[1,0]]",
+                 "--tol", tol]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValidationError",
+                   "message": "tolerance must be positive"}
+
+
 def test_solver_nonconvergence_exit_code(interval_file, capsys):
     # a tolerance below float resolution cannot be met
     code = main(["retract", interval_file, "--point", "[[1,0],[1,0]]",

@@ -4,14 +4,22 @@ Every number in `analyze`, `faces` and `strata` output is exact, and a
 `verify` report holds only suite names, sample counts, verdicts, fixed
 tolerances and notes, so the stdout of each command is the same on every
 platform.  A change that alters any of these bytes must say why and update
-the digest."""
+the digest.  The orbit verdicts of seeded point pairs on each instance are
+pinned the same way, so a change that moves any verdict or its exactness
+flag must name it."""
 
 import hashlib
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from toricq import linalg
 from toricq.cli import main
+from toricq.orbits import ExactVector, classify_orbit, equivalent, n_orbit_equal
+from toricq.sampling import Sampler
+from toricq.serialize import load_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -63,3 +71,97 @@ def test_report_digest(name, command, capsys):
     assert main([command, path, *ARGS.get(command, [])]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SHA256[name, command]
+
+
+# -- orbit verdicts -----------------------------------------------------------
+
+VERDICT_SEED = 11
+VERDICT_PAIRS = 5       # pairs of each kind per instance
+
+
+def _orbit_verdicts(instance) -> list:
+    """The (kind, verdict, exactness, reason) of seeded orbit questions.
+
+    Kinds: float pairs moved by a subgroup element or drawn independently;
+    exact pairs moved by an exact subgroup angle, by arbitrary sixteenth
+    turns, or drawn on another face; mixed pairs (an exact point against
+    the complex shadow of its moved copy); and ``n_orbit_equal`` on the
+    retracted representatives of the float pairs and on exact zero-level
+    points, moved, turned, mixed, or taken at another polytope point.  Float verdicts on
+    instances whose quasilattice image is dense come from a rounding
+    heuristic and are known to be wrong on some moved pairs; they are
+    pinned as they are."""
+    p = instance.polytope
+    lat = p.face_lattice()
+    cfg = instance.solver
+    s = Sampler(p, VERDICT_SEED)
+    out = []
+
+    def record(kind, v):
+        out.append([kind, v.equivalent if hasattr(v, "equivalent") else v.equal,
+                    v.exactness, v.reason])
+
+    def turns():
+        return [Fraction(s.rng.randint(0, 15), 16) for _ in range(p.d)]
+
+    def zero_level_point(xi):
+        # exact zero-level point: the squared moduli are the slacks at xi
+        return ExactVector(p.field, [p.slack(xi, j) for j in range(1, p.d + 1)],
+                           turns())
+
+    for _ in range(VERDICT_PAIRS):
+        z = s.random_admissible_point()
+        gz = s.apply(z, *s.nc_pair())
+        record("float moved", equivalent(p, z, gz, lat, cfg))
+        other = s.random_admissible_point()
+        record("float other", equivalent(p, z, other, lat, cfg))
+        x = classify_orbit(p, lat, z, cfg).retracted.x
+        y = classify_orbit(p, lat, gz, cfg).retracted.x
+        record("n float moved", n_orbit_equal(p, x, y))
+        record("n float other",
+               n_orbit_equal(p, x, classify_orbit(p, lat, other, cfg).retracted.x))
+    for _ in range(VERDICT_PAIRS):
+        face = s.rng.choice(lat.faces)
+        z = s.exact_point_for_face(face)
+        gz = z.with_phase_shift(s.n_element())
+        record("exact moved", equivalent(p, z, gz, lat, cfg))
+        record("exact turned", equivalent(p, z, z.with_phase_shift(turns()),
+                                          lat, cfg))
+        other = s.exact_point_for_face(s.rng.choice(lat.faces))
+        record("exact other", equivalent(p, z, other, lat, cfg))
+        record("mixed moved", equivalent(p, z, gz.to_complex(), lat, cfg))
+        xi = lat.relint_point(face)
+        x = zero_level_point(xi)
+        record("n exact moved", n_orbit_equal(p, x, x.with_phase_shift(s.n_element())))
+        record("n exact turned", n_orbit_equal(p, x, x.with_phase_shift(turns())))
+        record("n mixed moved", n_orbit_equal(
+            p, x, x.with_phase_shift(s.n_element()).to_complex()))
+        # a second point of the face's relative interior (the first one
+        # again when the face is a vertex), and a point of another face
+        nearby = linalg.barycenter([xi, lat.vertices_of(face)[0]], p.field)
+        record("n exact nearby", n_orbit_equal(p, x, zero_level_point(nearby)))
+        elsewhere = lat.relint_point(s.rng.choice(lat.faces))
+        record("n exact other", n_orbit_equal(p, x, zero_level_point(elsewhere)))
+    return out
+
+
+VERDICT_SHA256 = {
+    "interval": "e04d067ca2c773963703756315232bf455bcaa8b8788e13373bb2180657fedcc",
+    "interval_sqrt2": "4450e2e5c05982e7590d9762ecf103fc01cbb15842c116998d84bc31236ccad1",
+    "octahedron": "ab250baaea40c1ed2fc37ddecee84af1d6666907cccf1f68a1815c5db8c02deb",
+    "pyramid4": "ab049fbd0536c58a19ceb17affaf5c4992f82e035251d6fdd98450f2ca97b0e2",
+    "pyramid_sqrt2": "b50cc76c8de75b2fc2c94f88cba132d37385c272eb023f2c088e71854d1b75cc",
+    "square_pyramid": "7ebeb47659ba20ab9545535acc2bc503d1d7d9ab9bbe00c2e50c3b741ec67450",
+    "weighted_triangle": "c1b149a2ed44a15c9b0049158842c1e7be6ce2c0a11ce209b7a9bbb8dd0c4786",
+}
+
+
+def test_every_shipped_instance_has_pinned_verdicts():
+    assert set(VERDICT_SHA256) == {path.stem for path in INSTANCES.glob("*.json")}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_SHA256))
+def test_orbit_verdict_digest(name):
+    verdicts = _orbit_verdicts(load_instance(str(INSTANCES / f"{name}.json")))
+    blob = json.dumps(verdicts, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == VERDICT_SHA256[name]

@@ -165,6 +165,14 @@ def test_n_orbit_equal_precondition(interval):
         n_orbit_equal(interval, [1, 1], [1, 1])
 
 
+def test_n_orbit_equal_overflowing_residual_is_a_precondition_error():
+    # |z_j|^2 = 1e308 is finite, but the level residual overflows
+    p = load_instance(str(INSTANCES / "square_pyramid.json")).polytope
+    z = np.full(p.d, 1e154, dtype=complex)
+    with pytest.raises(PreconditionError, match="x is off the moment zero level"):
+        n_orbit_equal(p, z, z)
+
+
 def test_equivalent_reflexive(interval):
     res = equivalent(interval, [1, 1], [1, 1])
     assert res.equivalent
