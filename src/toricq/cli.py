@@ -117,10 +117,11 @@ def cmd_equiv(args) -> int:
     cfg = _solver(instance, args)
     try:
         pair = json.loads(args.points)
-        z = serialize.complex_vector_from_json(pair[0])
-        w = serialize.complex_vector_from_json(pair[1])
-    except (json.JSONDecodeError, IndexError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"--points must be a JSON pair: {exc}") from exc
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValidationError("--points must be a JSON pair")
+    z, w = (serialize.complex_vector_from_json(v) for v in pair)
     res = equivalent(p, z, w, cfg=cfg)
     _emit(args, serialize.equivalence_to_json(res, cfg))
     return 0

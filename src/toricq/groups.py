@@ -138,23 +138,18 @@ def kernel_data(p: "Polytope") -> SequenceData:
         return p._kernel
     field = p.field
     pi_rows = [[p.normals[j][i] for j in range(p.d)] for i in range(p.n)]
-    if linalg.rank(p.normals, p.n) != p.n:
-        raise ValidationError("facet normals do not span the ambient space")
     kernel = linalg.nullspace(pi_rows, p.d, field)
+    if len(kernel) != p.d - p.n:
+        raise ValidationError("facet normals do not span the ambient space")
     seq = SequenceData(pi_rows=pi_rows, kernel_basis=kernel, field=field)
     for v in kernel:
         if not all(s.is_zero() for s in seq.pi(v)):
             raise ValidationError("kernel basis fails pi . iota = 0")
-    for mu in _standard_basis(field, p.n):
+    for mu in linalg.identity(p.n, field):
         if not all(s.is_zero() for s in seq.iota_star(seq.pi_star(mu))):
             raise ValidationError("dual sequence fails iota* . pi* = 0")
     p._kernel = seq
     return seq
-
-
-def _standard_basis(field: NumberField, n: int):
-    return [[field.one() if i == j else field.zero() for i in range(n)]
-            for j in range(n)]
 
 
 def _chart_table(p: "Polytope", lat: "FaceLattice") -> dict:

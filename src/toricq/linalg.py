@@ -27,6 +27,12 @@ def vec_scale(c, a):
     return [c * x for x in a]
 
 
+def identity(n: int, field: NumberField):
+    """The n x n identity matrix, whose rows are the standard basis."""
+    return [[field.one() if i == j else field.zero() for j in range(n)]
+            for i in range(n)]
+
+
 def barycenter(vectors, field: NumberField):
     """The exact average of a nonempty list of vectors."""
     acc = list(vectors[0])
@@ -110,13 +116,15 @@ def rank(rows, ncols: int) -> int:
 
 def nullspace(rows, ncols: int, field: NumberField):
     """Basis of {x : A x = 0} for A given by rows, in reduced echelon form."""
-    if not rows:
-        return [[field.one() if i == j else field.zero() for i in range(ncols)]
-                for j in range(ncols)]
     red, pivots, _ = _rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    return _reduced_nullspace(red, pivots, ncols, field)
+
+
+def _reduced_nullspace(red, pivots, ncols: int, field: NumberField):
+    """The nullspace basis of ``nullspace``, read off rows already reduced
+    by ``_rref`` and their pivot columns: one vector per free column."""
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [field.zero()] * ncols
         v[fc] = field.one()
         for r, pc in enumerate(pivots):
@@ -147,17 +155,6 @@ def solve_unique(rows, b, field: NumberField):
     if len(pivots) != n or pivots != list(range(n)):
         return None
     return [red[i][n] for i in range(n)]
-
-
-def inverse(rows, field: NumberField):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [field.one() if c == i else field.zero() for c in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots, _ = _rref(aug, n)
-    if len(pivots) != n:
-        return None
-    return [row[n:] for row in red]
 
 
 def in_span(vectors, v, ncols: int, field: NumberField):

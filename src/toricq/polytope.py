@@ -300,15 +300,17 @@ def cone_rays(rows):
     the rows do not span the space.
 
     One double-description pass: the simplicial cone on the first
-    independent rows, then the remaining rows one at a time, in order."""
-    dim = len(rows[0])
-    _, start, _ = linalg._rref(linalg.transpose(rows), len(rows))
+    independent rows, then the remaining rows one at a time, in order.  One
+    elimination of [rows^T | I] gives the starting rows (its pivots) and the
+    simplicial rays (its right-hand rows: ray i is zero on every starting
+    row but start[i])."""
+    dim, m = len(rows[0]), len(rows)
+    identity = linalg.identity(dim, rows[0][0].field)
+    tableau = [col + e for col, e in zip(linalg.transpose(rows), identity)]
+    red, start, _ = linalg._rref(tableau, m)
     if len(start) != dim:
         return None
-    inverse = linalg.inverse([rows[k] for k in start], rows[0][0].field)
-    # ray i of the simplicial cone is column i of the inverse: it is zero
-    # on every starting row but start[i]
-    rays = [_normalised([row[i] for row in inverse]) for i in range(dim)]
+    rays = [_normalised(row[m:]) for row in red]
     everything = sum(1 << k for k in start)
     zeros = [everything & ~(1 << k) for k in start]
     for k, row in enumerate(rows):

@@ -22,6 +22,9 @@ from .groups import _chart, chart_index_sets
 from .orbits import ExactVector, OrbitClass, _moment_for
 from .polytope import Face, Polytope, cone_rays
 
+N_BOUND = 3      # n_element's integer coefficients lie in [-N_BOUND, N_BOUND]
+A_BOUND = 2.0    # a_element's kernel coefficients lie in [-A_BOUND, A_BOUND]
+
 
 class Sampler:
     def __init__(self, p: Polytope, seed: int):
@@ -86,14 +89,14 @@ class Sampler:
 
     # -- subgroup elements ---------------------------------------------------
 
-    def n_element(self, bound: int = 3):
+    def n_element(self):
         """Exact angle vector theta (in turns) with pi(theta) in Q: a
         random integer combination of the generator preimages."""
         field = self.p.field
         theta_chart = [field.zero()] * self.p.n
         # the angles on the first chart with sum theta_j X_j = g, per generator g
         for pre in _chart(self.p, self.lat, self._charts[0])[1]:
-            c = self.rng.randint(-bound, bound)
+            c = self.rng.randint(-N_BOUND, N_BOUND)
             if c:
                 theta_chart = linalg.vec_add(
                     theta_chart, linalg.vec_scale(field.from_rational(c), pre))
@@ -102,17 +105,17 @@ class Sampler:
             theta[j - 1] = t
         return theta
 
-    def a_element(self, bound: float = 2.0) -> np.ndarray:
+    def a_element(self) -> np.ndarray:
         """Float direction in the kernel span (imaginary part)."""
         B = self.md.kernel_float  # m x d
         if B.shape[0] == 0:
             return np.zeros(self.p.d)
-        coeffs = np.array([self.rng.uniform(-bound, bound)
+        coeffs = np.array([self.rng.uniform(-A_BOUND, A_BOUND)
                            for _ in range(B.shape[0])])
         return B.T @ coeffs
 
-    def nc_pair(self, bound: int = 3, a_bound: float = 2.0):
-        return self.n_element(bound), self.a_element(a_bound)
+    def nc_pair(self):
+        return self.n_element(), self.a_element()
 
     def apply(self, z, theta=None, Y=None) -> np.ndarray:
         """Act by exp(2 pi i theta) exp(i iota(Y)): phases from the exact

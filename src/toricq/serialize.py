@@ -55,6 +55,15 @@ def scalar_from_json(field: NumberField, data) -> FieldScalar:
     return field.scalar([Fraction(c) for c in data])
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing to truncate a number with a fractional part
+    or to read a JSON boolean as 0 or 1."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def field_to_json(f: NumberField) -> dict:
     return {"minpoly": list(f.minpoly),
             "root_interval": [str(f.root_interval[0]), str(f.root_interval[1])],
@@ -63,7 +72,7 @@ def field_to_json(f: NumberField) -> dict:
 
 def field_from_json(data) -> NumberField:
     try:
-        minpoly = [int(c) for c in data["minpoly"]]
+        minpoly = [_integer(c) for c in data["minpoly"]]
         lo, hi = (Fraction(x) for x in data["root_interval"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed field declaration: {exc}") from exc
@@ -97,7 +106,7 @@ def polytope_from_json(data) -> Polytope:
         normals = [vector_from_json(field, x) for x in data["normals"]]
         offsets = [scalar_from_json(field, s) for s in data["offsets"]]
         gens = [vector_from_json(field, g) for g in data["quasilattice"]]
-        n = int(data["n"]) if "n" in data else None
+        n = _integer(data["n"]) if "n" in data else None
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed polytope: {exc}") from exc
     quasilattice = Quasilattice(field, gens)
@@ -129,7 +138,7 @@ def solver_from_json(data) -> SolverConfig:
     try:
         return SolverConfig(
             tolerance=float(data.get("tolerance", 1e-9)),
-            max_iterations=int(data.get("max_iterations", 100)),
+            max_iterations=_integer(data.get("max_iterations", 100)),
             line_search_shrink=float(data.get("line_search_shrink", 0.5)))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed solver settings: {exc}") from exc
@@ -146,7 +155,7 @@ def instance_from_json(data) -> ProblemInstance:
     polytope = polytope_from_json(data)
     solver = solver_from_json(data.get("solver", {}))
     try:
-        seed = int(data.get("seed", 0))
+        seed = _integer(data.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed seed: {exc}") from exc
     return ProblemInstance(polytope, solver, seed)
@@ -170,9 +179,12 @@ def complex_vector_to_json(z) -> list:
 
 def complex_vector_from_json(data) -> np.ndarray:
     try:
-        return np.array([complex(re, im) for re, im in data], dtype=complex)
+        z = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed complex vector: {exc}") from exc
+    if not np.isfinite(z).all():
+        raise ValidationError("complex vector has a coordinate that is not finite")
+    return z
 
 
 # -- groups -----------------------------------------------------------------

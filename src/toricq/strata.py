@@ -2,11 +2,13 @@
 faces, derived kernel data, chart/twisting groups, the symplectic chart
 inequality systems, and the depth-indexed recursion into each link.
 
-Everything geometric here is exact.  For a singular face the span of its
-active normals is given a pivot basis from the normals themselves, the
-quasilattice is intersected with that span by integer saturation, and the
-link polytope is cut out of the annihilator of the slicing direction with
-exact column pivoting, so it can be fed back through the whole pipeline.
+Everything geometric here is exact, and each exact question is one
+elimination.  The active normals of a singular face, taken as columns, are
+reduced once: the pivot columns are a basis of their span, the reduced
+columns are the normals in that basis and the reduced rows cut out the cone
+kernel.  The quasilattice is intersected with that span by integer
+saturation, and the link polytope is cut out of the annihilator of the
+slicing direction, so it can be fed back through the whole pipeline.
 """
 
 from __future__ import annotations
@@ -105,21 +107,6 @@ def node_key(face: Face | None) -> str:
     return "max" if face is None else "F" + str(list(face.index_set))
 
 
-def _pivot_basis(p: Polytope, labels):
-    """Greedy exact pivoting of the active normals, in label order: the
-    pivot columns of one elimination with the normals as columns."""
-    normals = [p.normals[j - 1] for j in labels]
-    _, pivots, _ = linalg._rref(linalg.transpose(normals), len(normals))
-    return [normals[c] for c in pivots], tuple(labels[c] for c in pivots)
-
-
-def _span_coords(basis, v, n, field):
-    coords = linalg.in_span(basis, v, n, field)
-    if coords is None:
-        raise InternalConsistencyError("vector left the span of the face normals")
-    return coords
-
-
 def _sub_quasilattice(p: Polytope, basis):
     """Generators of the quasilattice's intersection with the span of the
     basis, written in span coordinates, via integer saturation of the
@@ -147,7 +134,14 @@ def _sub_quasilattice(p: Polytope, basis):
                     acc = linalg.vec_add(acc, linalg.vec_scale(
                         field.from_rational(c), g))
             kept.append(acc)
-    coords = (_span_coords(basis, g, p.n, field) for g in kept)
+    # span coordinates of every kept vector from one elimination of
+    # [basis | kept]; a nonzero entry below the basis rows leaves the span
+    k = len(basis)
+    rows = [[b[i] for b in basis] + [g[i] for g in kept] for i in range(p.n)]
+    red, _, _ = linalg._rref(rows, k)
+    if any(not s.is_zero() for row in red[k:] for s in row[k:]):
+        raise InternalConsistencyError("vector left the span of the face normals")
+    coords = linalg.transpose([row[k:] for row in red[:k]])
     return Quasilattice(field, [c for c in coords if any(not s.is_zero() for s in c)])
 
 
@@ -159,17 +153,18 @@ def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
         raise PreconditionError("links are built only for singular faces")
     field = p.field
     labels = face.index_set
-    basis, basis_labels = _pivot_basis(p, labels)
-    k = len(basis)                       # n - p
+    normals = [p.normals[j - 1] for j in labels]
+    # one elimination with the normals as columns (see the module docstring)
+    red, pivots, _ = linalg._rref(linalg.transpose(normals), len(labels))
+    k = len(pivots)                      # n - p
     if k != p.n - face.dim:
         raise InternalConsistencyError("span dimension disagrees with the face")
-
-    sigma_normals = [_span_coords(basis, p.normals[j - 1], p.n, field)
-                     for j in labels]
+    basis = [normals[c] for c in pivots]
+    basis_labels = tuple(labels[c] for c in pivots)
+    sigma_normals = linalg.transpose(red[:k])
     sigma_offsets = [p.offsets[j - 1] for j in labels]
 
-    rows = [[sigma_normals[jj][i] for jj in range(len(labels))] for i in range(k)]
-    cone_kernel = linalg.nullspace(rows, len(labels), field)
+    cone_kernel = linalg._reduced_nullspace(red[:k], pivots, len(labels), field)
     n_f_dim = len(cone_kernel)
     if n_f_dim != face.r - p.n + face.dim:
         raise InternalConsistencyError("cone kernel dimension is off")
@@ -179,21 +174,10 @@ def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
     ones = [field.one()] * len(labels)
     x0 = [sum(col, field.zero()) for col in zip(*sigma_normals)]
     level = sum(sigma_offsets, field.one())
-
-    pivot = next((i for i, c in enumerate(x0) if not c.is_zero()), None)
-    if pivot is None:
+    ann_basis = linalg.nullspace([x0], k, field)
+    if len(ann_basis) != k - 1:
         raise InternalConsistencyError("slicing direction vanished")
-    xi0 = [field.zero()] * k
-    xi0[pivot] = level / x0[pivot]
-
-    ann_basis = []
-    for i in range(k):
-        if i == pivot:
-            continue
-        w = [field.zero()] * k
-        w[i] = field.one()
-        w[pivot] = -(x0[i] / x0[pivot])
-        ann_basis.append(w)
+    xi0 = linalg.solve([x0], [level], k, field)
 
     delta_normals = [[linalg.dot(w, v) for w in ann_basis] for v in sigma_normals]
     delta_offsets = [sigma_offsets[jj] - linalg.dot(xi0, sigma_normals[jj])

@@ -176,10 +176,7 @@ def groups_pi_iota_zero(ctx: _Context) -> PropertyResult:
 
 
 def _is_standard_lattice(p: Polytope) -> bool:
-    field = p.field
-    basis = [[field.one() if i == j else field.zero() for i in range(p.n)]
-             for j in range(p.n)]
-    if not all(p.quasilattice.contains(e) for e in basis):
+    if not all(p.quasilattice.contains(e) for e in linalg.identity(p.n, p.field)):
         return False
     for g in p.quasilattice.generators:
         if not all(s.is_rational() and s.as_fraction().denominator == 1

@@ -12,11 +12,12 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from toricq import linalg
+from toricq import linalg, verify
 from toricq.groups import (chart_index_sets, gamma_group)
 from toricq.moment import SolverConfig, moment_data, retract
-from toricq.orbits import classify_orbit, equivalent, p_function
-from toricq.sampling import Sampler, nonclosed_flow_direction
+from toricq.orbits import classify_orbit
+from toricq.sampling import Sampler
+from toricq.serialize import ProblemInstance
 from toricq.strata import build_link, build_stratification
 
 SQ2 = math.sqrt(0.5)
@@ -84,37 +85,21 @@ def test_criterion_04_nonrational_exact(interval_sqrt2):
                "infinite, all exact")
 
 
+def _run_suite(suite, p, seed: int, samples: int):
+    """One verify suite on polytope p, drawing from Sampler(p, seed)."""
+    ctx = verify._Context(ProblemInstance(p, SolverConfig(), seed), samples, seed)
+    return suite(ctx)
+
+
 def test_criterion_05_closed_orbit_suite(pyramid):
-    tol = 1e-6
-    lat = pyramid.face_lattice()
-    sampler = Sampler(pyramid, 20250810)
     start = time.perf_counter()
-    nonclosed = 0
-    closed = 0
-    for _ in range(500):
-        z = sampler.point_biased_nonclosed()
-        oc = classify_orbit(pyramid, lat, z)
-        zc = np.asarray(z, dtype=complex)
-        if oc.closed:
-            closed += 1
-            Y = sampler.a_element()
-            moved = sampler.apply(z, None, Y)
-            moved_zeros = tuple(int(j) + 1 for j in np.flatnonzero(moved == 0))
-            assert moved_zeros == oc.i_z  # stationary support
-            continue
-        nonclosed += 1
-        Y = nonclosed_flow_direction(pyramid, oc)
-        decay = [j for j in oc.face_E.index_set if j not in set(oc.i_z)]
-        sizes = []
-        for t in np.linspace(0.0, 2.5, 11):
-            moved = np.exp(-2 * math.pi * t * Y) * zc
-            sizes.append(max(abs(moved[j - 1]) for j in decay))
-            off_face = [abs(moved[j - 1]) for j in range(1, 6)
-                        if j not in set(oc.face_E.index_set)]
-            assert min(off_face) > 0
-        assert all(a > b for a, b in zip(sizes, sizes[1:]))
-        assert sizes[-1] <= tol * max(1.0, sizes[0])
+    result = _run_suite(verify.orbits_flow_nonclosed, pyramid, 20250810, 2500)
     elapsed = time.perf_counter() - start
+    assert result.passed, result.witness
+    assert result.samples == 500
+    # the note reads "<k> nonclosed orbits among 500 samples"
+    nonclosed = int(result.note.split()[0])
+    closed = result.samples - nonclosed
     assert nonclosed > 0 and closed > 0
     assert elapsed < 10.0
     _report(5, f"closed-orbit theorem: flow oracle agrees on all "
@@ -123,23 +108,9 @@ def test_criterion_05_closed_orbit_suite(pyramid):
 
 
 def test_criterion_06_p_invariance(pyramid):
-    tol = 1e-7
-    lat = pyramid.face_lattice()
-    sampler = Sampler(pyramid, 77)
-    verts = lat.vertices()
-    checked = 0
-    for i in range(100):
-        va = sampler.rng.choice(verts)
-        vb = sampler.rng.choice(verts)
-        pf = p_function(pyramid, lat.relint_point(va), lat.relint_point(vb), lat)
-        w = sampler.point_with_zeros(())
-        base = pf.evaluate(w)
-        for _ in range(100):
-            theta, Y = sampler.nc_pair()
-            moved = sampler.apply(w, theta, Y)
-            assert abs(pf.evaluate(moved) - base) <= tol * abs(base)
-            checked += 1
-    assert checked == 10000
+    result = _run_suite(verify.orbits_p_invariance, pyramid, 77, 2000)
+    assert result.passed, result.witness
+    assert result.samples == 10000
     _report(6, "monomial-modulus invariance over 100 pairs x 100 subgroup "
                "elements within 1e-7 relative")
 
@@ -171,19 +142,9 @@ def test_criterion_07_retraction_uniqueness_and_a_invariance(pyramid):
 
 
 def test_criterion_08_equivalence_relation(pyramid):
-    lat = pyramid.face_lattice()
-    sampler = Sampler(pyramid, 99)
-    for i in range(200):
-        z = sampler.random_admissible_point()
-        t1, Y1 = sampler.nc_pair()
-        t2, Y2 = sampler.nc_pair()
-        gz = sampler.apply(z, t1, Y1)
-        ggz = sampler.apply(gz, t2, Y2)
-        assert equivalent(pyramid, z, z, lat).equivalent          # reflexive
-        assert equivalent(pyramid, z, gz, lat).equivalent
-        assert equivalent(pyramid, gz, z, lat).equivalent         # symmetric
-        assert equivalent(pyramid, gz, ggz, lat).equivalent
-        assert equivalent(pyramid, z, ggz, lat).equivalent        # transitive
+    result = _run_suite(verify.orbits_equivalence_axioms, pyramid, 99, 2000)
+    assert result.passed, result.witness
+    assert result.samples == 200
     _report(8, "equivalence axioms hold on 200 seeded subgroup-action triples")
 
 

@@ -1,13 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from toricq import cli, serialize
+from toricq import cli, linalg, serialize
 from toricq.cli import main
 from toricq.errors import SolverError, ValidationError
 
 from test_groups import CHART_PRECONDITIONS, TRAPEZOID
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 PYRAMID_JSON = {
     "field": {"minpoly": [0, 1], "root_interval": ["0", "0"],
@@ -117,6 +120,34 @@ def test_strata_link_feeds_back(pyramid_file, tmp_path, capsys):
     assert nested["d"] == 4 and nested["n"] == 2
 
 
+def test_commands_eliminate_once_per_exact_question(monkeypatch, capsys):
+    """Counts the exact eliminations (``linalg._rref`` calls) of in-process
+    commands.  A link reduces its active normals once for the basis, the
+    normals' span coordinates and the cone kernel, and the DD start reduces
+    [rows^T | I] once; with a second solve per normal, a rank before the
+    kernel and a separate inverse, strata took 98 on pyramid4 and 111 on
+    the octahedron, and faces took 3."""
+    calls = [0]
+    rref = linalg._rref
+
+    def counted(rows, ncols):
+        calls[0] += 1
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+
+    def eliminations(command, name):
+        calls[0] = 0
+        assert main([command, str(INSTANCES / name)]) == 0
+        capsys.readouterr()
+        return calls[0]
+
+    assert eliminations("strata", "pyramid4.json") <= 56
+    assert eliminations("strata", "octahedron.json") <= 68
+    for path in sorted(INSTANCES.glob("*.json")):
+        assert eliminations("faces", path.name) <= 2, path.name
+
+
 def test_cmd_retract(interval_file, capsys):
     assert main(["retract", interval_file, "--point", "[[1,0],[1,0]]"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -220,8 +251,15 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     ("solver", {"tolerance": "x"}),
     ("seed", "x"),
     ("solver", [1]),
+    ("seed", 1.5),
+    ("solver", {"max_iterations": 2.7}),
+    ("n", 1.5),
+    ("field", dict(INTERVAL_JSON["field"], minpoly=[0, 1.9])),
+    ("seed", True),
 ], ids=["offsets", "zero-denominator", "normals", "quasilattice", "n",
-        "tolerance", "seed", "solver-list"])
+        "tolerance", "seed", "solver-list", "fractional-seed",
+        "fractional-max-iterations", "fractional-n", "fractional-minpoly",
+        "boolean-seed"])
 def test_malformed_instance_field_exit_code(tmp_path, capsys, key, value):
     """A malformed field prints the error payload, not a traceback."""
     path = tmp_path / "bad.json"
@@ -232,10 +270,26 @@ def test_malformed_instance_field_exit_code(tmp_path, capsys, key, value):
 
 
 def test_equiv_points_must_be_a_pair(interval_file, capsys):
-    assert main(["equiv", interval_file, "--points", '{"a": 1}']) == 2
+    # a third vector is rejected, not ignored
+    for points in ('{"a": 1}', "[[[1,0],[1,0]], [[2,0],[2,0]], [[3,0]]]"):
+        assert main(["equiv", interval_file, "--points", points]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["message"].startswith("--points must be a JSON pair")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["retract", "equiv"])
+def test_nonfinite_point_is_rejected(interval_file, capsys, command, value):
+    point = f"[[{value},0],[1,0]]"
+    if command == "retract":
+        argv = ["retract", interval_file, "--point", point]
+    else:
+        argv = ["equiv", interval_file, "--points", f"[[[1,0],[1,0]], {point}]"]
+    assert main(argv) == 2
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "ValidationError"
-    assert err["message"].startswith("--points must be a JSON pair")
+    assert err == {"type": "ValidationError",
+                   "message": "complex vector has a coordinate that is not finite"}
 
 
 @pytest.mark.parametrize("tol", ["0", "-1"])

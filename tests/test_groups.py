@@ -269,8 +269,10 @@ def oracle_charts(p):
             if I in charts or linalg.rank([p.normals[j - 1] for j in I],
                                           p.n) != p.n:
                 continue
-            inverse = linalg.inverse([[p.normals[j - 1][i] for j in I]
-                                      for i in range(p.n)], p.field)
+            matrix = [[p.normals[j - 1][i] for j in I] for i in range(p.n)]
+            # the inverse column by column: column i solves M x = e_i
+            inverse = linalg.transpose([linalg.solve_unique(matrix, e, p.field)
+                                        for e in linalg.identity(p.n, p.field)])
             charts[I] = (inverse, [linalg.mat_vec(inverse, g)
                                    for g in p.quasilattice.generators])
     return charts

@@ -9,8 +9,8 @@ from toricq.groups import Quasilattice, kernel_data
 from toricq.moment import derived_moment_data, psi, retract, upsilon
 from toricq.polytope import Polytope
 from toricq.serialize import load_instance
-from toricq.strata import (_pivot_basis, build_link, build_stratification,
-                           local_model, node_key)
+from toricq.strata import (build_link, build_stratification, local_model,
+                           node_key)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -241,8 +241,6 @@ def test_sub_quasilattice_saturation(pyramid4):
     """The link quasilattice is the exact intersection of Z^4 with the
     span of the singular edge's normals (vectors with equal last two
     coordinates, here)."""
-    from toricq.strata import _span_coords
-
     lat = pyramid4.face_lattice()
     edge = next(f for f in lat.singular_faces() if f.dim == 1)
     link = build_link(pyramid4, lat, edge)
@@ -251,8 +249,8 @@ def test_sub_quasilattice_saturation(pyramid4):
     basis = link.d_F_basis
 
     def in_link_lattice(vec):
-        coords = _span_coords(basis, [field.from_rational(c) for c in vec],
-                              4, field)
+        coords = linalg.in_span(basis, [field.from_rational(c) for c in vec],
+                                4, field)
         return link.q_f.contains(coords)
 
     # integer vectors inside the span belong to the saturation
@@ -260,9 +258,8 @@ def test_sub_quasilattice_saturation(pyramid4):
     assert in_link_lattice([1, 0, 0, 0])
     assert in_link_lattice([-2, 3, 5, 5])
     # and the span membership itself is equal-last-two-coordinates
-    with pytest.raises(Exception):
-        _span_coords(basis, [field.one(), field.zero(), field.zero(),
-                             field.one()], 4, field)
+    assert linalg.in_span(basis, [field.one(), field.zero(), field.zero(),
+                                  field.one()], 4, field) is None
 
 
 def test_nonrational_pyramid_stratifies(pyramid_sqrt2):
@@ -286,7 +283,10 @@ def _greedy_pivot_basis(p, labels):
 
 @pytest.mark.parametrize("name", sorted(f.stem for f in INSTANCES.glob("*.json")))
 def test_pivot_basis_matches_greedy_rank_loop(name):
+    """The link's span basis and its labels are the greedy rank loop's."""
     p = load_instance(str(INSTANCES / f"{name}.json")).polytope
-    for face in p.face_lattice().singular_faces():
-        assert _pivot_basis(p, face.index_set) == \
+    lat = p.face_lattice()
+    for face in lat.singular_faces():
+        link = build_link(p, lat, face)
+        assert (link.d_F_basis, link.d_F_basis_labels) == \
             _greedy_pivot_basis(p, face.index_set)
