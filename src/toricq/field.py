@@ -3,9 +3,11 @@
 A :class:`NumberField` is Q(t) for one real root t of an irreducible
 integer polynomial, pinned down by a rational isolating interval.  Elements
 (:class:`FieldScalar`) are coefficient vectors with respect to the power
-basis 1, t, ..., t^(k-1); all ring operations are exact, comparisons are
-decided by refining the root interval, and :meth:`FieldScalar.shadow`
-produces a float together with a rigorous error bound.
+basis 1, t, ..., t^(k-1); all ring operations are exact, and an inverse
+solves one linear system with the matrix of multiplication by the scalar.
+``sign``, ``floor`` and ``shadow`` share one enclosure loop, which bisects
+the root interval until the caller's test on the scalar's interval value
+holds; :meth:`FieldScalar.shadow` gives a float with a rigorous error bound.
 
 Degree 1 collapses to plain rational arithmetic.
 """
@@ -34,10 +36,6 @@ def _frac(x: RationalLike) -> Fraction:
 
 # Closed rational intervals, as (lo, hi) pairs of Fractions.
 
-def _iv_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def _iv_mul(a, b):
     p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(p), max(p))
@@ -47,7 +45,8 @@ def _iv_eval(coeffs: Sequence[Fraction], iv) -> tuple[Fraction, Fraction]:
     """Horner evaluation of a polynomial on an interval."""
     acc = (coeffs[-1], coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = _iv_add(_iv_mul(acc, iv), (c, c))
+        lo, hi = _iv_mul(acc, iv)
+        acc = (lo + c, hi + c)
     return acc
 
 
@@ -70,7 +69,7 @@ class NumberField:
     """A real number field Q(t), t the unique root in ``root_interval``."""
 
     __slots__ = ("minpoly", "degree", "root_interval", "irreducibility_checked",
-                 "_iv", "_monic", "_power_table", "_gen_sign")
+                 "_iv", "_monic", "_power_table", "_fp", "_lo_positive")
 
     def __init__(self, minpoly: Sequence[int], root_interval=None, *,
                  check_irreducible: bool = True):
@@ -80,6 +79,7 @@ class NumberField:
                 "minimal polynomial needs degree >= 1 and nonzero leading coefficient")
         self.minpoly = tuple(coeffs)
         self.degree = len(coeffs) - 1
+        self._fp = tuple(Fraction(c) for c in coeffs)
 
         if self.degree == 1:
             root = Fraction(-coeffs[0], coeffs[1])
@@ -90,27 +90,26 @@ class NumberField:
                 raise FieldDefinitionError("isolating interval misses the rational root")
             self.root_interval = (root, root)
             self.irreducibility_checked = True
+            self._lo_positive = False
         else:
             if root_interval is None:
                 raise FieldDefinitionError("degree >= 2 requires an isolating interval")
             lo, hi = _frac(root_interval[0]), _frac(root_interval[1])
             if lo >= hi:
                 raise FieldDefinitionError("isolating interval must have positive width")
-            fp = [Fraction(c) for c in coeffs]
-            if _poly_eval(fp, lo) == 0 or _poly_eval(fp, hi) == 0:
+            f_lo, f_hi = _poly_eval(self._fp, lo), _poly_eval(self._fp, hi)
+            if f_lo == 0 or f_hi == 0:
                 raise FieldDefinitionError(
                     "rational endpoint is a root: polynomial is reducible")
-            if (_poly_eval(fp, lo) > 0) == (_poly_eval(fp, hi) > 0):
+            if (f_lo > 0) == (f_hi > 0):
                 raise FieldDefinitionError("no sign change on the isolating interval")
+            self._lo_positive = f_lo > 0
             if self._count_real_roots(lo, hi) != 1:
                 raise FieldDefinitionError("interval does not isolate a single real root")
             self.root_interval = (lo, hi)
-            if check_irreducible:
-                if not self._sympy_irreducible():
-                    raise FieldDefinitionError("minimal polynomial is reducible over Q")
-                self.irreducibility_checked = True
-            else:
-                self.irreducibility_checked = False
+            if check_irreducible and not self._sympy_irreducible():
+                raise FieldDefinitionError("minimal polynomial is reducible over Q")
+            self.irreducibility_checked = bool(check_irreducible)
 
         self._iv = self.root_interval
         lead = Fraction(coeffs[-1])
@@ -153,12 +152,12 @@ class NumberField:
         if lo == hi:
             return self._iv
         mid = (lo + hi) / 2
-        fp = [Fraction(c) for c in self.minpoly]
-        vm = _poly_eval(fp, mid)
+        vm = _poly_eval(self._fp, mid)
         if vm == 0:
             raise FieldDefinitionError(
                 "rational root hit during refinement: polynomial is reducible")
-        if (vm > 0) == (_poly_eval(fp, lo) > 0):
+        # the minimal polynomial keeps the sign it has at lo on [lo, root)
+        if (vm > 0) == self._lo_positive:
             self._iv = (mid, hi)
         else:
             self._iv = (lo, mid)
@@ -222,10 +221,10 @@ class FieldScalar:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -236,7 +235,7 @@ class FieldScalar:
 
     def _coerce(self, other):
         if isinstance(other, FieldScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("scalars from different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -297,23 +296,27 @@ class FieldScalar:
             raise ZeroDivisionError("field scalar inverse of zero")
         if self.is_rational():
             return self.field.from_rational(1 / self.coeffs[0])
-        # extended Euclid in Q[x] against the monic minimal polynomial
+        # x = self^-1 solves M x = e_1, M the matrix of multiplication by
+        # self on the power basis: its column j is self * t^j.
         k = self.field.degree
-        modulus = list(self.field._monic) + [Fraction(1)]
-        a = list(self.coeffs)
-        r0, r1 = modulus, _poly_trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0] != 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        g = r0
-        if len(g) != 1 or g[0] == 0:
-            raise FieldDefinitionError(
-                "gcd with minimal polynomial is nontrivial: polynomial is reducible")
-        inv = [c / g[0] for c in s0]
-        inv = (inv + [Fraction(0)] * k)[:k]
-        return FieldScalar(self.field, tuple(inv))
+        cols, t = [self], self.field.generator()
+        while len(cols) < k:
+            cols.append(cols[-1] * t)
+        rows = [[col.coeffs[i] for col in cols] + [Fraction(int(i == 0))]
+                for i in range(k)]
+        for c in range(k):
+            p = next((r for r in range(c, k) if rows[r][c]), None)
+            if p is None:
+                raise FieldDefinitionError(
+                    "gcd with minimal polynomial is nontrivial: polynomial is reducible")
+            rows[c], rows[p] = rows[p], rows[c]
+            pivot = rows[c]
+            for row in rows:
+                if row is not pivot and row[c]:
+                    m = row[c] / pivot[c]
+                    for j in range(c + 1, k + 1):
+                        row[j] -= m * pivot[j]
+        return FieldScalar(self.field, tuple(row[k] / row[i] for i, row in enumerate(rows)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -347,22 +350,28 @@ class FieldScalar:
             return 0
         if self.is_rational():
             return 1 if self.coeffs[0] > 0 else -1
-        field = self.field
-        iv = field._iv
-        for _ in range(BISECTION_CAP):
-            lo, hi = _iv_eval(self.coeffs, iv)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            iv = field._refine()
-        raise FieldDefinitionError(
+        lo, _ = self._enclose(
+            lambda lo, hi: lo > 0 or hi < 0,
             "sign refinement did not separate from zero: "
             "the declared minimal polynomial is likely reducible")
+        return 1 if lo > 0 else -1
+
+    def _enclose(self, done, message: str) -> tuple[Fraction, Fraction]:
+        """Rational (lo, hi) around the value, refining the field's root
+        interval until ``done(lo, hi)``; FieldDefinitionError(message) once
+        BISECTION_CAP refinements have not sufficed."""
+        field = self.field
+        for _ in range(BISECTION_CAP):
+            lo, hi = _iv_eval(self.coeffs, field._iv)
+            if done(lo, hi):
+                return lo, hi
+            field._refine()
+        raise FieldDefinitionError(message)
 
     def __eq__(self, other):
         if isinstance(other, FieldScalar):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return ((self.field is other.field or self.field == other.field)
+                    and self.coeffs == other.coeffs)
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
         return NotImplemented
@@ -388,18 +397,12 @@ class FieldScalar:
         """Exact floor."""
         if self.is_rational():
             return math.floor(self.coeffs[0])
-        field = self.field
-        iv = field._iv
-        for _ in range(BISECTION_CAP):
-            lo, hi = _iv_eval(self.coeffs, iv)
-            if hi - lo < 1:
-                break
-            iv = field._refine()
-        lo, hi = _iv_eval(self.coeffs, field._iv)
-        for k in range(math.floor(lo), math.floor(hi) + 1):
-            if (self - k).sign() >= 0 and (self - (k + 1)).sign() < 0:
-                return k
-        raise FieldDefinitionError("floor refinement failed")
+        # an irrational value is never an integer: refine until the
+        # enclosure lies strictly between two
+        lo, _ = self._enclose(
+            lambda lo, hi: math.floor(lo) < lo and hi < math.floor(lo) + 1,
+            "floor refinement failed")
+        return math.floor(lo)
 
     def frac_part(self) -> "FieldScalar":
         """self - floor(self), in [0, 1)."""
@@ -417,18 +420,11 @@ class FieldScalar:
             v = self.coeffs[0]
             f = float(v)
             return f, _float_up(abs(v - Fraction(f)))
-        field = self.field
         target = Fraction(1, 2 ** precision)
-        for _ in range(BISECTION_CAP):
-            lo, hi = _iv_eval(self.coeffs, field._iv)
-            mid = (lo + hi) / 2
-            half = (hi - lo) / 2
-            scale = max(Fraction(1), abs(mid))
-            if half <= target * scale:
-                break
-            field._refine()
-        else:
-            raise FieldDefinitionError("shadow refinement exceeded bisection cap")
+        lo, hi = self._enclose(
+            lambda lo, hi: hi - lo <= target * max(2, abs(lo + hi)),
+            "shadow refinement exceeded bisection cap")
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
         f = float(mid)
         return f, _float_up(half + abs(mid - Fraction(f)))
 
@@ -439,44 +435,3 @@ class FieldScalar:
         if self.is_rational():
             return f"FieldScalar({self.coeffs[0]})"
         return f"FieldScalar({list(self.coeffs)})"
-
-
-# Dense polynomial helpers over Fraction, little-endian coefficient lists.
-
-def _poly_trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and not (len(r) == 1 and r[0] == 0):
-        c = r[-1] / b[-1]
-        d = len(r) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            r[d + i] -= c * b[i]
-        r = _poly_trim(r)
-    return _poly_trim(q), _poly_trim(r)

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from toricq.errors import FieldDefinitionError
 from toricq.field import NumberField
 
 
@@ -84,3 +86,42 @@ def test_same_polynomial_different_roots_are_different_fields(q_neg_sqrt2):
     assert pos != q_neg_sqrt2
     with pytest.raises(ValueError):
         pos.generator() + q_neg_sqrt2.generator()
+
+
+@pytest.mark.parametrize("minpoly, interval, samples", [
+    ([-2, 0, 1], (1, 2), 40),           # sqrt2
+    ([-2, 0, 0, 1], (1, 2), 25),        # 2^(1/3)
+    ([1, 0, -10, 0, 1], (3, 4), 12),    # sqrt2 + sqrt3
+])
+def test_floor_sign_inverse_match_sympy(minpoly, interval, samples):
+    """floor and sign against sympy's exact real root of the interval, on
+    seeded elements of a fresh field (coarse interval, so every answer has
+    to refine it), and s * s^-1 = 1."""
+    field = NumberField(minpoly, interval)
+    x = sympy.Symbol("x")
+    lo, hi = interval
+    root, = [r for r in sympy.Poly(list(reversed(minpoly)), x).real_roots()
+             if lo < r < hi]
+    rng = random.Random(sum(minpoly) + samples)
+    for i in range(samples):
+        coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+                  for _ in range(field.degree)]
+        if i % 4 == 0:
+            # pull the value to within about 1e-3 of an integer
+            approx = sum(c * float(root) ** j for j, c in enumerate(coeffs))
+            coeffs[0] += round(approx) - Fraction(approx).limit_denominator(1000)
+        s = field.scalar(coeffs)
+        exact = sum(sympy.Rational(c.numerator, c.denominator) * root ** j
+                    for j, c in enumerate(coeffs))
+        assert s.floor() == int(sympy.floor(exact))
+        assert s.sign() == int(sympy.sign(exact))
+        if not s.is_zero():
+            assert s * s.inverse() == field.one()
+
+
+def test_inverse_of_zero_divisor_is_a_field_error():
+    # x^2 - 4 = (x - 2)(x + 2): t - 2 divides zero, so it has no inverse
+    f = NumberField([-4, 0, 1], (Fraction(19, 10), Fraction(21, 10)),
+                    check_irreducible=False)
+    with pytest.raises(FieldDefinitionError, match="gcd with minimal polynomial"):
+        f.scalar([-2, 1]).inverse()
