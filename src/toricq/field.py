@@ -7,7 +7,8 @@ basis 1, t, ..., t^(k-1); all ring operations are exact, and an inverse
 solves one linear system with the matrix of multiplication by the scalar.
 ``sign``, ``floor`` and ``shadow`` share one enclosure loop, which bisects
 the root interval until the caller's test on the scalar's interval value
-holds; :meth:`FieldScalar.shadow` gives a float with a rigorous error bound.
+holds.  :meth:`FieldScalar.shadow` gives the correctly rounded float, which
+does not depend on that refinement, and a rigorous error bound.
 
 Degree 1 collapses to plain rational arithmetic.
 """
@@ -29,9 +30,7 @@ RationalLike = int | Fraction | str
 
 
 def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # Closed rational intervals, as (lo, hi) pairs of Fractions.
@@ -145,8 +144,9 @@ class NumberField:
             table.append(tuple(cur))
         return tuple(table)
 
-    # The isolating interval only ever shrinks; replacing it is a cache
-    # update, observable values never change.
+    # The isolating interval only ever shrinks.  Exact answers and shadow
+    # floats do not depend on how far it has been refined; shadow error
+    # bounds may tighten with it.
     def _refine(self):
         lo, hi = self._iv
         if lo == hi:
@@ -357,9 +357,8 @@ class FieldScalar:
         return 1 if lo > 0 else -1
 
     def _enclose(self, done, message: str) -> tuple[Fraction, Fraction]:
-        """Rational (lo, hi) around the value, refining the field's root
-        interval until ``done(lo, hi)``; FieldDefinitionError(message) once
-        BISECTION_CAP refinements have not sufficed."""
+        """Rational (lo, hi) around the value, once ``done(lo, hi)`` holds
+        within BISECTION_CAP refinements of the root interval."""
         field = self.field
         for _ in range(BISECTION_CAP):
             lo, hi = _iv_eval(self.coeffs, field._iv)
@@ -409,10 +408,9 @@ class FieldScalar:
         return self - self.floor()
 
     def shadow(self, precision: int = 53) -> tuple[float, float]:
-        """Float approximation with a rigorous error bound.
-
-        Guarantees |returned - exact| <= returned bound; the bound target
-        scales as 2**-precision.
+        """The correctly rounded float of the exact value, with a rigorous
+        error bound: |returned - exact| <= returned bound, and the bound
+        target scales as 2**-precision.
         """
         if precision < 24:
             raise ValueError("precision must be at least 24 bits")
@@ -420,13 +418,14 @@ class FieldScalar:
             v = self.coeffs[0]
             f = float(v)
             return f, _float_up(abs(v - Fraction(f)))
+        # once both ends round to the same float, so does every point between
         target = Fraction(1, 2 ** precision)
         lo, hi = self._enclose(
-            lambda lo, hi: hi - lo <= target * max(2, abs(lo + hi)),
+            lambda lo, hi: (hi - lo <= target * max(2, abs(lo + hi))
+                            and float(lo) == float(hi)),
             "shadow refinement exceeded bisection cap")
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        f = float(mid)
-        return f, _float_up(half + abs(mid - Fraction(f)))
+        f = float(lo)
+        return f, _float_up(max(Fraction(f) - lo, hi - Fraction(f)))
 
     def __float__(self):
         return self.shadow(53)[0]

@@ -69,6 +69,22 @@ def test_shadow_error_bound_is_honest(q_sqrt2):
     assert abs(v - float(exact)) <= err + 1e-12
 
 
+def test_shadow_does_not_depend_on_refinement():
+    # Every shadow is the correctly rounded float, so refining the root
+    # interval further must not move it; the bound may only tighten.
+    rng = random.Random(11)
+    for _ in range(60):
+        field = NumberField([-2, 0, 1], (1, 2))   # fresh and coarse
+        s = field.scalar([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                          for _ in range(2)])
+        before, bound_before = s.shadow()
+        for _ in range(rng.randint(1, 40)):
+            field._refine()
+        after, bound_after = s.shadow()
+        assert after == before
+        assert bound_after <= bound_before
+
+
 def test_shadow_bound_shrinks_with_precision(q_sqrt2, q_golden):
     rng = random.Random(7)
     for field in (q_sqrt2, q_golden):
