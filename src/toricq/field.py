@@ -30,7 +30,9 @@ RationalLike = int | Fraction | str
 
 
 def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x)
 
 
 # Closed rational intervals, as (lo, hi) pairs of Fractions.
@@ -150,7 +152,7 @@ class NumberField:
     def _refine(self):
         lo, hi = self._iv
         if lo == hi:
-            return self._iv
+            return
         mid = (lo + hi) / 2
         vm = _poly_eval(self._fp, mid)
         if vm == 0:
@@ -161,7 +163,6 @@ class NumberField:
             self._iv = (mid, hi)
         else:
             self._iv = (lo, mid)
-        return self._iv
 
     # -- constructors ---------------------------------------------------
 
@@ -357,8 +358,7 @@ class FieldScalar:
         return 1 if lo > 0 else -1
 
     def _enclose(self, done, message: str) -> tuple[Fraction, Fraction]:
-        """Rational (lo, hi) around the value, once ``done(lo, hi)`` holds
-        within BISECTION_CAP refinements of the root interval."""
+        """Rational (lo, hi) around the value, refined until done(lo, hi)."""
         field = self.field
         for _ in range(BISECTION_CAP):
             lo, hi = _iv_eval(self.coeffs, field._iv)

@@ -185,16 +185,22 @@ def _is_standard_lattice(p: Polytope) -> bool:
     return True
 
 
-def groups_det_orders(ctx: _Context) -> PropertyResult:
-    if not _is_standard_lattice(ctx.p):
-        return _ok(0, note="inapplicable: quasilattice is not Z^n")
-    charts = chart_index_sets(ctx.p, ctx.lat)
+def _det_order_mismatch(ctx: _Context, charts):
+    """The first chart I, with its group, whose order is not |det X_I|."""
     for I in charts:
         g = gamma_group(ctx.p, I, ctx.lat)
         det = linalg.det([ctx.p.normals[j - 1] for j in I], ctx.p.field)
         if not g.finite or g.order != abs(det.as_fraction()):
-            return _fail(len(charts), {"I": list(I),
-                                       "order": g.order_text})
+            return I, g
+    return None
+
+
+def groups_det_orders(ctx: _Context) -> PropertyResult:
+    if not _is_standard_lattice(ctx.p):
+        return _ok(0, note="inapplicable: quasilattice is not Z^n")
+    charts = chart_index_sets(ctx.p, ctx.lat)
+    if (bad := _det_order_mismatch(ctx, charts)) is not None:
+        return _fail(len(charts), {"I": list(bad[0]), "order": bad[1].order_text})
     return _ok(len(charts))
 
 
@@ -489,11 +495,8 @@ def orbits_face_orbit_bijection(ctx: _Context) -> PropertyResult:
     if reached != {f.index_set for f in ctx.lat.faces}:
         return _fail(len(ctx.lat.faces), {"missing": "faces unreached"})
     charts = chart_index_sets(ctx.p, ctx.lat)
-    for I in charts:
-        g = gamma_group(ctx.p, I, ctx.lat)
-        det = linalg.det([ctx.p.normals[j - 1] for j in I], ctx.p.field)
-        if g.order != abs(det.as_fraction()):
-            return _fail(len(charts), {"I": list(I)})
+    if (bad := _det_order_mismatch(ctx, charts)) is not None:
+        return _fail(len(charts), {"I": list(bad[0])})
     return _ok(len(ctx.lat.faces) + len(charts))
 
 

@@ -1,6 +1,7 @@
 """The verification harness itself: pass/fail plumbing, reproducibility,
 and a full run over a nonsimple instance."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -141,3 +142,23 @@ def test_kernel_split_eliminates_no_link_kernel(name, monkeypatch):
     assert verify_mod.strata_kernel_split(ctx).passed
     assert kernel_calls == []
     assert verify_mod._strata_context(ctx) is report
+
+
+def test_chart_order_mismatch_is_reported_by_both_suites(triangle, monkeypatch):
+    """groups.det_orders and orbits.face_orbit_bijection share one chart
+    order = |det X_I| check; each reports the first bad chart its own way."""
+    real = verify_mod.gamma_group
+
+    def doubled(p, I, lat=None):
+        g = real(p, I, lat)
+        return dataclasses.replace(g, order=2 * g.order)
+
+    monkeypatch.setattr(verify_mod, "gamma_group", doubled)
+    ctx = verify_mod._Context(ProblemInstance(triangle, SolverConfig(), 4),
+                              samples=10, seed=4)
+    first = list(verify_mod.chart_index_sets(ctx.p, ctx.lat)[0])
+    order = str(2 * real(ctx.p, tuple(first), ctx.lat).order)
+    det = verify_mod.groups_det_orders(ctx)
+    assert not det.passed and det.witness == {"I": first, "order": order}
+    bijection = verify_mod.orbits_face_orbit_bijection(ctx)
+    assert not bijection.passed and bijection.witness == {"I": first}
