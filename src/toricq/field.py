@@ -10,7 +10,11 @@ the root interval until the caller's test on the scalar's interval value
 holds.  :meth:`FieldScalar.shadow` gives the correctly rounded float, which
 does not depend on that refinement, and a rigorous error bound.
 
-Degree 1 collapses to plain rational arithmetic.
+Degree 1 collapses to plain rational arithmetic: a scalar's one
+coefficient is its value.  The elimination kernels (``linalg._rref``,
+``linalg.pivot``, ``polytope.cone_rays``, the chart search in ``groups``)
+compute on that ``Fraction`` directly and wrap a ``FieldScalar`` only
+around what they return; over a larger field they compute on the scalars.
 """
 
 from __future__ import annotations
@@ -405,6 +409,9 @@ class FieldScalar:
 
     def frac_part(self) -> "FieldScalar":
         """self - floor(self), in [0, 1)."""
+        if self.is_rational():
+            c = self.coeffs[0]
+            return FieldScalar(self.field, (c - math.floor(c),) + self.coeffs[1:])
         return self - self.floor()
 
     def shadow(self, precision: int = 53) -> tuple[float, float]:

@@ -10,7 +10,9 @@ A chart lies in exactly one vertex (n independent active normals fix it).
 Per vertex, one elimination of the tableau [X_A | G] (active set A,
 generators G) gives a first basis; a depth-first search over basis
 exchanges inside A, one pivot per new basis, gives the others, each with
-its preimages in the G columns (Avis & Fukuda 1992).
+its preimages in the G columns (Avis & Fukuda 1992).  The search runs on
+the field's raw entries (see ``linalg``); the table stores each preimage
+wrapped as scalars.
 """
 
 from __future__ import annotations
@@ -167,20 +169,24 @@ def _chart_table(p: "Polytope", lat: "FaceLattice") -> dict:
 def _vertex_charts(p: "Polytope", active) -> dict:
     """Every basis inside one vertex's active set, with its generator
     preimages, by basis exchange from the first pivot basis."""
+    field = p.field
+    is_zero = linalg.arithmetic(field).is_zero
     a, k = len(active), len(p.quasilattice.generators)
-    rows = [[p.normals[j - 1][i] for j in active]
-            + [g[i] for g in p.quasilattice.generators] for i in range(p.n)]
+    rows = [linalg.raw(field, [p.normals[j - 1][i] for j in active]
+                       + [g[i] for g in p.quasilattice.generators])
+            for i in range(p.n)]
     tableau, basis, _ = linalg._rref(rows, a)
     charts, stack = {}, [(tableau, basis)]
     while stack:
         tableau, basis = stack.pop()
         order = sorted(range(p.n), key=basis.__getitem__)
         charts[tuple(active[basis[r]] for r in order)] = [
-            [tableau[r][a + t] for r in order] for t in range(k)]
+            linalg.wrapped(field, [tableau[r][a + t] for r in order])
+            for t in range(k)]
         nonbasic = [c for c in range(a) if c not in basis]
         for r, row in enumerate(tableau):
             for c in nonbasic:
-                if row[c].is_zero():
+                if is_zero(row[c]):
                     continue
                 swapped = basis[:r] + [c] + basis[r + 1:]
                 key = tuple(sorted(active[x] for x in swapped))

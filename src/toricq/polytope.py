@@ -7,8 +7,10 @@ Fukuda & Prodon 1996), finds the extreme rays of a pointed cone
 {x : <row, x> >= 0}.  It starts from the simplicial cone on the first
 independent rows, adds the others one at a time, and combines two rays
 across a new row only when the combinatorial test on their zero sets says
-they are adjacent.  It needs nothing but exact ``sign()``, so it holds over
-any declared field.  It serves the contraction rates of nonclosed orbits
+they are adjacent.  It needs nothing but an exact sign, so it holds over
+any declared field; it computes on the field's raw entries (plain
+Fractions over Q, see ``linalg``) and wraps only the rays it returns.  It
+serves the contraction rates of nonclosed orbits
 (``sampling._positive_decay_rates``) and the vertices, on the homogenised
 cone {(y, t) : t >= 0, <X_j, y> >= lambda_j t}: a final ray with t = 0 is a
 recession direction (the polytope is unbounded); the rays with t > 0 are
@@ -303,42 +305,47 @@ def cone_rays(rows):
     independent rows, then the remaining rows one at a time, in order.  One
     elimination of [rows^T | I] gives the starting rows (its pivots) and the
     simplicial rays (its right-hand rows: ray i is zero on every starting
-    row but start[i])."""
+    row but start[i]).  The pass runs on the field's raw entries (see
+    ``linalg``); only the returned rays are wrapped as scalars."""
+    field = rows[0][0].field
+    arith = linalg.arithmetic(field)
+    rows = [linalg.raw(field, row) for row in rows]
     dim, m = len(rows[0]), len(rows)
-    identity = linalg.identity(dim, rows[0][0].field)
+    identity = [linalg.raw(field, e) for e in linalg.identity(dim, field)]
     tableau = [col + e for col, e in zip(linalg.transpose(rows), identity)]
     red, start, _ = linalg._rref(tableau, m)
     if len(start) != dim:
         return None
-    rays = [_normalised(row[m:]) for row in red]
+    rays = [_normalised(row[m:], arith) for row in red]
     everything = sum(1 << k for k in start)
     zeros = [everything & ~(1 << k) for k in start]
     for k, row in enumerate(rows):
         if k not in start:
-            rays, zeros = _add_constraint(row, 1 << k, rays, zeros, dim - 1)
-    return rays, zeros
+            rays, zeros = _add_constraint(row, 1 << k, rays, zeros, dim - 1,
+                                          arith)
+    return [linalg.wrapped(field, ray) for ray in rays], zeros
 
 
-def _normalised(ray):
-    """The ray scaled to a last coordinate of absolute value 1, or, when
-    that is 0, to a first nonzero coordinate of absolute value 1."""
+def _normalised(ray, arith):
+    """The raw ray scaled to a last coordinate of absolute value 1, or,
+    when that is 0, to a first nonzero coordinate of absolute value 1."""
     scale = ray[-1]
-    if scale.is_zero():
-        scale = next(x for x in ray if not x.is_zero())
-    if scale.sign() < 0:
+    if arith.is_zero(scale):
+        scale = next(x for x in ray if not arith.is_zero(x))
+    if arith.sign(scale) < 0:
         scale = -scale
-    if scale == scale.field.one():
+    if scale == 1:
         return ray
-    inv = scale.inverse()
+    inv = arith.inverse(scale)
     return [inv * x for x in ray]
 
 
-def _add_constraint(row, bit, rays, zeros, n):
-    """One double-description step: the extreme rays of the cone cut by
-    <row, .> >= 0, with their zero sets (bit masks over the rows added).
-    ``n`` is the cone's dimension minus one."""
+def _add_constraint(row, bit, rays, zeros, n, arith):
+    """One double-description step on raw entries: the extreme rays of the
+    cone cut by <row, .> >= 0, with their zero sets (bit masks over the
+    rows added).  ``n`` is the cone's dimension minus one."""
     values = [linalg.dot(row, r) for r in rays]
-    signs = [v.sign() for v in values]
+    signs = [arith.sign(v) for v in values]
     keep = [i for i, s in enumerate(signs) if s >= 0]
     new_rays = [rays[i] for i in keep]
     new_zeros = [zeros[i] | bit if signs[i] == 0 else zeros[i] for i in keep]
@@ -354,6 +361,6 @@ def _add_constraint(row, bit, rays, zeros, n):
                    for k in range(len(rays)) if k != i and k != j):
                 continue
             w = [values[i] * b - values[j] * a for a, b in zip(rays[i], rays[j])]
-            new_rays.append(_normalised(w))
+            new_rays.append(_normalised(w, arith))
             new_zeros.append(common | bit)
     return new_rays, new_zeros

@@ -126,7 +126,9 @@ def test_commands_eliminate_once_per_exact_question(monkeypatch, capsys):
     normals' span coordinates and the cone kernel, and the DD start reduces
     [rows^T | I] once; with a second solve per normal, a rank before the
     kernel and a separate inverse, strata took 98 on pyramid4 and 111 on
-    the octahedron, and faces took 3."""
+    the octahedron, and faces took 3.  The chart search in analyze reduces
+    one tableau per nonsimple vertex and reaches every other basis of that
+    vertex by single pivots, which are not counted."""
     calls = [0]
     rref = linalg._rref
 
@@ -146,6 +148,12 @@ def test_commands_eliminate_once_per_exact_question(monkeypatch, capsys):
     assert eliminations("strata", "octahedron.json") <= 68
     for path in sorted(INSTANCES.glob("*.json")):
         assert eliminations("faces", path.name) <= 2, path.name
+    analyze = {"interval": 4, "interval_sqrt2": 4, "octahedron": 8,
+               "pyramid4": 8, "pyramid_sqrt2": 7, "square_pyramid": 7,
+               "weighted_triangle": 5}
+    assert sorted(analyze) == sorted(p.stem for p in INSTANCES.glob("*.json"))
+    for name, bound in analyze.items():
+        assert eliminations("analyze", name + ".json") <= bound, name
 
 
 def test_cmd_retract(interval_file, capsys):

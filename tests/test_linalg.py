@@ -4,6 +4,10 @@ from fractions import Fraction
 import sympy
 
 from toricq import linalg
+from toricq.groups import Quasilattice, _chart, chart_index_sets, gamma_group
+from toricq.polytope import Polytope
+
+from test_polytope import _generated
 
 
 def _random_rational_matrix(rng, n):
@@ -49,3 +53,70 @@ def test_det_is_multiplicative_over_sqrt2(q_sqrt2):
         ab = [[linalg.dot(row, col) for col in linalg.transpose(b)] for row in a]
         assert linalg.det(ab, q_sqrt2) == (linalg.det(a, q_sqrt2)
                                            * linalg.det(b, q_sqrt2))
+
+
+def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
+    """The same rational data over Q, where the kernels run on plain
+    Fractions, and over Q(sqrt2), where they run on FieldScalars, gives the
+    same eliminations and the same chart data, coefficient by coefficient."""
+    def lift(s):
+        # a Q scalar's coefficients as a rational Q(sqrt2) scalar's
+        return s.coeffs + (Fraction(0),)
+
+    def lifted(vectors):
+        return [[lift(s) for s in v] for v in vectors]
+
+    def coeffs(vectors):
+        return [[s.coeffs for s in v] for v in vectors]
+
+    def over_sqrt2(rows):
+        return [[q_sqrt2.from_rational(s.as_fraction()) for s in r] for r in rows]
+
+    rng = random.Random(23)
+    kinds = {"deficient": 0, "zero column": 0}
+    for trial in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(m)]
+        if trial % 4 == 1 and m > 1:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[m // 2])]
+            kinds["deficient"] += 1
+        elif trial % 4 == 2:
+            c = rng.randrange(n)
+            for r in rows:
+                r[c] = Fraction(0)
+            kinds["zero column"] += 1
+        a = [linalg.vec(qq, r) for r in rows]
+        b = over_sqrt2(a)
+        red_a, piv_a, val_a = linalg._rref([linalg.raw(qq, r) for r in a], n)
+        red_b, piv_b, val_b = linalg._rref([linalg.raw(q_sqrt2, r) for r in b], n)
+        assert [[(x, Fraction(0)) for x in r] for r in red_a] == coeffs(red_b)
+        assert piv_a == piv_b
+        assert [(x, Fraction(0)) for x in val_a] == [s.coeffs for s in val_b]
+        assert lifted(linalg.nullspace(a, n, qq)) \
+            == coeffs(linalg.nullspace(b, n, q_sqrt2))
+        rhs = [qq.from_rational(rng.randint(-3, 3)) for _ in range(m)]
+        x_a = linalg.solve(a, rhs, n, qq)
+        x_b = linalg.solve(b, over_sqrt2([rhs])[0], n, q_sqrt2)
+        assert (x_a is None) == (x_b is None)
+        if x_a is not None:
+            assert lifted([x_a]) == coeffs([x_b])
+        if m == n:
+            assert lift(linalg.det(a, qq)) == linalg.det(b, q_sqrt2).coeffs
+        assert lift(linalg.dot(a[0], a[-1])) == linalg.dot(b[0], b[-1]).coeffs
+    assert kinds["deficient"] >= 5 and kinds["zero column"] >= 5
+
+    rational = [p for p in _generated(qq, q_sqrt2) if p.field is qq]
+    for p in rational:
+        def frac(v):
+            return [s.as_fraction() for s in v]
+        q2 = Quasilattice(q_sqrt2, [frac(g) for g in p.quasilattice.generators])
+        p2 = Polytope(q_sqrt2, [frac(x) for x in p.normals], frac(p.offsets), q2)
+        lat, lat2 = p.face_lattice(), p2.face_lattice()
+        assert lat.vertex_active == lat2.vertex_active
+        assert lifted(lat.vertex_coords) == coeffs(lat2.vertex_coords)
+        charts = chart_index_sets(p, lat)
+        assert charts == chart_index_sets(p2, lat2)
+        for I in charts:
+            assert lifted(_chart(p, lat, I)[1]) == coeffs(_chart(p2, lat2, I)[1])
+            assert gamma_group(p, I, lat).order == gamma_group(p2, I, lat2).order

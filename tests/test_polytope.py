@@ -1,6 +1,7 @@
 """Face lattice enumeration against brute-force oracles, plus the
 structural invariants of the lattice."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -198,7 +199,10 @@ SHAPES = ([(2, False, 3), (2, True, 3), (3, False, 3), (3, True, 3)] * 3
 SHAPES_SQRT2 = [(2, False, 3), (2, True, 3), (3, False, 3), (3, True, 3)] * 2
 
 
+@functools.cache
 def _generated(qq, q_sqrt2):
+    """The seeded polytopes, built once per session: each subset-scan
+    oracle test reads them without changing them."""
     rng = random.Random(20240611)
     return ([random_polytope(rng, qq, *shape) for shape in SHAPES]
             + [random_polytope(rng, q_sqrt2, *shape) for shape in SHAPES_SQRT2])
