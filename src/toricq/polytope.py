@@ -8,9 +8,7 @@ Fukuda & Prodon 1996), finds the extreme rays of a pointed cone
 independent rows, adds the others one at a time, and combines two rays
 across a new row only when the combinatorial test on their zero sets says
 they are adjacent.  It needs nothing but an exact sign, so it holds over
-any declared field; it computes on the field's raw entries (plain
-Fractions over Q, see ``linalg``) and wraps only the rays it returns.  It
-serves the contraction rates of nonclosed orbits
+any declared field.  It serves the contraction rates of nonclosed orbits
 (``sampling._positive_decay_rates``) and the vertices, on the homogenised
 cone {(y, t) : t >= 0, <X_j, y> >= lambda_j t}: a final ray with t = 0 is a
 recession direction (the polytope is unbounded); the rays with t > 0 are
@@ -305,8 +303,9 @@ def cone_rays(rows):
     independent rows, then the remaining rows one at a time, in order.  One
     elimination of [rows^T | I] gives the starting rows (its pivots) and the
     simplicial rays (its right-hand rows: ray i is zero on every starting
-    row but start[i]).  The pass runs on the field's raw entries (see
-    ``linalg``); only the returned rays are wrapped as scalars."""
+    row but start[i]).  The pass runs on the field's raw entries (plain
+    Fractions over Q, see ``linalg``); only the returned rays are wrapped
+    as scalars."""
     field = rows[0][0].field
     arith = linalg.arithmetic(field)
     rows = [linalg.raw(field, row) for row in rows]

@@ -79,7 +79,7 @@ def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
         rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
                 for _ in range(m)]
         if trial % 4 == 1 and m > 1:
-            rows[-1] = [x + y for x, y in zip(rows[0], rows[m // 2])]
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[(m - 1) // 2])]
             kinds["deficient"] += 1
         elif trial % 4 == 2:
             c = rng.randrange(n)

@@ -201,8 +201,9 @@ SHAPES_SQRT2 = [(2, False, 3), (2, True, 3), (3, False, 3), (3, True, 3)] * 2
 
 @functools.cache
 def _generated(qq, q_sqrt2):
-    """The seeded polytopes, built once per session: each subset-scan
-    oracle test reads them without changing them."""
+    """The seeded polytopes, built once per session and shared by the
+    tests that use them, which only read them (and fill their lazy
+    caches)."""
     rng = random.Random(20240611)
     return ([random_polytope(rng, qq, *shape) for shape in SHAPES]
             + [random_polytope(rng, q_sqrt2, *shape) for shape in SHAPES_SQRT2])
