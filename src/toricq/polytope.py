@@ -24,6 +24,7 @@ facet label j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -55,19 +56,36 @@ class FaceLattice:
     """All faces of a polytope with their containment partial order.
 
     ``F <= G`` (F contained in the closure of G) holds exactly when the
-    index sets reverse-contain: I_F >= I_G.
+    index sets reverse-contain: I_F >= I_G.  A link's lattice is its parent's
+    interval above the face (:meth:`link_lattice`).
     """
 
     def __init__(self, polytope: "Polytope", faces: list[Face],
-                 vertex_coords: list[list[FieldScalar]],
+                 vertex_coords: list[list[FieldScalar]] | None,
                  vertex_active: list[tuple[int, ...]]):
         self.polytope = polytope
         self.faces = faces
-        self.vertex_coords = vertex_coords
+        if vertex_coords is not None:
+            self.vertex_coords = vertex_coords
         self.vertex_active = vertex_active
         self._by_index = {f.index_set: f for f in faces}
         self.interior = self._by_index[()]
         self.polytope_depth = max(f.depth for f in faces)
+
+    @cached_property
+    def vertex_coords(self) -> list[list[FieldScalar]]:
+        """Vertex coordinates; a link's lattice solves them on first read."""
+        p = self.polytope
+        return [linalg.solve([p.normals[j - 1] for j in a],
+                             [p.offsets[j - 1] for j in a], p.n, p.field)
+                for a in self.vertex_active]
+
+    def link_lattice(self, face: Face, link: "Polytope") -> "FaceLattice":
+        """The lattice of the link of ``face``: the interval [face, P] renumbered
+        (Ziegler 1995, 2.1), vertices sorted as _enumerate_vertices sorts them."""
+        return link._build_lattice(None, sorted(
+            tuple(face.index_set.index(j) + 1 for j in g.index_set)
+            for g in self.faces if g.dim == face.dim + 1 and self.lt(face, g)))
 
     # -- order ------------------------------------------------------------
 
@@ -101,8 +119,8 @@ class FaceLattice:
         with the smallest such index set; None when no point of the
         polytope satisfies all the equalities."""
         want = set(index_set)
-        ids = [v for v in range(len(self.vertex_coords))
-               if want <= set(self.vertex_active[v])]
+        ids = [v for v, active in enumerate(self.vertex_active)
+               if want <= set(active)]
         if not ids:
             return None
         face = self._by_index.get(_common_active(self.vertex_active, ids))
@@ -182,7 +200,7 @@ class Polytope:
             if not self.quasilattice.contains(x):
                 raise ValidationError(
                     f"facet normal {j} is not in the quasilattice")
-        self._lattice = self._build_lattice(coords, active)
+        self._build_lattice(coords, active)
 
     def _enumerate_vertices(self):
         """Vertex coordinates and active sets, in the order of the
@@ -213,16 +231,14 @@ class Polytope:
     # -- face lattice ---------------------------------------------------------
 
     def face_lattice(self) -> FaceLattice:
-        if self._lattice is None:
-            self._lattice = self._build_lattice(*self._enumerate_vertices())
-        return self._lattice
+        return self._lattice or self._build_lattice(*self._enumerate_vertices())
 
     def _build_lattice(self, coords, active) -> FaceLattice:
-        """The face lattice on the given vertices; rejects empty,
-        lower-dimensional and redundant descriptions."""
-        if not coords:
+        """Builds and keeps the lattice on the given vertices (coordinates may
+        be None); rejects empty, lower-dimensional and redundant descriptions."""
+        if not active:
             raise ValidationError("polytope is empty")
-        nverts = len(coords)
+        nverts = len(active)
         all_ids = frozenset(range(nverts))
         facet_sets = [frozenset(v for v in range(nverts) if j in active[v])
                       for j in range(1, self.d + 1)]
@@ -283,7 +299,8 @@ class Polytope:
 
         faces = [Face(iset, dim, regular[iset], depth[iset], vset)
                  for iset, dim, vset in entries]
-        return FaceLattice(self, faces, coords, active)
+        self._lattice = FaceLattice(self, faces, coords, active)
+        return self._lattice
 
     def __repr__(self):
         return f"Polytope(n={self.n}, d={self.d})"

@@ -8,7 +8,10 @@ reduced once: the pivot columns are a basis of their span, the reduced
 columns are the normals in that basis and the reduced rows cut out the cone
 kernel.  The quasilattice is intersected with that span by integer
 saturation, and the link polytope is cut out of the annihilator of the
-slicing direction, so it can be fed back through the whole pipeline.
+slicing direction.  Its face lattice is read off the parent's
+(:meth:`FaceLattice.link_lattice`), so the whole recursion runs on one
+vertex enumeration; each link's own exact work is its quasilattice, kernel
+and chart groups.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlat, linalg
-from .errors import (InternalConsistencyError, PreconditionError,
-                     ValidationError)
+from .errors import InternalConsistencyError, PreconditionError
 from .field import FieldScalar
 from .groups import (DiscreteGroupPresentation, Quasilattice, chart_index_sets,
                      gamma_check, gamma_group, kernel_data)
@@ -188,19 +190,14 @@ def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
                      for jj in range(len(labels))]
     images = ([linalg.dot(w, g) for w in ann_basis] for g in q_f.generators)
     q_f0_gens = [img for img in images if any(not s.is_zero() for s in img)]
-    try:
-        q_f0 = Quasilattice(field, q_f0_gens)
-        delta_f = Polytope(field, delta_normals, delta_offsets, q_f0)
-    except ValidationError as exc:
-        raise InternalConsistencyError(
-            f"link polytope of face {list(labels)} failed validation: {exc}"
-        ) from exc
+    delta_f = Polytope(field, delta_normals, delta_offsets,
+                       Quasilattice(field, q_f0_gens), validate=False)
 
     n_f0_dim = len(kernel_data(delta_f).kernel_basis)
     if n_f0_dim != n_f_dim + 1:
         raise InternalConsistencyError("link kernel dimensions disagree")
 
-    report = build_stratification(delta_f, delta_f.face_lattice())
+    report = build_stratification(delta_f, lat.link_lattice(face, delta_f))
     return LinkData(parent=p, face=face, facet_labels=labels,
                     d_F_basis=basis, d_F_basis_labels=basis_labels,
                     sigma_normals=sigma_normals, sigma_offsets=sigma_offsets,

@@ -542,25 +542,21 @@ def strata_kernel_split(ctx: _Context) -> PropertyResult:
 
 
 def strata_face_bijection(ctx: _Context) -> PropertyResult:
+    """Each top-level link's face lattice, read off the parent's, against a
+    fresh vertex enumeration of the link polytope."""
     report = _strata_context(ctx)
     if report is None:
         return _ok(0, note="inapplicable: no singular faces")
     for s in report.strata:
-        link = s.link
-        dlat = link.delta_F.face_lattice()
-        pos = {j: i + 1 for i, j in enumerate(link.facet_labels)}
-        mapped = {}
-        for g in ctx.lat.faces:
-            if g.index_set != s.face.index_set and ctx.lat.lt(s.face, g):
-                mapped[tuple(sorted(pos[j] for j in g.index_set))] = g
-        link_sets = {f.index_set: f for f in dlat.faces}
-        if set(mapped) != set(link_sets):
-            return _fail(1, {"face": list(s.face.index_set)})
-        for local, g in mapped.items():
-            lf = link_sets[local]
-            if lf.dim != g.dim - s.face.dim - 1 or lf.regular != g.regular:
-                return _fail(1, {"face": list(s.face.index_set),
-                                 "sub": list(local)})
+        d, witness = s.link.delta_F, {"face": list(s.face.index_set)}
+        fresh = {f.index_set: f for f in Polytope(
+            d.field, d.normals, d.offsets, d.quasilattice).face_lattice().faces}
+        inherited = d.face_lattice().faces
+        if sorted(f.index_set for f in inherited) != sorted(fresh):
+            return _fail(1, witness)
+        bad = [f.index_set for f in inherited if f != fresh[f.index_set]]
+        if bad:
+            return _fail(1, dict(witness, sub=list(bad[0])))
     return _ok(len(report.strata))
 
 

@@ -156,6 +156,24 @@ def test_kernel_data_is_computed_once_per_polytope(qq, monkeypatch):
     assert calls == [3]
 
 
+def test_kernel_data_rejects_a_corrupted_kernel_vector(qq, monkeypatch):
+    """A kernel vector off the kernel fails pi . iota = 0; the dual check
+    iota* . pi* = 0 would only recompute the same products, transposed."""
+    p = Polytope(qq, [[1, 0], [0, 1], [-1, -1]], [0, 0, -1],
+                 Quasilattice(qq, [[1, 0], [0, 1]]))
+    real = linalg.nullspace
+
+    def corrupted(rows, ncols, field):
+        basis = real(rows, ncols, field)
+        basis[0][0] = basis[0][0] + field.one()
+        return basis
+
+    monkeypatch.setattr(linalg, "nullspace", corrupted)
+    with pytest.raises(ValidationError, match=r"kernel basis fails pi \. iota = 0"):
+        kernel_data(p)
+    assert p._kernel is None
+
+
 def test_chart_sets_simple(triangle):
     lat = triangle.face_lattice()
     charts = chart_index_sets(triangle, lat)

@@ -1,18 +1,22 @@
+import dataclasses
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toricq import linalg
+from toricq import linalg, verify
 from toricq.errors import PreconditionError
 from toricq.groups import Quasilattice, kernel_data
-from toricq.moment import derived_moment_data, psi, retract, upsilon
+from toricq.moment import (SolverConfig, derived_moment_data, psi, retract,
+                           upsilon)
 from toricq.polytope import Polytope
-from toricq.serialize import load_instance
+from toricq.serialize import ProblemInstance, instance_from_json, load_instance
 from toricq.strata import (build_link, build_stratification, local_model,
                            node_key)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+FAMILIES = Path(__file__).resolve().parent.parent / "bench" / "families.py"
 
 
 @pytest.fixture(scope="module")
@@ -102,25 +106,64 @@ def test_poset_edges_pyramid4(pyramid4):
     assert set(report.poset_edges) == expected
 
 
-def test_face_bijection_into_link(pyramid4):
-    """Faces of the link polytope correspond to faces strictly above the
-    singular face, dimension shifted by p+1, singularity preserved."""
-    lat = pyramid4.face_lattice()
-    for face in lat.singular_faces():
-        link = build_link(pyramid4, lat, face)
-        dlat = link.delta_F.face_lattice()
-        pos = {j: i + 1 for i, j in enumerate(link.facet_labels)}
-        mapped = {}
-        for g in lat.faces:
-            if g.index_set != face.index_set and lat.lt(face, g):
-                local = tuple(sorted(pos[j] for j in g.index_set))
-                mapped[local] = g
-        link_sets = {f.index_set: f for f in dlat.faces}
-        assert set(mapped) == set(link_sets)
-        for local, g in mapped.items():
-            f_local = link_sets[local]
-            assert f_local.dim == g.dim - face.dim - 1
-            assert f_local.regular == g.regular
+def _links(report):
+    """Every link of the recursion under ``report``, depth first."""
+    for s in report.strata:
+        yield s.link
+        yield from _links(s.link.recursive_report)
+
+
+def test_face_bijection_into_link(octahedron, pyramid4, pyramid_sqrt2):
+    """Every link of the recursion, whose face lattice is read off its
+    parent's, against a fresh double-description enumeration of the link
+    polytope: the faces (index set, dim, regular flag, depth, vertex ids),
+    the vertex active sets, and the vertex coordinates, which the inherited
+    lattice solves on first read."""
+    spec = importlib.util.spec_from_file_location("bench_families", FAMILIES)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    generated = [families.pyramid_cross(3, 1), families.pyramid_cube_sqrt2(4, 1),
+                 families.cross_sqrt2(3, 1)]
+    polytopes = [octahedron, pyramid4, pyramid_sqrt2] + [
+        instance_from_json(data).polytope for data in generated]
+    counts = []
+    for p in polytopes:
+        links = list(_links(build_stratification(p)))
+        for d in (link.delta_F for link in links):
+            lat = d.face_lattice()
+            fresh = Polytope(d.field, d.normals, d.offsets,
+                             d.quasilattice).face_lattice()
+            assert lat.faces == fresh.faces
+            assert lat.vertex_active == fresh.vertex_active
+            assert lat.vertex_coords == fresh.vertex_coords
+        counts.append(len(links))
+    # pyr-cross_3 recurses to depth 2: 13 singular faces, and 12 more in
+    # the links of its 7 singular vertices (the apex link is an octahedron)
+    assert counts == [6, 5, 1, 25, 1, 6]
+
+
+def test_face_bijection_suite_catches_a_corrupted_link_lattice(pyramid4):
+    """A link lattice that lost a face fails strata.face_bijection with the
+    singular face as witness; one with a wrong regular flag names the link
+    face too."""
+    def corrupted(change):
+        ctx = verify._Context(ProblemInstance(pyramid4, SolverConfig(), 7),
+                              samples=10, seed=7)
+        assert verify.strata_face_bijection(ctx).passed
+        entry = verify._strata_context(ctx).strata[0]
+        change(entry.link.delta_F.face_lattice().faces)
+        result = verify.strata_face_bijection(ctx)
+        assert not result.passed
+        return result.witness, list(entry.face.index_set)
+
+    witness, face = corrupted(lambda faces: faces.pop())
+    assert witness == {"face": face}
+
+    def flip_regular(faces):
+        faces[0] = dataclasses.replace(faces[0], regular=not faces[0].regular)
+
+    witness, face = corrupted(flip_regular)
+    assert witness == {"face": face, "sub": [1, 2, 3, 4]}   # the link's apex
 
 
 def test_kernel_split(pyramid, pyramid4):
