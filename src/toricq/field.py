@@ -435,7 +435,8 @@ class FieldScalar:
         return f, _float_up(max(Fraction(f) - lo, hi - Fraction(f)))
 
     def __float__(self):
-        return self.shadow(53)[0]
+        """The float of :meth:`shadow`, without computing its error bound."""
+        return float(self.coeffs[0]) if self.is_rational() else self.shadow(53)[0]
 
     def __repr__(self):
         if self.is_rational():

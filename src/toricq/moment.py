@@ -10,6 +10,12 @@ on R^d) of the kernel directions supported on the zero coordinates.  Its
 gradient is minus the projected moment image of x(Y), x_j = e^{-2 pi Y_j} z_j,
 so the minimizer is the unique intersection of the orbit closure with the
 zero level; the Hessian 4pi R^T diag(|x|^2) R is positive definite there.
+
+The solver works in coordinates u, Y = R u, along an orthonormal basis R of
+that complement.  f, its gradient and its Hessian in u are written once, in
+:func:`_objective`, :func:`_gradient` and :func:`_hessian`; :func:`retract`
+runs on them, and the ``verify`` suites ``moment.gradient_fd`` and
+``moment.hessian_pd`` check them.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValidationError("tolerance must be positive")
+        if not math.isfinite(self.tolerance):
+            raise ValidationError("tolerance must be finite")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
         if not 0 < self.line_search_shrink < 1:
@@ -233,10 +241,33 @@ def _compute_reduced_subspace(m: MomentData,
     S = np.zeros((m.d, s))
     for c, v in enumerate(stab_local):
         for r, j in enumerate(idx):
-            S[j, c] = v[r].shadow(53)[0]
+            S[j, c] = float(v[r])
     C = Qb.T @ S
     u, sv, _ = np.linalg.svd(C, full_matrices=True)
     return Qb @ u[:, s:]
+
+
+def _objective(R, z2, lam, u) -> float:
+    """f at Y = R u for |z|^2 = z2; an overflowing exponent raises."""
+    w = R @ u
+    with np.errstate(over="raise"):
+        x2 = np.exp(-FOUR_PI * w) * z2
+    return float(x2.sum() / FOUR_PI - lam @ w)
+
+
+def _squared_moduli(R, z2, u) -> np.ndarray:
+    """|x_j|^2 = e^{-4 pi Y_j} |z_j|^2 at Y = R u."""
+    return np.exp(-FOUR_PI * (R @ u)) * z2
+
+
+def _gradient(R, ups) -> np.ndarray:
+    """grad f = -R^T ups at the point where |x|^2 + lambda = ups."""
+    return -(R.T @ ups)
+
+
+def _hessian(R, x2) -> np.ndarray:
+    """Hessian of f = 4 pi R^T diag(|x|^2) R at the point where |x|^2 = x2."""
+    return FOUR_PI * (R.T * x2) @ R
 
 
 def retract(m: MomentData, z: Sequence[complex],
@@ -262,12 +293,6 @@ def retract(m: MomentData, z: Sequence[complex],
     lam = m.offsets_float
     z2 = np.abs(z) ** 2
 
-    def objective(u):
-        w = R @ u
-        with np.errstate(over="raise"):
-            x2 = np.exp(-FOUR_PI * w) * z2
-        return float(x2.sum() / FOUR_PI - lam @ w)
-
     if start is None:
         u = np.zeros(r)
         at_zero = _level_residual(m, z2 + lam)
@@ -282,8 +307,7 @@ def retract(m: MomentData, z: Sequence[complex],
     iterations = 0
     residual = float("inf")
     for it in range(cfg.max_iterations + 1):
-        w = R @ u
-        x2 = np.exp(-FOUR_PI * w) * z2
+        x2 = _squared_moduli(R, z2, u)
         ups = x2 + lam
         residual = _level_residual(m, ups)
         iterations = it
@@ -293,13 +317,13 @@ def retract(m: MomentData, z: Sequence[complex],
             raise SolverError(
                 f"retraction did not converge (residual {residual:.3e})",
                 residual=residual, iterations=it)
-        grad = -(R.T @ ups)
-        hess = FOUR_PI * (R.T * x2) @ R
+        grad = _gradient(R, ups)
+        hess = _hessian(R, x2)
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        f0 = objective(u)
+        f0 = _objective(R, z2, lam, u)
         slope = float(grad @ step)
         # rounding slack keeps the backtracking from stalling once the true
         # decrease drops below float resolution of the objective
@@ -307,7 +331,7 @@ def retract(m: MomentData, z: Sequence[complex],
         t = 1.0
         while True:
             try:
-                ft = objective(u + t * step)
+                ft = _objective(R, z2, lam, u + t * step)
             except FloatingPointError:
                 ft = math.inf
             if ft <= f0 + 1e-4 * t * slope + slack:

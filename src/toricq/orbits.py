@@ -60,8 +60,8 @@ class ExactVector:
         out = np.zeros(len(self.mod2), dtype=complex)
         for j, (m2, ph) in enumerate(zip(self.mod2, self.phase)):
             if not m2.is_zero():
-                r = math.sqrt(m2.shadow(53)[0])
-                out[j] = r * cmath.exp(2j * math.pi * ph.shadow(53)[0])
+                r = math.sqrt(float(m2))
+                out[j] = r * cmath.exp(2j * math.pi * float(ph))
         return out
 
     def zeroed(self, labels) -> "ExactVector":
@@ -185,7 +185,7 @@ def p_function(p: Polytope, xi, eta, lat: FaceLattice | None = None) -> PFunctio
     exponents = [linalg.dot(diff, x) for x in p.normals]
     face = lat.face_by_index_set(p.active_set(eta))
     return PFunction(exponents=exponents,
-                     exponents_float=np.array([c.shadow(53)[0] for c in exponents]),
+                     exponents_float=np.array([float(c) for c in exponents]),
                      domain_face=face)
 
 
@@ -228,8 +228,8 @@ def _compute_phase_test(md: MomentData, zero_labels) -> _PhaseTest:
               for g in md.polytope.quasilattice.generators]
     group = Quasilattice(md.field, images, validate=False)
     _, basis = group.rank_certificate()
-    Ff = _read_only(np.array([[s.shadow(53)[0] for s in f] for f in ann]))
-    B = _read_only(np.array([[s.shadow(53)[0] for s in b]
+    Ff = _read_only(np.array([[float(s) for s in f] for f in ann]))
+    B = _read_only(np.array([[float(s) for s in b]
                              for b in basis]).T) if basis else None
     return _PhaseTest(ann, group, Ff, B)
 
@@ -250,10 +250,8 @@ def _phase_verdict(p: Polytope, zero_labels, x, y,
         return True, exact
     support = [j for j in range(1, p.d + 1) if j not in set(zero_labels)]
     if exact:
-        u = [p.field.zero()] * p.n
-        for j in support:
-            dlt = y.phase[j - 1] - x.phase[j - 1]
-            u = linalg.vec_add(u, linalg.vec_scale(dlt, p.normals[j - 1]))
+        u = linalg.mat_vec(linalg.transpose([p.normals[j - 1] for j in support]),
+                           [y.phase[j - 1] - x.phase[j - 1] for j in support])
         return test.group.contains([linalg.dot(f, u) for f in test.ann]), True
     xc, yc = _as_point(x)[0], _as_point(y)[0]
     Xf = md.normals_float

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError, PreconditionError
-from .groups import _chart, chart_index_sets
+from .groups import _chart, chart_index_sets, kernel_data
 from .orbits import ExactVector, OrbitClass, _moment_for
 from .polytope import Face, Polytope, cone_rays
 
@@ -93,13 +93,11 @@ class Sampler:
         """Exact angle vector theta (in turns) with pi(theta) in Q: a
         random integer combination of the generator preimages."""
         field = self.p.field
-        theta_chart = [field.zero()] * self.p.n
         # the angles on the first chart with sum theta_j X_j = g, per generator g
-        for pre in _chart(self.p, self.lat, self._charts[0])[1]:
-            c = self.rng.randint(-N_BOUND, N_BOUND)
-            if c:
-                theta_chart = linalg.vec_add(
-                    theta_chart, linalg.vec_scale(field.from_rational(c), pre))
+        pres = _chart(self.p, self.lat, self._charts[0])[1]
+        coeffs = [field.from_rational(self.rng.randint(-N_BOUND, N_BOUND))
+                  for _ in pres]
+        theta_chart = linalg.mat_vec(linalg.transpose(pres), coeffs)
         theta = [field.zero()] * self.p.d
         for j, t in zip(self._charts[0], theta_chart):
             theta[j - 1] = t
@@ -122,7 +120,7 @@ class Sampler:
         angle vector, positive scalings e^{-2 pi Y_j} from the direction."""
         z = np.asarray(z, dtype=complex).copy()
         if theta is not None:
-            angles = np.array([t.shadow(53)[0] for t in theta])
+            angles = np.array([float(t) for t in theta])
             z = z * np.exp(2j * math.pi * angles)
         if Y is not None:
             z = z * np.exp(-2 * math.pi * np.asarray(Y))
@@ -173,9 +171,8 @@ def nonclosed_flow_direction(p: Polytope, orbit: OrbitClass) -> np.ndarray:
     decay = [j for j in orbit.face_E.index_set if j not in set(orbit.i_z)]
     zero = list(orbit.i_z)
     rates = _positive_decay_rates(p, decay, zero)
-    combo = [field.zero()] * p.n
-    for j, c in zip(decay, rates):
-        combo = linalg.vec_add(combo, linalg.vec_scale(c, p.normals[j - 1]))
+    combo = linalg.mat_vec(
+        linalg.transpose([p.normals[j - 1] for j in decay]), rates)
     span_vectors = [p.normals[k - 1] for k in zero]
     coords = linalg.in_span(span_vectors, combo, p.n, field)
     if coords is None:
@@ -186,8 +183,6 @@ def nonclosed_flow_direction(p: Polytope, orbit: OrbitClass) -> np.ndarray:
         y[j - 1] = c
     for k, c in zip(zero, coords):
         y[k - 1] = -c
-    image = linalg.mat_vec([[p.normals[j][i] for j in range(p.d)]
-                            for i in range(p.n)], y)
-    if not all(s.is_zero() for s in image):
+    if not all(s.is_zero() for s in kernel_data(p).pi(y)):
         raise InternalConsistencyError("flow direction is not in the kernel")
-    return np.array([s.shadow(53)[0] for s in y])
+    return np.array([float(s) for s in y])

@@ -128,14 +128,9 @@ def _sub_quasilattice(p: Polytope, basis):
                                       for g in range(len(q.generators))])
         _, cleared = intlat.clear_denominators(rows_rational)
         kernel = intlat.integer_kernel(cleared, len(q.generators))
-        kept = []
-        for combo in kernel:
-            acc = [field.zero()] * p.n
-            for c, g in zip(combo, q.generators):
-                if c:
-                    acc = linalg.vec_add(acc, linalg.vec_scale(
-                        field.from_rational(c), g))
-            kept.append(acc)
+        columns = linalg.transpose(q.generators)
+        kept = [linalg.mat_vec(columns, [field.from_rational(c) for c in combo])
+                for combo in kernel]
     # span coordinates of every kept vector from one elimination of
     # [basis | kept]; a nonzero entry below the basis rows leaves the span
     k = len(basis)

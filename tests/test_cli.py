@@ -322,6 +322,23 @@ def test_nonpositive_tol_is_rejected(interval_file, capsys, tol):
                    "message": "tolerance must be positive"}
 
 
+def test_nonfinite_tol_is_rejected(interval_file, capsys):
+    # an infinite tolerance would accept the starting point, off the zero level
+    assert main(["retract", interval_file, "--point", "[[5,0],[0.1,0]]",
+                 "--tol", "inf"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValidationError",
+                   "message": "tolerance must be finite"}
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_sample(interval_file, capsys, samples):
+    assert main(["verify", interval_file, "--samples", samples]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValidationError",
+                   "message": "samples must be at least 1"}
+
+
 def test_solver_nonconvergence_exit_code(interval_file, capsys):
     # a tolerance below float resolution cannot be met
     code = main(["retract", interval_file, "--point", "[[1,0],[1,0]]",

@@ -117,19 +117,6 @@ def test_p_function_outside_polytope(interval):
         p_function(interval, [2], [0])
 
 
-def test_p_invariance_sampled(pyramid):
-    lat = pyramid.face_lattice()
-    s = Sampler(pyramid, 23)
-    verts = [lat.relint_point(v) for v in lat.vertices()]
-    pf = p_function(pyramid, verts[0], verts[1], lat)
-    w = s.point_with_zeros(())
-    base = pf.evaluate(w)
-    for _ in range(30):
-        theta, Y = s.nc_pair()
-        moved = s.apply(w, theta, Y)
-        assert abs(pf.evaluate(moved) - base) <= 1e-7 * abs(base)
-
-
 def test_n_orbit_equal_exact(interval, qq):
     half = Fraction(1, 2)
     x = ExactVector(qq, [half, half], [0, 0])
@@ -189,22 +176,6 @@ def test_equivalent_distinct_vertices(interval):
     res = equivalent(interval, [1, 0], [0, 1])
     assert not res.equivalent
     assert res.reason == "closure faces differ"
-
-
-def test_equivalent_axioms_sampled(pyramid):
-    lat = pyramid.face_lattice()
-    s = Sampler(pyramid, 41)
-    for _ in range(15):
-        z = s.random_admissible_point()
-        theta1, Y1 = s.nc_pair()
-        theta2, Y2 = s.nc_pair()
-        gz = s.apply(z, theta1, Y1)
-        ggz = s.apply(gz, theta2, Y2)
-        assert equivalent(pyramid, z, z).equivalent
-        assert equivalent(pyramid, z, gz).equivalent
-        assert equivalent(pyramid, gz, z).equivalent
-        assert equivalent(pyramid, gz, ggz).equivalent
-        assert equivalent(pyramid, z, ggz).equivalent
 
 
 def test_equivalent_exact_phase_separation(interval, qq):

@@ -7,7 +7,7 @@ import pytest
 
 from toricq import linalg, verify
 from toricq.errors import PreconditionError
-from toricq.groups import Quasilattice, kernel_data
+from toricq.groups import Quasilattice
 from toricq.moment import (SolverConfig, derived_moment_data, psi, retract,
                            upsilon)
 from toricq.polytope import Polytope
@@ -164,31 +164,6 @@ def test_face_bijection_suite_catches_a_corrupted_link_lattice(pyramid4):
 
     witness, face = corrupted(flip_regular)
     assert witness == {"face": face, "sub": [1, 2, 3, 4]}   # the link's apex
-
-
-def test_kernel_split(pyramid, pyramid4):
-    """The link-polytope kernel is the cone kernel plus the slicing
-    direction, as an exact rank-1 extension."""
-    for p in (pyramid, pyramid4):
-        lat = p.face_lattice()
-        for face in lat.singular_faces():
-            link = build_link(p, lat, face)
-            field = p.field
-            r = len(link.facet_labels)
-            s_vec = [field.one()] * r
-            combined = [list(v) for v in link.cone_kernel] + [s_vec]
-            assert linalg.rank(combined, r) == link.n_f0_dim
-            dseq = kernel_data(link.delta_F)
-            for v in combined:
-                img = dseq.pi(v)
-                assert all(s.is_zero() for s in img)
-
-
-def test_link_depth_decreases(pyramid4):
-    lat = pyramid4.face_lattice()
-    for face in lat.singular_faces():
-        link = build_link(pyramid4, lat, face)
-        assert link.recursive_report.polytope_depth == face.depth - 1
 
 
 def test_b_tilde_matrix_is_exact_change_of_basis(pyramid):

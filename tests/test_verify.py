@@ -3,14 +3,16 @@ and a full run over a nonsimple instance."""
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from toricq import linalg, serialize
+from toricq import linalg, moment, serialize
 from toricq import verify as verify_mod
 from toricq.cli import main
-from toricq.moment import SolverConfig
+from toricq.errors import SolverError
+from toricq.moment import SolverConfig, moment_data, retract
 from toricq.orbits import classify_orbit, equivalent
 from toricq.sampling import Sampler
 from toricq.serialize import ProblemInstance, dumps
@@ -162,3 +164,43 @@ def test_chart_order_mismatch_is_reported_by_both_suites(triangle, monkeypatch):
     assert not det.passed and det.witness == {"I": first, "order": order}
     bijection = verify_mod.orbits_face_orbit_bijection(ctx)
     assert not bijection.passed and bijection.witness == {"I": first}
+
+
+def _bind_everywhere(monkeypatch, original, replacement):
+    """Rebind ``original`` to ``replacement`` under every name a toricq
+    module gives it."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "toricq":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _moment_suite(suite, p, seed=5):
+    ctx = verify_mod._Context(ProblemInstance(p, SolverConfig(), seed), 200, seed)
+    return suite(ctx)
+
+
+def test_gradient_suite_checks_the_solvers_gradient(pyramid, monkeypatch):
+    """A gradient 1% off fails moment.gradient_fd, and it is the gradient
+    the solver runs: its Newton steps overshoot and converge more slowly."""
+    z = [0.5, 1.5, 2.0, 0.7, 1.1]
+    before = retract(moment_data(pyramid), z)
+    real = moment._gradient
+    _bind_everywhere(monkeypatch, real, lambda R, ups: 1.01 * real(R, ups))
+    result = _moment_suite(verify_mod.moment_gradient_fd, pyramid)
+    assert not result.passed and set(result.witness) == {"gap"}
+    assert result.witness["gap"] > result.tolerance
+    assert retract(moment_data(pyramid), z).iterations > before.iterations
+
+
+def test_hessian_suite_checks_the_solvers_hessian(pyramid, monkeypatch):
+    """A negated Hessian fails moment.hessian_pd, and the solver, which
+    runs on it, no longer converges."""
+    real = moment._hessian
+    _bind_everywhere(monkeypatch, real, lambda R, x2: -real(R, x2))
+    result = _moment_suite(verify_mod.moment_hessian_pd, pyramid)
+    assert not result.passed and set(result.witness) == {"min_eigenvalue"}
+    assert result.witness["min_eigenvalue"] < 0
+    with pytest.raises(SolverError):
+        retract(moment_data(pyramid), [0.5, 1.5, 2.0, 0.7, 1.1])
