@@ -2,9 +2,10 @@
 
 Commands: analyze, faces, strata, retract, equiv, gamma, verify.  Instances
 are JSON files (see serialize); reports print to stdout as canonical JSON
-and can be written atomically with --json / --dot.  Exit codes: 0 success,
-2 validation or precondition failure, 3 solver nonconvergence, 4 property
-failure.  Set TORICQ_LOG=DEBUG|INFO|... for logging.
+after any --json copy is written atomically; faces and strata build a DOT
+digraph only for --dot.  Exit codes: 0 success, 2 validation or
+precondition failure or an unwritable output file, 3 solver nonconvergence,
+4 property failure.  Set TORICQ_LOG=DEBUG|INFO|... for logging.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ def analyze_report(instance) -> dict:
     p = instance.polytope
     lat = p.face_lattice()
     rank, _ = p.quasilattice.rank_certificate()
-    charts = chart_index_sets(p, lat)
-    table = [serialize.presentation_to_json(gamma_group(p, I, lat))
-             for I in charts]
+    table = _gamma_table(p, lat)
     return {"n": p.n, "d": p.d,
             "face_count": len(lat.faces),
             "vertex_count": len(lat.vertices()),
@@ -53,18 +52,21 @@ def analyze_report(instance) -> dict:
             "face_depths": {serialize.face_key(f): f.depth for f in lat.faces},
             "quasilattice_rank": rank,
             "is_lattice": p.quasilattice.is_lattice,
-            "chart_count": len(charts),
+            "chart_count": len(table),
             "gamma_table": table}
 
 
-def _emit(args, payload: dict | None = None, dot: str | None = None):
-    if payload is not None:
-        text = serialize.dumps(payload)
-        sys.stdout.write(text)
-        if getattr(args, "json", None):
-            serialize.write_atomic(args.json, text)
-    if dot is not None and getattr(args, "dot", None):
-        serialize.write_atomic(args.dot, dot)
+def _gamma_table(p, lat) -> list[dict]:
+    """The chart group of every chart index set, in chart order."""
+    return [serialize.presentation_to_json(gamma_group(p, I, lat))
+            for I in chart_index_sets(p, lat)]
+
+
+def _emit(args, payload: dict):
+    text = serialize.dumps(payload)
+    if args.json:
+        serialize.write_atomic(args.json, text)
+    sys.stdout.write(text)
 
 
 def _solver(instance, args) -> SolverConfig:
@@ -89,14 +91,18 @@ def cmd_analyze(args) -> int:
 def cmd_faces(args) -> int:
     instance = serialize.load_instance(args.instance)
     lat = instance.polytope.face_lattice()
-    _emit(args, serialize.lattice_to_json(lat), serialize.lattice_to_dot(lat))
+    if args.dot:
+        serialize.write_atomic(args.dot, serialize.lattice_to_dot(lat))
+    _emit(args, serialize.lattice_to_json(lat))
     return 0
 
 
 def cmd_strata(args) -> int:
     instance = serialize.load_instance(args.instance)
     report = build_stratification(instance.polytope)
-    _emit(args, serialize.report_to_json(report), serialize.report_to_dot(report))
+    if args.dot:
+        serialize.write_atomic(args.dot, serialize.report_to_dot(report))
+    _emit(args, serialize.report_to_json(report))
     return 0
 
 
@@ -138,9 +144,7 @@ def cmd_gamma(args) -> int:
             raise ValidationError(f"--chart must be comma-separated labels: {exc}")
         payload = serialize.presentation_to_json(gamma_group(p, I, lat))
     else:
-        charts = chart_index_sets(p, lat)
-        payload = {"charts": [serialize.presentation_to_json(
-            gamma_group(p, I, lat)) for I in charts]}
+        payload = {"charts": _gamma_table(p, lat)}
     _emit(args, payload)
     return 0
 

@@ -46,7 +46,7 @@ class Quasilattice:
     """Finitely generated additive subgroup of the ambient space, spanned
     by generators that span over the reals."""
 
-    def __init__(self, field: NumberField, generators, *, validate: bool = True):
+    def __init__(self, field: NumberField, generators):
         self.field = field
         self.generators = [linalg.vec(field, g) for g in generators]
         if not self.generators:
@@ -54,7 +54,7 @@ class Quasilattice:
         self.ambient_dim = len(self.generators[0])
         if any(len(g) != self.ambient_dim for g in self.generators):
             raise ValidationError("generators have inconsistent dimensions")
-        if validate and linalg.rank(self.generators, self.ambient_dim) != self.ambient_dim:
+        if linalg.rank(self.generators, self.ambient_dim) != self.ambient_dim:
             raise ValidationError("generators do not span the ambient space")
         self._echelon_data: tuple[int, list[list[int]]] | None = None
         self._rank_data: tuple[int, list[list[FieldScalar]]] | None = None

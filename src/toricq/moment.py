@@ -15,7 +15,9 @@ The solver works in coordinates u, Y = R u, along an orthonormal basis R of
 that complement.  f, its gradient and its Hessian in u are written once, in
 :func:`_objective`, :func:`_gradient` and :func:`_hessian`; :func:`retract`
 runs on them, and the ``verify`` suites ``moment.gradient_fd`` and
-``moment.hessian_pd`` check them.
+``moment.hessian_pd`` check them.  Its one setting is the residual
+tolerance of :class:`SolverConfig`; at most ``MAX_ITERATIONS`` damped
+Newton steps are taken, each backtracking by ``LINE_SEARCH_SHRINK``.
 """
 
 from __future__ import annotations
@@ -34,23 +36,21 @@ from .groups import kernel_data
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
+MAX_ITERATIONS = 100       # Newton steps before the retraction gives up
+LINE_SEARCH_SHRINK = 0.5   # backtracking factor of the Armijo line search
 
 
 @dataclass
 class SolverConfig:
+    """The one solver setting: the residual |Psi| at which to stop."""
+
     tolerance: float = 1e-9
-    max_iterations: int = 100
-    line_search_shrink: float = 0.5
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValidationError("tolerance must be positive")
         if not math.isfinite(self.tolerance):
             raise ValidationError("tolerance must be finite")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
-        if not 0 < self.line_search_shrink < 1:
-            raise ValidationError("line_search_shrink must be in (0, 1)")
 
 
 @dataclass
@@ -157,15 +157,10 @@ def moment_data(p) -> MomentData:
                         kernel_data(p).kernel_basis, closed_support, p)
 
 
-def derived_moment_data(kind: str, link) -> MomentData:
-    """Moment data of a singular face's link: ``"sigma_F"`` for the cone
-    over the link (offsets zero, group of dimension r_F - n + p) or
-    ``"delta_F"`` for the link polytope itself (one extra kernel direction
-    along the slicing coefficients)."""
-    if kind == "delta_F":
-        return moment_data(link.delta_F)
-    if kind != "sigma_F":
-        raise PreconditionError(f"unknown derived moment data kind: {kind}")
+def derived_moment_data(link) -> MomentData:
+    """Moment data of the cone sigma_F over a singular face's link (offsets
+    zero, group of dimension r_F - n + p).  The link polytope delta_F is a
+    polytope of its own: its data is ``moment_data(link.delta_F)``."""
     parent_lat = link.parent.face_lattice()
     labels = link.facet_labels
 
@@ -306,14 +301,14 @@ def retract(m: MomentData, z: Sequence[complex],
         u = np.asarray(start, dtype=float)
     iterations = 0
     residual = float("inf")
-    for it in range(cfg.max_iterations + 1):
+    for it in range(MAX_ITERATIONS + 1):
         x2 = _squared_moduli(R, z2, u)
         ups = x2 + lam
         residual = _level_residual(m, ups)
         iterations = it
         if residual <= cfg.tolerance:
             break
-        if it == cfg.max_iterations or r == 0:
+        if it == MAX_ITERATIONS or r == 0:
             raise SolverError(
                 f"retraction did not converge (residual {residual:.3e})",
                 residual=residual, iterations=it)
@@ -336,7 +331,7 @@ def retract(m: MomentData, z: Sequence[complex],
                 ft = math.inf
             if ft <= f0 + 1e-4 * t * slope + slack:
                 break
-            t *= cfg.line_search_shrink
+            t *= LINE_SEARCH_SHRINK
             if t < 1e-18:
                 raise SolverError("line search collapsed", residual=residual,
                                   iterations=it)

@@ -226,7 +226,7 @@ def _compute_phase_test(md: MomentData, zero_labels) -> _PhaseTest:
         return _PhaseTest(ann, None, None, None)
     images = [[linalg.dot(f, g) for f in ann]
               for g in md.polytope.quasilattice.generators]
-    group = Quasilattice(md.field, images, validate=False)
+    group = Quasilattice(md.field, images)
     _, basis = group.rank_certificate()
     Ff = _read_only(np.array([[float(s) for s in f] for f in ann]))
     B = _read_only(np.array([[float(s) for s in b]

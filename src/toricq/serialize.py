@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .field import FieldScalar, NumberField
 from .groups import DiscreteGroupPresentation, Quasilattice
-from .moment import RetractionResult, SolverConfig
+from .moment import (LINE_SEARCH_SHRINK, MAX_ITERATIONS, RetractionResult,
+                     SolverConfig)
 from .orbits import EquivalenceResult, OrbitClass
 from .polytope import Face, FaceLattice, Polytope
 from .strata import LinkData, StratificationReport
@@ -31,14 +32,17 @@ def dumps(obj) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".toricq-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".toricq-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -123,23 +127,23 @@ class ProblemInstance:
     seed: int
 
 
+# solver keys that older instances carry, each accepted only at its one value
+_FIXED_SOLVER_KEYS = {"precision_bits": 53, "max_iterations": MAX_ITERATIONS,
+                      "line_search_shrink": LINE_SEARCH_SHRINK}
+
+
 def solver_to_json(cfg: SolverConfig) -> dict:
-    return {"tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations,
-            "line_search_shrink": cfg.line_search_shrink}
+    return {"tolerance": cfg.tolerance}
 
 
 def solver_from_json(data) -> SolverConfig:
     if not isinstance(data, dict):
         raise ValidationError("solver settings must be a JSON object")
-    # float shadows are always 53-bit; older instances still carry the key
-    if data.get("precision_bits", 53) != 53:
-        raise ValidationError(
-            f"solver.precision_bits must be 53, got {data['precision_bits']!r}")
+    for key, value in _FIXED_SOLVER_KEYS.items():
+        if data.get(key, value) != value:
+            raise ValidationError(f"solver.{key} must be {value}, got {data[key]!r}")
     try:
-        return SolverConfig(
-            tolerance=float(data.get("tolerance", 1e-9)),
-            max_iterations=_integer(data.get("max_iterations", 100)),
-            line_search_shrink=float(data.get("line_search_shrink", 0.5)))
+        return SolverConfig(tolerance=float(data.get("tolerance", 1e-9)))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed solver settings: {exc}") from exc
 
@@ -283,9 +287,7 @@ def link_to_json(link: LinkData) -> dict:
             "span_basis": [vector_to_json(v) for v in link.d_F_basis],
             "quasilattice_in_span": [vector_to_json(g)
                                      for g in link.q_f.generators],
-            "s_coefficients": [str(s.coeffs[0]) if s.is_rational()
-                               else scalar_to_json(s)
-                               for s in link.s_coefficients],
+            "s_coefficients": [str(s.coeffs[0]) for s in link.s_coefficients],
             "x0": vector_to_json(link.x0),
             "slice_level": scalar_to_json(link.slice_level),
             "xi0": vector_to_json(link.xi0),

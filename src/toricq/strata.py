@@ -202,8 +202,7 @@ def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
                     recursive_report=report)
 
 
-def _chart_for_face(p: Polytope, lat: FaceLattice, face: Face,
-                    charts) -> tuple[int, ...]:
+def _chart_for_face(p: Polytope, face: Face, charts) -> tuple[int, ...]:
     want = p.n - face.dim
     for I in charts:
         if len(set(I) & set(face.index_set)) == want:
@@ -241,7 +240,7 @@ def build_stratification(p: Polytope,
               "per admissible index set")
     entries = []
     for face in singular:
-        I = _chart_for_face(p, lat, face, charts)
+        I = _chart_for_face(p, face, charts)
         coords = tuple(sorted(set(I) - set(face.index_set)))
         chart_group = gamma_check(p, I, face, lat)
         gamma_full = gamma_group(p, I, lat)

@@ -96,6 +96,31 @@ def test_cmd_faces_with_outputs(pyramid_file, tmp_path, capsys):
     assert '"[1, 2, 3, 4]"' in dot
 
 
+@pytest.mark.parametrize("flag", ["--json", "--dot"])
+def test_unwritable_output_file_is_an_error_payload(interval_file, tmp_path,
+                                                    capsys, flag):
+    """Files are written before stdout: a path that cannot be written
+    prints only the error payload, not the report and a traceback."""
+    target = tmp_path / "missing" / "out"
+    assert main(["faces", interval_file, flag, str(target)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert list(err) == ["error"]
+    assert err["error"]["type"] == "ValidationError"
+    assert err["error"]["message"].startswith(f"cannot write {target}: ")
+
+
+@pytest.mark.parametrize("command", ["faces", "strata"])
+def test_dot_text_is_built_only_for_the_dot_flag(pyramid_file, monkeypatch,
+                                                 capsys, command):
+    def refuse(*args):
+        raise AssertionError("DOT text built without --dot")
+
+    monkeypatch.setattr(serialize, "lattice_to_dot", refuse)
+    monkeypatch.setattr(serialize, "report_to_dot", refuse)
+    assert main([command, pyramid_file]) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
 def test_cmd_strata_dot(pyramid_file, tmp_path, capsys):
     out_dot = tmp_path / "strata.gv"
     assert main(["strata", pyramid_file, "--dot", str(out_dot)]) == 0
@@ -365,16 +390,25 @@ def test_solver_error_payload_writes_a_nonfinite_residual_as_null(
     assert err["residual"] is None and err["iterations"] == 4
 
 
-def test_precision_bits_only_53_is_accepted():
+@pytest.mark.parametrize("key,value,bad", [
+    ("precision_bits", 53, [80, 24, "53"]),
+    ("max_iterations", 100, [500, "100", 2.7]),
+    ("line_search_shrink", 0.5, [0.25, "0.5"]),
+], ids=["precision_bits", "max_iterations", "line_search_shrink"])
+def test_fixed_solver_key_is_accepted_only_at_its_value(key, value, bad):
+    """Older instances carry solver keys that have one value each; a
+    missing key or that value is accepted, anything else is an error."""
     inst = serialize.instance_from_json(INTERVAL_JSON)
-    assert "precision_bits" not in serialize.instance_to_json(inst)["solver"]
-    without = dict(INTERVAL_JSON, solver={"tolerance": 1e-9})
-    assert serialize.instance_from_json(without).solver == inst.solver
-    for bits in (80, 24, "53"):
-        bad = dict(INTERVAL_JSON, solver=dict(INTERVAL_JSON["solver"],
-                                              precision_bits=bits))
-        with pytest.raises(ValidationError, match="precision_bits"):
-            serialize.instance_from_json(bad)
+    assert serialize.instance_to_json(inst)["solver"] == {"tolerance": 1e-9}
+    for solver in ({"tolerance": 1e-9}, {"tolerance": 1e-9, key: value}):
+        ok = dict(INTERVAL_JSON, solver=solver)
+        assert serialize.instance_from_json(ok).solver == inst.solver
+    for v in bad:
+        bad_json = dict(INTERVAL_JSON, solver=dict(INTERVAL_JSON["solver"],
+                                                   **{key: v}))
+        with pytest.raises(ValidationError) as info:
+            serialize.instance_from_json(bad_json)
+        assert str(info.value) == f"solver.{key} must be {value}, got {v!r}"
 
 
 def test_precision_flag_is_gone(interval_file):

@@ -1,9 +1,9 @@
 """The reports of the shipped instances, pinned by digest.
 
-Every number in `analyze`, `faces` and `strata` output is exact, and a
-`verify` report holds only suite names, sample counts, verdicts, fixed
-tolerances and notes, so the stdout of each command is the same on every
-platform.  A change that alters any of these bytes must say why and update
+Every number in `analyze`, `faces` and `strata` output and in the `--dot`
+files of the last two is exact, and a `verify` report holds only suite
+names, sample counts, verdicts, fixed tolerances and notes, so the stdout
+of each command and each DOT file is the same on every platform.  A change that alters any of these bytes must say why and update
 the digest.  The orbit verdicts of seeded point pairs on each instance are
 pinned the same way, so a change that moves any verdict or its exactness
 flag must name it."""
@@ -58,11 +58,32 @@ SHA256 = {
 }
 
 
+# the --dot files of faces and strata
+DOT_SHA256 = {
+    ("interval", "faces"): "ef0ba91b9d0255755aad315e5dbd231efdb8257540d5da9fe32609808899ffc7",
+    ("interval", "strata"): "c6776b13400e977a276b09cebf87a494a99a3f26d8fddbcd5dad490178a50c96",
+    ("interval_sqrt2", "faces"): "ef0ba91b9d0255755aad315e5dbd231efdb8257540d5da9fe32609808899ffc7",
+    ("interval_sqrt2", "strata"): "c6776b13400e977a276b09cebf87a494a99a3f26d8fddbcd5dad490178a50c96",
+    ("octahedron", "faces"): "a3c445d8733d3a4e865d8d6c26c30130d0b8e0d233d19504f13103566ad40811",
+    ("octahedron", "strata"): "0d9543c1f80285e6db061dab16d1b96127a1c9538fb1a46458f580f326471341",
+    ("pyramid4", "faces"): "ccde1c3bcec01551fb8d633938306c33c19c88d0f1b62a74ad13b367b3973416",
+    ("pyramid4", "strata"): "e1f724bbd6bf9466a1681e3794ff231b8271109d9addfbd970e4ffa1653bcbae",
+    ("pyramid_sqrt2", "faces"): "2fb5da48dfabe5b09afc798c02e051da7272a333a9f830e3f695363846a7850e",
+    ("pyramid_sqrt2", "strata"): "92edd41adce4d32b9325999d5b943476176b04a9c0cccdd70aa8e2be08f15d02",
+    ("square_pyramid", "faces"): "2fb5da48dfabe5b09afc798c02e051da7272a333a9f830e3f695363846a7850e",
+    ("square_pyramid", "strata"): "92edd41adce4d32b9325999d5b943476176b04a9c0cccdd70aa8e2be08f15d02",
+    ("weighted_triangle", "faces"): "bd64cbc996d75908a3b13975fd704f1d507d6abed115615b81f8dbdfbf945e56",
+    ("weighted_triangle", "strata"): "9bfb15dc5fc872b0fc90f79c52b70b49957b7db77faf0824f0b11489dc227ff8",
+}
+
+
 def test_every_shipped_instance_is_pinned():
     names = {path.stem for path in INSTANCES.glob("*.json")}
     assert {name for name, _ in SHA256} == names
     assert {command for _, command in SHA256} == {"analyze", "faces",
                                                    "strata", "verify"}
+    assert set(DOT_SHA256) == {(name, command) for name in names
+                               for command in ("faces", "strata")}
 
 
 @pytest.mark.parametrize("name,command", sorted(SHA256))
@@ -71,6 +92,14 @@ def test_report_digest(name, command, capsys):
     assert main([command, path, *ARGS.get(command, [])]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SHA256[name, command]
+
+
+@pytest.mark.parametrize("name,command", sorted(DOT_SHA256))
+def test_dot_digest(name, command, tmp_path, capsys):
+    dot = tmp_path / f"{command}.gv"
+    assert main([command, str(INSTANCES / f"{name}.json"), "--dot", str(dot)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_SHA256[name, command]
 
 
 # -- orbit verdicts -----------------------------------------------------------

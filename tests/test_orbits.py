@@ -278,7 +278,7 @@ def test_phase_test_cache_matches_fresh_data(path):
             continue
         images = [[linalg.dot(f, g) for f in ann]
                   for g in p.quasilattice.generators]
-        fresh = Quasilattice(p.field, images, validate=False)
+        fresh = Quasilattice(p.field, images)
         assert test.group.rank_certificate() == fresh.rank_certificate()
         assert not test.Ff.flags.writeable
         assert test.B is None or not test.B.flags.writeable

@@ -8,8 +8,8 @@ import pytest
 from toricq import linalg, verify
 from toricq.errors import PreconditionError
 from toricq.groups import Quasilattice
-from toricq.moment import (SolverConfig, derived_moment_data, psi, retract,
-                           upsilon)
+from toricq.moment import (SolverConfig, derived_moment_data, moment_data, psi,
+                           retract, upsilon)
 from toricq.polytope import Polytope
 from toricq.serialize import ProblemInstance, instance_from_json, load_instance
 from toricq.strata import (build_link, build_stratification, local_model,
@@ -199,7 +199,7 @@ def test_derived_moment_data_sigma(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
     link = build_link(pyramid, lat, apex)
-    md = derived_moment_data("sigma_F", link)
+    md = derived_moment_data(link)
     assert md.d == 4 and md.m == 1
     # the cone point is on the zero level
     assert np.linalg.norm(psi(md, [0, 0, 0, 0])) < 1e-12
@@ -212,7 +212,7 @@ def test_derived_moment_data_delta(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
     link = build_link(pyramid, lat, apex)
-    md = derived_moment_data("delta_F", link)
+    md = moment_data(link.delta_F)
     assert md.d == 4 and md.m == 2
     # pairing with the slicing direction is sum s_j |z_j|^2 - 1
     rng = np.random.default_rng(3)
@@ -224,19 +224,11 @@ def test_derived_moment_data_delta(pyramid):
     assert res.residual <= 1e-9
 
 
-def test_derived_moment_data_rejects_unknown_kind(pyramid):
-    lat = pyramid.face_lattice()
-    apex = lat.singular_faces()[0]
-    link = build_link(pyramid, lat, apex)
-    with pytest.raises(PreconditionError):
-        derived_moment_data("nonsense", link)
-
-
 def test_sigma_retract_rejects_nonface_support(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
     link = build_link(pyramid, lat, apex)
-    md = derived_moment_data("sigma_F", link)
+    md = derived_moment_data(link)
     # zeros on local coordinates {1, 2} = parent facets {1, 2}: opposite
     # slants meet only at the apex, so this is not a face pattern
     with pytest.raises(PreconditionError):
@@ -249,7 +241,7 @@ def test_sigma_retract_on_proper_cone_face(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
     link = build_link(pyramid, lat, apex)
-    md = derived_moment_data("sigma_F", link)
+    md = derived_moment_data(link)
     res = retract(md, [0, 2.0, 0, 0.5])
     assert res.residual <= 1e-9
     assert res.zero_set == (1, 3)
