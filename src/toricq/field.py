@@ -10,6 +10,13 @@ the root interval until the caller's test on the scalar's interval value
 holds.  :meth:`FieldScalar.shadow` gives the correctly rounded float, which
 does not depend on that refinement, and a rigorous error bound.
 
+Building a field counts the real roots in the interval with a Sturm
+sequence over ``Fraction`` and certifies irreducibility in house (Cohen
+1993, §3.4): the rational-root test in degree 2 and 3, otherwise the
+factor degrees of the polynomial modulo small primes.  Only a polynomial
+with no certificate (one that is not squarefree, or that splits modulo
+every prime, like x^4 - 10x^2 + 1) imports sympy to decide.
+
 Degree 1 collapses to plain rational arithmetic: a scalar's one
 coefficient is its value.  The elimination kernels (``linalg._rref``,
 ``linalg.pivot``, ``polytope.cone_rays``, the chart search in ``groups``)
@@ -62,6 +69,159 @@ def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
+# Dense polynomials: coefficient lists, constant term first, no trailing
+# zeros; over Q (Fraction entries, p = 0) or over the prime field F_p.
+
+def _strip(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a, b, p: int = 0) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b."""
+    a = _strip(list(a))
+    inv = pow(b[-1], -1, p) if p else 1 / Fraction(b[-1])
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] * inv % p if p else a[-1] * inv
+        s = len(a) - len(b)
+        q[s] = c
+        for i, bi in enumerate(b):
+            a[s + i] = (a[s + i] - c * bi) % p if p else a[s + i] - c * bi
+        _strip(a)
+    return q, a
+
+
+def _poly_gcd(a, b, p: int) -> list:
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return a
+
+
+def _poly_mulmod(a, b, f, p: int) -> list:
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _poly_divmod([c % p for c in prod], f, p)[1]
+
+
+def _poly_powmod(a, e: int, f, p: int) -> list:
+    """a**e modulo f over F_p."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, a, f, p)
+        a = _poly_mulmod(a, a, f, p)
+        e >>= 1
+    return result
+
+
+def _factor_degrees_mod(coeffs: Sequence[int], p: int) -> list[int] | None:
+    """Degrees of the irreducible factors of the polynomial modulo p, by
+    distinct-degree factorisation; None when p divides the leading
+    coefficient or the discriminant (the reduction is not squarefree)."""
+    f = _strip([c % p for c in coeffs])
+    if len(f) < len(coeffs):
+        return None
+    derivative = _strip([i * c % p for i, c in enumerate(f)][1:])
+    if len(_poly_gcd(f, derivative, p)) > 1:
+        return None
+    degrees, d, h = [], 0, [0, 1]  # h = x^(p^d) mod f
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _poly_powmod(h, p, f, p)
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        g = _poly_gcd(f, _strip(h_minus_x), p)
+        if len(g) > 1:
+            # g is the product of the factors of degree d
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _poly_divmod(f, g, p)[0]
+            h = _poly_divmod(h, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+_CERTIFICATE_PRIMES = tuple(p for p in range(2, 200)
+                            if all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
+def _irreducible_mod_primes(coeffs: Sequence[int]) -> bool:
+    """True when the polynomial is irreducible over Q by its factor degrees
+    modulo the certificate primes: a factor of degree d over Q makes d a
+    sum of factor degrees modulo every prime that is not skipped, so no
+    such d may remain.  False means no certificate, not reducible."""
+    possible = set(range(1, len(coeffs) - 1))
+    for p in _CERTIFICATE_PRIMES:
+        degrees = _factor_degrees_mod(coeffs, p)
+        if degrees is not None:
+            sums = {0}
+            for d in degrees:
+                sums |= {s + d for s in sums}
+            possible &= sums
+            if not possible:
+                return True
+    return False
+
+
+# Above this size of the constant or the leading coefficient, the
+# rational-root test is skipped: with up to 240 divisors each, it already
+# tries up to 115 200 candidates.
+_TRIAL_DIVISION_LIMIT = 10 ** 6
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
+def _has_rational_root(coeffs: Sequence[int]) -> bool:
+    """Rational-root test: a root a/b in lowest terms has a | c_0, b | c_n;
+    f(a/b) = 0 is tested as b^n f(a/b) = 0 in integers."""
+    if coeffs[0] == 0:
+        return True
+    n = len(coeffs) - 1
+    return any(sum(c * a ** i * b ** (n - i) for i, c in enumerate(coeffs)) == 0
+               for d in _divisors(coeffs[0]) for b in _divisors(coeffs[-1])
+               for a in (d, -d))
+
+
+def _is_irreducible(coeffs: Sequence[int]) -> bool:
+    """Irreducibility over Q, from a certificate when there is one: a
+    polynomial of degree <= 3 is reducible exactly when it has a rational
+    root.  Without one, sympy decides."""
+    if (len(coeffs) <= 4
+            and max(abs(coeffs[0]), abs(coeffs[-1])) <= _TRIAL_DIVISION_LIMIT):
+        return not _has_rational_root(coeffs)
+    if _irreducible_mod_primes(coeffs):
+        return True
+    import sympy
+
+    x = sympy.Symbol("x")
+    return bool(sympy.Poly(list(reversed(coeffs)), x, domain="QQ").is_irreducible)
+
+
+def _count_real_roots(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in (lo, hi), neither of them a root, from the
+    Sturm sequence f, f', -rem(f, f'), ... of the polynomial."""
+    seq = [list(coeffs), [i * c for i, c in enumerate(coeffs)][1:]]
+    while True:
+        rem = _poly_divmod(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+
+    def sign_changes(x: Fraction) -> int:
+        signs = [v > 0 for v in (_poly_eval(g, x) for g in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(lo) - sign_changes(hi)
+
+
 def _float_up(x: Fraction) -> float:
     """Smallest float >= x (x nonnegative)."""
     f = float(x)
@@ -109,10 +269,10 @@ class NumberField:
             if (f_lo > 0) == (f_hi > 0):
                 raise FieldDefinitionError("no sign change on the isolating interval")
             self._lo_positive = f_lo > 0
-            if self._count_real_roots(lo, hi) != 1:
+            if _count_real_roots(self._fp, lo, hi) != 1:
                 raise FieldDefinitionError("interval does not isolate a single real root")
             self.root_interval = (lo, hi)
-            if check_irreducible and not self._sympy_irreducible():
+            if check_irreducible and not _is_irreducible(self.minpoly):
                 raise FieldDefinitionError("minimal polynomial is reducible over Q")
             self.irreducibility_checked = bool(check_irreducible)
 
@@ -120,21 +280,6 @@ class NumberField:
         lead = Fraction(coeffs[-1])
         self._monic = tuple(Fraction(c) / lead for c in coeffs[:-1])
         self._power_table = self._build_power_table()
-
-    def _sympy_irreducible(self) -> bool:
-        import sympy
-
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(reversed(self.minpoly)), x, domain="QQ")
-        return bool(poly.is_irreducible)
-
-    def _count_real_roots(self, lo: Fraction, hi: Fraction) -> int:
-        import sympy
-
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(reversed(self.minpoly)), x, domain="QQ")
-        return int(poly.count_roots(sympy.Rational(lo.numerator, lo.denominator),
-                                    sympy.Rational(hi.numerator, hi.denominator)))
 
     def _build_power_table(self):
         """Coefficient vectors of t^k for k = degree .. 2*degree-2."""
@@ -277,6 +422,8 @@ class FieldScalar:
         if o is None:
             return NotImplemented
         k = self.field.degree
+        if k == 1:
+            return FieldScalar(self.field, (self.coeffs[0] * o.coeffs[0],))
         prod = [Fraction(0)] * (2 * k - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

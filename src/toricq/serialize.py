@@ -37,6 +37,10 @@ def write_atomic(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".toricq-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

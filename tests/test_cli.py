@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -107,6 +109,17 @@ def test_unwritable_output_file_is_an_error_payload(interval_file, tmp_path,
     assert list(err) == ["error"]
     assert err["error"]["type"] == "ValidationError"
     assert err["error"]["message"].startswith(f"cannot write {target}: ")
+
+
+@pytest.mark.parametrize("flag", ["--json", "--dot"])
+def test_output_files_honour_the_umask(interval_file, tmp_path, capsys, flag):
+    target = tmp_path / "out"
+    previous = os.umask(0o022)
+    try:
+        assert main(["faces", interval_file, flag, str(target)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
 
 @pytest.mark.parametrize("command", ["faces", "strata"])

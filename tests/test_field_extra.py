@@ -1,13 +1,20 @@
 """Field arithmetic beyond the quadratic cases the fixtures use."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
 from toricq.errors import FieldDefinitionError
-from toricq.field import NumberField
+from toricq.field import (NumberField, _count_real_roots, _has_rational_root,
+                          _irreducible_mod_primes, _is_irreducible)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +132,114 @@ def test_inverse_of_zero_divisor_is_a_field_error():
                     check_irreducible=False)
     with pytest.raises(FieldDefinitionError, match="gcd with minimal polynomial"):
         f.scalar([-2, 1]).inverse()
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _seeded_polynomials(seed, count):
+    """Integer polynomials of degree 2-6, constant term first: random ones,
+    products of two factors and ones with a repeated factor."""
+    rng = random.Random(seed)
+
+    def factor(lo, hi):
+        return ([rng.randint(-6, 6) for _ in range(rng.randint(lo, hi))]
+                + [rng.choice([1, 1, 2, -3])])
+
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 0:
+            c = factor(2, 6)
+        elif kind == 1:
+            c = _poly_mul(factor(1, 3), factor(1, 3))
+        else:
+            a = factor(1, 2)
+            c = _poly_mul(_poly_mul(a, a), factor(0, 2))
+        if 2 <= len(c) - 1 <= 6:
+            out.append(c)
+    return out
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), domain="QQ")
+
+
+def test_sturm_count_matches_sympy_count_roots():
+    rng = random.Random(31)
+    checked = 0
+    for coeffs in _seeded_polynomials(7, 240):
+        poly = _sympy_poly(coeffs)
+        for _ in range(3):
+            lo = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+            hi = lo + Fraction(rng.randint(1, 60), rng.randint(1, 6))
+            ends = [sympy.Rational(e.numerator, e.denominator) for e in (lo, hi)]
+            if any(poly.eval(e) == 0 for e in ends):
+                continue  # field construction rejects a rational endpoint root first
+            fp = [Fraction(c) for c in coeffs]
+            assert _count_real_roots(fp, lo, hi) == poly.count_roots(*ends), (coeffs, lo, hi)
+            checked += 1
+    assert checked > 600
+
+
+def test_irreducibility_certificate_is_never_wrong():
+    certified = 0
+    # two cubics too large for the rational-root test: 3x^3 + x + 10^15 + 37
+    # and (x - 10^7)(x^2 + 1)
+    large = [[10 ** 15 + 37, 1, 0, 3], [-10 ** 7, 1, -10 ** 7, 1]]
+    for coeffs in _seeded_polynomials(11, 300) + large:
+        irreducible = _sympy_poly(coeffs).is_irreducible
+        if len(coeffs) <= 4 and coeffs not in large:
+            assert (not _has_rational_root(coeffs)) == irreducible, coeffs
+        certificate = _irreducible_mod_primes(coeffs)
+        assert not (certificate and not irreducible), coeffs
+        certified += certificate
+        assert _is_irreducible(coeffs) == irreducible, coeffs
+    assert certified > 50
+
+
+def test_polynomial_split_modulo_every_prime_reaches_the_fallback():
+    # x^4 - 10x^2 + 1, the minimal polynomial of sqrt2 + sqrt3 ~ 3.146:
+    # irreducible over Q, a product of quadratics modulo every prime
+    coeffs = [1, 0, -10, 0, 1]
+    assert not _irreducible_mod_primes(coeffs)
+    field = NumberField(coeffs, (3, 4))
+    assert field.irreducibility_checked is True
+
+
+@pytest.mark.parametrize("minpoly, interval, message", [
+    ([6, 0, -5, 0, 1], ("1.4", "1.5"), "minimal polynomial is reducible over Q"),
+    ([-4, 0, 1], ("2", "3"), "rational endpoint is a root"),
+    ([-2, 0, 1], ("2", "3"), "no sign change on the isolating interval"),
+    ([1, -3, 0, 1], ("-2", "2"), "interval does not isolate a single real root"),
+    ([-4, 0, 1], ("1.9", "2.1"), "minimal polynomial is reducible over Q"),
+])
+def test_field_definition_errors_keep_their_messages(minpoly, interval, message):
+    # (x^2 - 2)(x^2 - 3) on [1.4, 1.5]; x^2 - 4 with an endpoint root;
+    # x^2 - 2 with no sign change; x^3 - 3x + 1 with three roots; x^2 - 4
+    with pytest.raises(FieldDefinitionError, match=message):
+        NumberField(minpoly, tuple(Fraction(e) for e in interval))
+
+
+def test_shipped_sqrt2_runs_never_import_sympy():
+    """A fresh process (the tests import sympy themselves) loads the
+    shipped Q(sqrt2) instances and runs analyze and strata on them."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from toricq.cli import main\n"
+        "for name in ('interval_sqrt2', 'pyramid_sqrt2'):\n"
+        "    for command in ('analyze', 'strata'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert main([command, f'instances/{name}.json']) == 0\n"
+        "print('sympy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
