@@ -3,6 +3,10 @@ kernels, and invariant factors of finite quotients.
 
 Lattices are column lattices: a list of integer column vectors of a fixed
 length generates the subgroup of Z^n of their integer combinations.
+:func:`quotient_invariants` takes integer input only: the chart groups
+over Q come from the integer chart tableau of ``groups`` as they are, and
+the scalar chart path of a field of degree >= 2 clears its denominators
+first.
 """
 
 from __future__ import annotations
@@ -61,11 +65,6 @@ def column_echelon(cols: list[list[int]]) -> list[list[int]]:
         work.remove(pivot)
         basis.append(pivot)
     return basis
-
-
-def in_column_lattice(cols: list[list[int]], target: Sequence[int]) -> bool:
-    """Exact membership of target in the integer column span."""
-    return in_echelon_lattice(column_echelon(cols), target)
 
 
 def in_echelon_lattice(basis: list[list[int]], target: Sequence[int]) -> bool:
@@ -162,20 +161,20 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
     return diag
 
 
-def quotient_invariants(images: Sequence[Sequence[Fraction]], n: int) -> tuple[int, list[int]]:
-    """Order and invariant factors of (Z^n + sum Z*v) / Z^n.
+def quotient_invariants(columns: Sequence[Sequence[int]], n: int,
+                        denom: int) -> tuple[int, list[int]]:
+    """Order and invariant factors of (Z^n + sum Z*v) / Z^n for the images
+    v = c / denom of the integer columns c.
 
-    The images v must be rational n-vectors; the quotient is then finite.
-    With D the common denominator, D*(Z^n + sum Z*v) is the column lattice
-    of the n x (n+k) matrix [D*I | D*v].  If the Smith diagonal of that
-    matrix is d_1 | ... | d_n, the quotient is the sum of the cyclic groups
-    Z/(D/d_i), so its invariant factors are the D/d_i, sorted.
+    denom*(Z^n + sum Z*v) is the column lattice of the n x (n+k) matrix
+    [denom*I | c].  If the Smith diagonal of that matrix is d_1 | ... | d_n,
+    the quotient is the sum of the cyclic groups Z/(denom/d_i), so its
+    invariant factors are the denom/d_i, sorted.
     Returns (order, nontrivial invariant factors).
     """
-    if not images:
+    if not columns:
         return 1, []
-    denom, cleared = clear_denominators(list(images))
-    rows = [[denom if c == r else 0 for c in range(n)] + [v[r] for v in cleared]
+    rows = [[denom if c == r else 0 for c in range(n)] + [v[r] for v in columns]
             for r in range(n)]
     diag = smith_diagonal(rows)
     if len(diag) != n:

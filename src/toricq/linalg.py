@@ -12,9 +12,11 @@ coercion, the coefficient tuple and the fresh wrapper of each
 ``FieldScalar`` operation.  :func:`raw` and :func:`wrapped` convert at the
 boundary, and :func:`arithmetic` gives the zero test, inverse and sign of a
 field's raw entries, picked once per kernel call.  The public functions
-here, ``polytope.cone_rays``, the chart search in ``groups`` and the link
-data in ``strata`` unwrap their input and wrap only what they return;
-:func:`dot` does the same for vectors over a field of degree 1.
+here, ``polytope.cone_rays`` and the link data in ``strata`` unwrap their
+input and wrap only what they return; :func:`dot` does the same for
+vectors over a field of degree 1.  The chart search in ``groups`` pivots
+with :func:`pivot` over fields of degree >= 2 and on an integer tableau
+of its own over Q.
 """
 
 from __future__ import annotations

@@ -2,13 +2,15 @@ import json
 import math
 import os
 import stat
+import sys
 from pathlib import Path
 
 import pytest
 
-from toricq import cli, linalg, serialize
+from toricq import cli, groups, intlat, linalg, serialize
 from toricq.cli import main
 from toricq.errors import SolverError, ValidationError
+from toricq.field import FieldScalar
 from toricq.polytope import Polytope
 
 from test_groups import CHART_PRECONDITIONS, TRAPEZOID
@@ -169,22 +171,29 @@ def test_commands_eliminate_once_per_exact_question(monkeypatch, capsys):
     lattice off its parent's, so strata enumerates vertices once (6 times
     on pyramid4 and 7 on the octahedron, at 56 and 68 eliminations, when
     each link ran its own double-description pass).  The chart search in
-    analyze reduces one tableau per nonsimple vertex and reaches every
-    other basis of that vertex by single pivots, which are not counted."""
+    analyze reduces one tableau per nonsimple vertex (by its own pivots,
+    counted here through its first basis) and reaches every other basis of
+    that vertex by single pivots, which are not counted."""
     calls = [0]
     enumerations = [0]
     rref = linalg._rref
+    first_basis = groups._first_basis
     enumerate_vertices = Polytope._enumerate_vertices
 
     def counted(rows, ncols):
         calls[0] += 1
         return rref(rows, ncols)
 
+    def counted_first_basis(search, tableau, ncols):
+        calls[0] += 1
+        return first_basis(search, tableau, ncols)
+
     def counted_enumeration(self):
         enumerations[0] += 1
         return enumerate_vertices(self)
 
     monkeypatch.setattr(linalg, "_rref", counted)
+    monkeypatch.setattr(groups, "_first_basis", counted_first_basis)
     monkeypatch.setattr(Polytope, "_enumerate_vertices", counted_enumeration)
 
     def eliminations(command, name):
@@ -205,6 +214,37 @@ def test_commands_eliminate_once_per_exact_question(monkeypatch, capsys):
     assert sorted(analyze) == sorted(p.stem for p in INSTANCES.glob("*.json"))
     for name, bound in analyze.items():
         assert eliminations("analyze", name + ".json") <= bound, name
+
+
+def test_rational_charts_reduce_on_integers(monkeypatch, capsys):
+    """analyze over Q reduces chart images on the integer tableau: no
+    scalar takes its fractional part, and only the quasilattice's rank
+    certificate clears denominators, once per polytope.  Over Q(sqrt2) the
+    scalar chart path still takes fractional parts."""
+    frac_calls, callers = [0], []
+    frac_part = FieldScalar.frac_part
+    clear_denominators = intlat.clear_denominators
+
+    def counted_frac_part(self):
+        frac_calls[0] += 1
+        return frac_part(self)
+
+    def counted_clear(vectors):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return clear_denominators(vectors)
+
+    monkeypatch.setattr(FieldScalar, "frac_part", counted_frac_part)
+    monkeypatch.setattr(intlat, "clear_denominators", counted_clear)
+    for name in ("interval", "octahedron", "pyramid4", "square_pyramid",
+                 "weighted_triangle"):
+        callers.clear()
+        assert main(["analyze", str(INSTANCES / (name + ".json"))]) == 0
+        assert "gamma_table" in json.loads(capsys.readouterr().out)
+        assert frac_calls[0] == 0, name
+        assert callers == ["Quasilattice._echelon"], name
+    assert main(["analyze", str(INSTANCES / "interval_sqrt2.json")]) == 0
+    capsys.readouterr()
+    assert frac_calls[0] > 0
 
 
 def test_cmd_retract(interval_file, capsys):

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from toricq import intlat, linalg
+from toricq import groups, intlat, linalg
 from toricq.errors import PreconditionError, ValidationError
 from toricq.groups import (Quasilattice, _expand, _presentation,
                            chart_index_sets, gamma_check, gamma_group,
@@ -17,6 +17,8 @@ from toricq.sampling import Sampler
 from toricq.serialize import load_instance
 from toricq.strata import _b_tilde
 
+from test_groups_extra import (half_lattice_pyramid, half_lattice_triangle,
+                               mixed_denominator_square)
 from test_polytope import _generated
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -59,7 +61,8 @@ def _fresh_contains(q, v):
     generators and the target together, then reduce in the column lattice."""
     vectors = [_expand(g) for g in q.generators] + [_expand(linalg.vec(q.field, v))]
     _, cleared = intlat.clear_denominators(vectors)
-    return intlat.in_column_lattice(cleared[:-1], cleared[-1])
+    return intlat.in_echelon_lattice(intlat.column_echelon(cleared[:-1]),
+                                     cleared[-1])
 
 
 def test_contains_matches_the_fresh_formula(qq, q_sqrt2):
@@ -329,6 +332,38 @@ def test_chart_table_matches_the_subset_scan(qq, q_sqrt2):
             assert sampler.n_element() == theta
         nonsimple += any(len(a) > p.n for a in lat.vertex_active)
     assert nonsimple >= 3
+
+
+def test_integer_pivot_divides_exactly(qq, q_sqrt2, monkeypatch):
+    """Every numerator T_ij T_rc - T_ic T_rj of the integer chart search is a
+    multiple of the old denominator, so its floor division is exact: a
+    dropped remainder would change a chart group without an error."""
+    pivot = groups._INTEGER.pivot
+    divisions = [0]
+
+    def checked(tableau, denom, r, c):
+        top = tableau[r]
+        for i, row in enumerate(tableau):
+            if i != r:
+                for x, t in zip(row, top):
+                    assert (x * top[c] - row[c] * t) % denom == 0
+                divisions[0] += len(row)
+        return pivot(tableau, denom, r, c)
+
+    monkeypatch.setattr(groups, "_INTEGER", groups._INTEGER._replace(pivot=checked))
+    shipped = [load_instance(str(path)).polytope
+               for path in sorted(INSTANCES.glob("*.json"))]
+    refined = [half_lattice_triangle(qq), mixed_denominator_square(qq),
+               half_lattice_pyramid(qq)]
+    for p in _generated(qq, q_sqrt2) + shipped + refined:
+        if p.field.degree != 1:
+            continue
+        # a fresh copy: the shared polytopes may hold their tables already
+        fresh = Polytope(p.field, p.normals, p.offsets, p.quasilattice)
+        lat = fresh.face_lattice()
+        for I in chart_index_sets(fresh, lat):
+            gamma_group(fresh, I, lat)
+    assert divisions[0] > 5000
 
 
 def test_gamma_check_vertex_trivial(weighted_triangle):

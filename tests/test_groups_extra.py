@@ -9,12 +9,30 @@ from toricq.groups import Quasilattice, chart_index_sets, gamma_check, gamma_gro
 from toricq.polytope import Polytope
 
 
-@pytest.fixture(scope="module")
-def triangle_half_lattice(qq):
+def half_lattice_triangle(qq):
     """Standard triangle over Q = (1/2)Z^2."""
     half = Fraction(1, 2)
     q = Quasilattice(qq, [[half, 0], [0, half]])
     return Polytope(qq, [[1, 0], [0, 1], [-1, -1]], [0, 0, -1], q)
+
+
+def mixed_denominator_square(qq):
+    """The unit square over Q = Z x (1/3)Z."""
+    q = Quasilattice(qq, [[1, 0], [0, Fraction(1, 3)]])
+    return Polytope(qq, [[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1], q)
+
+
+def half_lattice_pyramid(qq):
+    """A square pyramid with a singular apex over Q = (1/2)Z^3."""
+    half = Fraction(1, 2)
+    q = Quasilattice(qq, [[half, 0, 0], [0, half, 0], [0, 0, half]])
+    return Polytope(qq, [[-1, 0, -1], [1, 0, -1], [0, -1, -1], [0, 1, -1],
+                         [0, 0, 1]], [-1, -1, -1, -1, 0], q)
+
+
+@pytest.fixture(scope="module")
+def triangle_half_lattice(qq):
+    return half_lattice_triangle(qq)
 
 
 def test_half_lattice_orders(triangle_half_lattice):
@@ -43,8 +61,7 @@ def test_half_lattice_generator_images(triangle_half_lattice):
 
 def test_mixed_denominator_lattice(qq):
     """Q = Z x (1/3)Z on the unit square: orders follow the covolume."""
-    q = Quasilattice(qq, [[1, 0], [0, Fraction(1, 3)]])
-    square = Polytope(qq, [[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1], q)
+    square = mixed_denominator_square(qq)
     lat = square.face_lattice()
     for I in chart_index_sets(square, lat):
         g = gamma_group(square, I, lat)
@@ -55,10 +72,7 @@ def test_mixed_denominator_lattice(qq):
 def test_gamma_check_quotient_on_half_lattice(qq):
     """A singular apex over a refined lattice: the chart quotient group
     divides the full chart group."""
-    half = Fraction(1, 2)
-    q = Quasilattice(qq, [[half, 0, 0], [0, half, 0], [0, 0, half]])
-    pyramid = Polytope(qq, [[-1, 0, -1], [1, 0, -1], [0, -1, -1], [0, 1, -1],
-                            [0, 0, 1]], [-1, -1, -1, -1, 0], q)
+    pyramid = half_lattice_pyramid(qq)
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
     charts = [I for I in chart_index_sets(pyramid, lat)

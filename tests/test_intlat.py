@@ -12,9 +12,21 @@ def _random_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
+def _in_lattice(cols, target):
+    """Membership of target in the integer column span of cols."""
+    return intlat.in_echelon_lattice(intlat.column_echelon(cols), target)
+
+
 def _same_lattice(cols_a, cols_b):
-    return (all(intlat.in_column_lattice(cols_b, c) for c in cols_a)
-            and all(intlat.in_column_lattice(cols_a, c) for c in cols_b))
+    return (all(_in_lattice(cols_b, c) for c in cols_a)
+            and all(_in_lattice(cols_a, c) for c in cols_b))
+
+
+def _quotient(images, n):
+    """``quotient_invariants`` of rational images, their denominators
+    cleared first."""
+    denom, cleared = intlat.clear_denominators(images)
+    return intlat.quotient_invariants(cleared, n, denom)
 
 
 def test_column_echelon_matches_sympy_lattice():
@@ -35,15 +47,15 @@ def test_column_echelon_matches_sympy_lattice():
 
 def test_membership_simple():
     cols = [[2, 0], [0, 3]]
-    assert intlat.in_column_lattice(cols, [4, -3])
-    assert not intlat.in_column_lattice(cols, [1, 0])
-    assert intlat.in_column_lattice(cols, [0, 0])
+    assert _in_lattice(cols, [4, -3])
+    assert not _in_lattice(cols, [1, 0])
+    assert _in_lattice(cols, [0, 0])
 
 
 def test_membership_parity_obstruction():
     # lattice 2Z in Z: 1 is not a member
-    assert not intlat.in_column_lattice([[2]], [1])
-    assert intlat.in_column_lattice([[2]], [-6])
+    assert not _in_lattice([[2]], [1])
+    assert _in_lattice([[2]], [-6])
 
 
 def test_integer_kernel():
@@ -64,7 +76,7 @@ def test_integer_kernel():
             for x in vec:
                 denom = sympy.ilcm(denom, sympy.Rational(x).q)
             cand = [int(x * denom) for x in vec]
-            assert intlat.in_column_lattice([list(k) for k in kern], cand)
+            assert _in_lattice([list(k) for k in kern], cand)
 
 
 def test_smith_diagonal_matches_sympy():
@@ -80,23 +92,25 @@ def test_smith_diagonal_matches_sympy():
 
 
 def test_quotient_invariants_halves():
-    order, factors = intlat.quotient_invariants([[Fraction(1, 2), Fraction(1, 2)]], 2)
+    order, factors = _quotient([[Fraction(1, 2), Fraction(1, 2)]], 2)
     assert order == 2 and factors == [2]
+    # a common denominator need not be the least one
+    assert intlat.quotient_invariants([[2, 2]], 2, 4) == (2, [2])
 
 
 def test_quotient_invariants_trivial():
-    order, factors = intlat.quotient_invariants([[Fraction(1), Fraction(0)]], 2)
+    order, factors = _quotient([[Fraction(1), Fraction(0)]], 2)
     assert order == 1 and factors == []
-    order, factors = intlat.quotient_invariants([], 3)
+    order, factors = _quotient([], 3)
     assert order == 1 and factors == []
 
 
 def test_quotient_invariants_mixed():
     images = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
-    order, factors = intlat.quotient_invariants(images, 2)
+    order, factors = _quotient(images, 2)
     assert order == 6 and factors == [6]
     images = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
-    order, factors = intlat.quotient_invariants(images, 2)
+    order, factors = _quotient(images, 2)
     assert order == 4 and factors == [2, 2]
 
 
@@ -124,7 +138,7 @@ def test_quotient_invariants_match_enumerated_group():
         n, k = rng.randint(1, 3), rng.randint(1, 3)
         images = [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)]
                   for _ in range(k)]
-        order, factors = intlat.quotient_invariants(images, n)
+        order, factors = _quotient(images, n)
         group = _group_mod_one(images, n)
         assert order == len(group)
         assert all(f > 1 for f in factors) and factors == sorted(factors)

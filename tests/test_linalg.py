@@ -1,13 +1,20 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 
 from toricq import linalg
-from toricq.groups import Quasilattice, _chart, chart_index_sets, gamma_group
+from toricq.groups import (Quasilattice, _chart, _table_entry, chart_index_sets,
+                           gamma_check, gamma_group)
 from toricq.polytope import Polytope
+from toricq.serialize import load_instance
 
+from test_groups_extra import (half_lattice_pyramid, half_lattice_triangle,
+                               mixed_denominator_square)
 from test_polytope import _generated
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def _random_rational_matrix(rng, n):
@@ -57,8 +64,9 @@ def test_det_is_multiplicative_over_sqrt2(q_sqrt2):
 
 def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
     """The same rational data over Q, where the kernels run on plain
-    Fractions, and over Q(sqrt2), where they run on FieldScalars, gives the
-    same eliminations and the same chart data, coefficient by coefficient."""
+    Fractions and the chart search on an integer tableau, and over
+    Q(sqrt2), where both run on FieldScalars, gives the same eliminations,
+    chart preimages and chart groups, coefficient by coefficient."""
     def lift(s):
         # a Q scalar's coefficients as a rational Q(sqrt2) scalar's
         return s.coeffs + (Fraction(0),)
@@ -106,7 +114,15 @@ def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
         assert lift(linalg.dot(a[0], a[-1])) == linalg.dot(b[0], b[-1]).coeffs
     assert kinds["deficient"] >= 5 and kinds["zero column"] >= 5
 
-    rational = [p for p in _generated(qq, q_sqrt2) if p.field is qq]
+    # the chart layer: the integer tableau over Q against the scalar search
+    # over Q(sqrt2), for every chart group and every stratum chart group
+    shipped = [load_instance(str(path)).polytope
+               for path in sorted(INSTANCES.glob("*.json"))]
+    refined = [half_lattice_triangle(qq), mixed_denominator_square(qq),
+               half_lattice_pyramid(qq)]
+    rational = [p for p in _generated(qq, q_sqrt2) + shipped + refined
+                if p.field.degree == 1]
+    negative = checks = 0
     for p in rational:
         def frac(v):
             return [s.as_fraction() for s in v]
@@ -115,8 +131,23 @@ def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
         lat, lat2 = p.face_lattice(), p2.face_lattice()
         assert lat.vertex_active == lat2.vertex_active
         assert lifted(lat.vertex_coords) == coeffs(lat2.vertex_coords)
+        assert [f.index_set for f in lat.faces] == [f.index_set for f in lat2.faces]
         charts = chart_index_sets(p, lat)
         assert charts == chart_index_sets(p2, lat2)
         for I in charts:
             assert lifted(_chart(p, lat, I)[1]) == coeffs(_chart(p2, lat2, I)[1])
-            assert gamma_group(p, I, lat).order == gamma_group(p2, I, lat2).order
+            negative += _table_entry(p, lat, I)[1][0] < 0
+            pairs = [(gamma_group(p, I, lat), gamma_group(p2, I, lat2))]
+            for f, f2 in zip(lat.faces, lat2.faces):
+                if len(set(I) & set(f.index_set)) == p.n - f.dim:
+                    pairs.append((gamma_check(p, I, f, lat),
+                                  gamma_check(p2, I, f2, lat2)))
+            for g, g2 in pairs:
+                assert (g.chart_index_set, g.coords, g.finite, g.order,
+                        g.invariant_factors) \
+                    == (g2.chart_index_set, g2.coords, g2.finite, g2.order,
+                        g2.invariant_factors)
+                assert lifted(g.generator_images) == coeffs(g2.generator_images)
+            checks += len(pairs)
+    # charts whose integer tableau has a negative denominator are common
+    assert negative >= 1 and checks >= 1000
