@@ -42,7 +42,7 @@ def analyze_report(instance) -> dict:
     p = instance.polytope
     lat = p.face_lattice()
     rank, _ = p.quasilattice.rank_certificate()
-    table = _gamma_table(p, lat)
+    table = _gamma_table(p)
     return {"n": p.n, "d": p.d,
             "face_count": len(lat.faces),
             "vertex_count": len(lat.vertices()),
@@ -56,10 +56,10 @@ def analyze_report(instance) -> dict:
             "gamma_table": table}
 
 
-def _gamma_table(p, lat) -> list[dict]:
+def _gamma_table(p) -> list[dict]:
     """The chart group of every chart index set, in chart order."""
-    return [serialize.presentation_to_json(gamma_group(p, I, lat))
-            for I in chart_index_sets(p, lat)]
+    return [serialize.presentation_to_json(gamma_group(p, I))
+            for I in chart_index_sets(p)]
 
 
 def _emit(args, payload: dict):
@@ -136,15 +136,14 @@ def cmd_equiv(args) -> int:
 def cmd_gamma(args) -> int:
     instance = serialize.load_instance(args.instance)
     p = instance.polytope
-    lat = p.face_lattice()
     if args.chart:
         try:
             I = tuple(int(t) for t in args.chart.split(","))
         except ValueError as exc:
             raise ValidationError(f"--chart must be comma-separated labels: {exc}")
-        payload = serialize.presentation_to_json(gamma_group(p, I, lat))
+        payload = serialize.presentation_to_json(gamma_group(p, I))
     else:
-        payload = {"charts": _gamma_table(p, lat)}
+        payload = {"charts": _gamma_table(p)}
     _emit(args, payload)
     return 0
 

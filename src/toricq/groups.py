@@ -6,6 +6,8 @@ contains exist only through exact membership tests and kernel data.
 
 Each polytope owns one chart table, the only holder of chart data: chart
 index set I -> the generators' preimages under the basis {X_j : j in I}.
+It is built from the polytope's own face lattice (``p.face_lattice()``),
+so no chart query takes a lattice argument.
 A chart lies in exactly one vertex (n independent active normals fix it).
 Per vertex, one elimination of the tableau [X_A | G] (active set A,
 generators G) gives a first basis; a depth-first search over basis
@@ -43,7 +45,7 @@ from .errors import PreconditionError, ValidationError
 from .field import FieldScalar, NumberField
 
 if TYPE_CHECKING:
-    from .polytope import Face, FaceLattice, Polytope
+    from .polytope import Face, Polytope
 
 
 def _expand(v: Sequence[FieldScalar]) -> list[Fraction]:
@@ -160,13 +162,13 @@ def kernel_data(p: "Polytope") -> SequenceData:
     return seq
 
 
-def _chart_table(p: "Polytope", lat: "FaceLattice") -> dict:
-    """The polytope's chart table, built on the first chart query.  A
-    simple vertex's one chart is its active set; its entry waits for the
-    first query of that chart."""
+def _chart_table(p: "Polytope") -> dict:
+    """The polytope's chart table, built from its own face lattice on the
+    first chart query.  A simple vertex's one chart is its active set; its
+    entry waits for the first query of that chart."""
     if p._charts is None:
         p._charts = {}
-        for active in lat.vertex_active:
+        for active in p.face_lattice().vertex_active:
             p._charts.update(_vertex_charts(p, active) if len(active) > p.n
                              else {active: None})
     return p._charts
@@ -281,10 +283,10 @@ def _vertex_charts(p: "Polytope", active) -> dict:
     return charts
 
 
-def chart_index_sets(p: "Polytope", lat: "FaceLattice") -> list[tuple[int, ...]]:
+def chart_index_sets(p: "Polytope") -> list[tuple[int, ...]]:
     """All I with {X_j : j in I} a basis and I inside some vertex's active
     set, sorted lexicographically."""
-    return sorted(_chart_table(p, lat))
+    return sorted(_chart_table(p))
 
 
 @dataclass
@@ -304,16 +306,15 @@ class DiscreteGroupPresentation:
         return "infinite" if self.order is None else str(self.order)
 
 
-def _table_entry(p: "Polytope", lat: "FaceLattice | None", index_set):
+def _table_entry(p: "Polytope", index_set):
     """The sorted chart index set and its chart table entry; the
     preconditions are checked in a fixed order."""
-    lat = lat or p.face_lattice()
     I = tuple(sorted(int(j) for j in index_set))
     if len(I) != p.n or len(set(I)) != p.n:
         raise PreconditionError("chart index set must have size n")
     if any(j < 1 or j > p.d for j in I):
         raise PreconditionError("chart index set out of range")
-    table = _chart_table(p, lat)
+    table = _chart_table(p)
     if I not in table:
         # a basis inside a vertex's active set would be in the table
         if linalg.rank([p.normals[j - 1] for j in I], p.n) != p.n:
@@ -324,10 +325,10 @@ def _table_entry(p: "Polytope", lat: "FaceLattice | None", index_set):
     return I, table[I]
 
 
-def _chart(p: "Polytope", lat: "FaceLattice | None", index_set):
+def _chart(p: "Polytope", index_set):
     """The sorted chart index set and its generator preimages, as
     scalars."""
-    I, entry = _table_entry(p, lat, index_set)
+    I, entry = _table_entry(p, index_set)
     return I, _search(p.field).preimages(p.field, entry)
 
 
@@ -396,19 +397,17 @@ _SCALAR = _Search(list, FieldScalar.is_zero, _scalar_pivot,
                   lambda p, I, coords, entry: _presentation(p, I, coords, entry[1]))
 
 
-def gamma_group(p: "Polytope", index_set,
-                lat: "FaceLattice | None" = None) -> DiscreteGroupPresentation:
+def gamma_group(p: "Polytope", index_set) -> DiscreteGroupPresentation:
     """The discrete group attached to a chart index set: quasilattice
     preimages under the chart basis, modulo the integer lattice."""
-    I, entry = _table_entry(p, lat, index_set)
+    I, entry = _table_entry(p, index_set)
     return _search(p.field).present(p, I, I, entry)
 
 
-def gamma_check(p: "Polytope", index_set, face: "Face",
-                lat: "FaceLattice | None" = None) -> DiscreteGroupPresentation:
+def gamma_check(p: "Polytope", index_set, face: "Face") -> DiscreteGroupPresentation:
     """The quotient group acting on a stratum chart: generator images
     restricted to the chart coordinates away from the face."""
-    I, entry = _table_entry(p, lat, index_set)
+    I, entry = _table_entry(p, index_set)
     overlap = set(I) & set(face.index_set)
     if len(overlap) != p.n - face.dim:
         raise PreconditionError(

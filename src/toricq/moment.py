@@ -148,10 +148,10 @@ def _moment_data(field: NumberField, normals, offsets, kernel,
 
 def moment_data(p) -> MomentData:
     """Moment-map data of a validated polytope."""
-    index_sets = {f.index_set for f in p.face_lattice().faces}
+    lat = p.face_lattice()
 
     def closed_support(labels: tuple[int, ...]) -> bool:
-        return tuple(sorted(labels)) in index_sets
+        return lat.face_by_index_set(labels) is not None
 
     return _moment_data(p.field, p.normals, p.offsets,
                         kernel_data(p).kernel_basis, closed_support, p)

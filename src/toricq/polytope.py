@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from . import linalg
 from .errors import InternalConsistencyError, ValidationError
@@ -128,24 +127,12 @@ class FaceLattice:
             raise InternalConsistencyError("active-set closure missed the lattice")
         return face
 
-    def cd_delta_membership(self, z: Sequence[complex]) -> Face | None:
-        """Face carrying the support pattern of z, or None for points
-        outside the admissible open set.  Zero coordinates are detected
-        exactly (== 0)."""
-        if len(z) != self.polytope.d:
-            raise ValidationError("point has wrong length")
-        zero_labels = [j + 1 for j, w in enumerate(z) if w == 0]
-        return self.face_of_active_set(zero_labels)
-
     def vertices_of(self, f: Face) -> list[list[FieldScalar]]:
         return [self.vertex_coords[v] for v in sorted(f.vertex_ids)]
 
     def relint_point(self, f: Face) -> list[FieldScalar]:
         """An exact point in the relative interior (vertex barycenter)."""
         return linalg.barycenter(self.vertices_of(f), self.polytope.field)
-
-    def depths(self) -> dict[tuple[int, ...], int]:
-        return {f.index_set: f.depth for f in self.faces}
 
 
 class Polytope:

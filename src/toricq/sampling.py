@@ -31,7 +31,7 @@ class Sampler:
         self.p = p
         self.lat = p.face_lattice()
         self.rng = random.Random(seed)
-        self._charts = chart_index_sets(p, self.lat)
+        self._first_chart = chart_index_sets(p)[0]
         self.md = _moment_for(p)
 
     # -- points -----------------------------------------------------------
@@ -94,12 +94,12 @@ class Sampler:
         random integer combination of the generator preimages."""
         field = self.p.field
         # the angles on the first chart with sum theta_j X_j = g, per generator g
-        pres = _chart(self.p, self.lat, self._charts[0])[1]
+        pres = _chart(self.p, self._first_chart)[1]
         coeffs = [field.from_rational(self.rng.randint(-N_BOUND, N_BOUND))
                   for _ in pres]
         theta_chart = linalg.mat_vec(linalg.transpose(pres), coeffs)
         theta = [field.zero()] * self.p.d
-        for j, t in zip(self._charts[0], theta_chart):
+        for j, t in zip(self._first_chart, theta_chart):
             theta[j - 1] = t
         return theta
 

@@ -9,9 +9,11 @@ columns are the normals in that basis and the reduced rows cut out the cone
 kernel.  The quasilattice is intersected with that span by integer
 saturation, and the link polytope is cut out of the annihilator of the
 slicing direction.  Its face lattice is read off the parent's
-(:meth:`FaceLattice.link_lattice`), so the whole recursion runs on one
-vertex enumeration; each link's own exact work is its quasilattice, kernel
-and chart groups.
+(:meth:`FaceLattice.link_lattice`) and kept on the link polytope, so the
+whole recursion runs on one vertex enumeration.  Every function here reads
+a polytope's lattice and chart table from the polytope itself
+(``p.face_lattice()``); none takes a lattice argument.  Each link's own
+exact work is its quasilattice, kernel and chart groups.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import InternalConsistencyError, PreconditionError
 from .field import FieldScalar
 from .groups import (DiscreteGroupPresentation, Quasilattice, chart_index_sets,
                      gamma_check, gamma_group, kernel_data)
-from .polytope import Face, FaceLattice, Polytope
+from .polytope import Face, Polytope
 
 
 @dataclass
@@ -44,7 +46,6 @@ class LinkData:
     x0: list                           # sum of s_j X_j, in span coordinates
     slice_level: FieldScalar
     xi0: list                          # exact point on the slicing hyperplane
-    ann_basis: list                    # exact basis of ann(x0), column-pivoted
     delta_F: Polytope                  # the link polytope, dimension n-p-1
     n_f_dim: int
     n_f0_dim: int
@@ -145,10 +146,11 @@ def _sub_quasilattice(p: Polytope, basis):
                                 if any(not is_zero(s) for s in c)])
 
 
-def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
+def build_link(p: Polytope, face: Face) -> LinkData:
     """Link of a singular face: the cone over the link polytope, the link
     polytope itself with its inherited normals, offsets and quasilattice,
-    and the recursive stratification of the link."""
+    and the recursive stratification of the link.  The link's lattice is
+    read off ``p``'s and kept on the link polytope before the recursion."""
     if face.regular:
         raise PreconditionError("links are built only for singular faces")
     field = p.field
@@ -192,12 +194,13 @@ def build_link(p: Polytope, lat: FaceLattice, face: Face) -> LinkData:
     if n_f0_dim != n_f_dim + 1:
         raise InternalConsistencyError("link kernel dimensions disagree")
 
-    report = build_stratification(delta_f, lat.link_lattice(face, delta_f))
+    p.face_lattice().link_lattice(face, delta_f)
+    report = build_stratification(delta_f)
     return LinkData(parent=p, face=face, facet_labels=labels,
                     d_F_basis=basis, d_F_basis_labels=basis_labels,
                     sigma_normals=sigma_normals, sigma_offsets=sigma_offsets,
                     cone_kernel=cone_kernel, q_f=q_f, s_coefficients=ones,
-                    x0=x0, slice_level=level, xi0=xi0, ann_basis=ann_basis,
+                    x0=x0, slice_level=level, xi0=xi0,
                     delta_F=delta_f, n_f_dim=n_f_dim, n_f0_dim=n_f0_dim,
                     recursive_report=report)
 
@@ -224,13 +227,13 @@ def _b_tilde(p: Polytope, face: Face, I) -> BTildeData:
                       domain_labels=domain, offsets=list(p.offsets))
 
 
-def build_stratification(p: Polytope,
-                         lat: FaceLattice | None = None) -> StratificationReport:
-    """Full stratification report: one maximal piece, one stratum per
-    singular face with chart, twisting group, link and local data, and the
-    stratum poset with its adjoined maximal element."""
-    lat = lat or p.face_lattice()
-    charts = chart_index_sets(p, lat)
+def build_stratification(p: Polytope) -> StratificationReport:
+    """Full stratification report on the polytope's own face lattice: one
+    maximal piece, one stratum per singular face with chart, twisting
+    group, link and local data, and the stratum poset with its adjoined
+    maximal element."""
+    lat = p.face_lattice()
+    charts = chart_index_sets(p)
     singular = sorted(lat.singular_faces(), key=lambda f: (f.dim, f.index_set))
     regular_count = sum(1 for f in lat.faces if f.regular)
     maximal = MaximalPiece(
@@ -242,9 +245,9 @@ def build_stratification(p: Polytope,
     for face in singular:
         I = _chart_for_face(p, face, charts)
         coords = tuple(sorted(set(I) - set(face.index_set)))
-        chart_group = gamma_check(p, I, face, lat)
-        gamma_full = gamma_group(p, I, lat)
-        link = build_link(p, lat, face)
+        chart_group = gamma_check(p, I, face)
+        gamma_full = gamma_group(p, I)
+        link = build_link(p, face)
         model = (f"(C*)^{list(coords)} modulo the order-{chart_group.order_text} "
                  f"chart quotient group")
         entries.append(StratumEntry(

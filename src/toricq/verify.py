@@ -193,7 +193,7 @@ def _is_standard_lattice(p: Polytope) -> bool:
 def _det_order_mismatch(ctx: _Context, charts):
     """The first chart I, with its group, whose order is not |det X_I|."""
     for I in charts:
-        g = gamma_group(ctx.p, I, ctx.lat)
+        g = gamma_group(ctx.p, I)
         det = linalg.det([ctx.p.normals[j - 1] for j in I], ctx.p.field)
         if not g.finite or g.order != abs(det.as_fraction()):
             return I, g
@@ -203,7 +203,7 @@ def _det_order_mismatch(ctx: _Context, charts):
 def groups_det_orders(ctx: _Context) -> PropertyResult:
     if not _is_standard_lattice(ctx.p):
         return _ok(0, note="inapplicable: quasilattice is not Z^n")
-    charts = chart_index_sets(ctx.p, ctx.lat)
+    charts = chart_index_sets(ctx.p)
     if (bad := _det_order_mismatch(ctx, charts)) is not None:
         return _fail(len(charts), {"I": list(bad[0]), "order": bad[1].order_text})
     return _ok(len(charts))
@@ -213,7 +213,7 @@ def groups_gamma_check_divides(ctx: _Context) -> PropertyResult:
     singular = ctx.lat.singular_faces()
     if not singular:
         return _ok(0, note="inapplicable: no singular faces")
-    charts = chart_index_sets(ctx.p, ctx.lat)
+    charts = chart_index_sets(ctx.p)
     full = {}    # one gamma_group per chart, shared by every face
     checked = 0
     for face in singular:
@@ -221,9 +221,9 @@ def groups_gamma_check_divides(ctx: _Context) -> PropertyResult:
             if len(set(I) & set(face.index_set)) != ctx.p.n - face.dim:
                 continue
             if I not in full:
-                full[I] = gamma_group(ctx.p, I, ctx.lat)
+                full[I] = gamma_group(ctx.p, I)
             gi = full[I]
-            gc = gamma_check(ctx.p, I, face, ctx.lat)
+            gc = gamma_check(ctx.p, I, face)
             checked += 1
             if gi.finite and gc.finite and gi.order % gc.order != 0:
                 return _fail(checked, {"I": list(I),
@@ -485,7 +485,7 @@ def orbits_face_orbit_bijection(ctx: _Context) -> PropertyResult:
         reached.add(oc.face_E.index_set)
     if reached != {f.index_set for f in ctx.lat.faces}:
         return _fail(len(ctx.lat.faces), {"missing": "faces unreached"})
-    charts = chart_index_sets(ctx.p, ctx.lat)
+    charts = chart_index_sets(ctx.p)
     if (bad := _det_order_mismatch(ctx, charts)) is not None:
         return _fail(len(charts), {"I": list(bad[0])})
     return _ok(len(ctx.lat.faces) + len(charts))
@@ -498,7 +498,7 @@ def _strata_context(ctx: _Context):
     if not ctx.lat.singular_faces():
         return None
     if ctx.report is None:
-        ctx.report = build_stratification(ctx.p, ctx.lat)
+        ctx.report = build_stratification(ctx.p)
     return ctx.report
 
 
@@ -608,9 +608,9 @@ def io_determinism(ctx: _Context) -> PropertyResult:
     if a != b:
         return _fail(1, {"reason": "analyze report not deterministic"})
     r1 = serialize.dumps(serialize.report_to_json(
-        build_stratification(ctx.p, ctx.lat)))
+        build_stratification(ctx.p)))
     r2 = serialize.dumps(serialize.report_to_json(
-        build_stratification(ctx.p, ctx.lat)))
+        build_stratification(ctx.p)))
     if r1 != r2:
         return _fail(1, {"reason": "strata report not deterministic"})
     return _ok(2)

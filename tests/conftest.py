@@ -79,6 +79,12 @@ def pyramid4(qq):
 
 
 @pytest.fixture(scope="session")
+def octahedron(qq):
+    normals = [[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    return Polytope(qq, normals, [-1] * 8, _std_lattice(qq, 3))
+
+
+@pytest.fixture(scope="session")
 def cube(qq):
     return Polytope(qq, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
                          [-1, 0, 0], [0, -1, 0], [0, 0, -1]],

@@ -44,7 +44,7 @@ def test_criterion_02_square_pyramid_link(pyramid):
     assert apex.index_set == (1, 2, 3, 4) and apex.dim == 0
     depth = lat.polytope_depth
     assert depth == 1
-    link = build_link(pyramid, lat, apex)
+    link = build_link(pyramid, apex)
     assert link.delta_F.n == 2
     assert link.delta_F.d == 4
     dlat = link.delta_F.face_lattice()
@@ -58,14 +58,13 @@ def test_criterion_02_square_pyramid_link(pyramid):
 
 
 def test_criterion_03_weighted_triangle_groups(weighted_triangle):
-    lat = weighted_triangle.face_lattice()
-    g = gamma_group(weighted_triangle, (1, 3), lat)
+    g = gamma_group(weighted_triangle, (1, 3))
     assert g.finite and g.order == 2 and g.invariant_factors == [2]
     snf = smith_normal_form(sympy.Matrix([[1, -1], [0, -2]]))
     oracle = sorted(abs(snf[i, i]) for i in range(2) if snf[i, i] != 0)
     assert [f for f in oracle if f > 1] == [2]
     for I in ((1, 2), (2, 3)):
-        assert gamma_group(weighted_triangle, I, lat).order == 1
+        assert gamma_group(weighted_triangle, I).order == 1
     _report(3, "weighted triangle: chart group Z/2 at vertex {1,3} matches "
                "the Smith-normal-form oracle; other charts trivial")
 
@@ -74,7 +73,7 @@ def test_criterion_04_nonrational_exact(interval_sqrt2):
     rank, basis = interval_sqrt2.quasilattice.rank_certificate()
     assert rank == 2
     assert interval_sqrt2.quasilattice.is_lattice is False
-    g = gamma_group(interval_sqrt2, (1,), interval_sqrt2.face_lattice())
+    g = gamma_group(interval_sqrt2, (1,))
     assert g.finite is False and g.order is None
     assert g.order_text == "infinite"
     _report(4, "Q = Z + sqrt2 Z: rank 2, not a lattice, chart group at {1} "
@@ -144,7 +143,7 @@ def test_criterion_09_rational_recovery(triangle, unit_square, cube):
         for a in lat.faces:
             for b in lat.faces:
                 assert (set(a.index_set) >= set(b.index_set)) == lat.le(a, b)
-        assert build_stratification(p, lat).strata == []
+        assert build_stratification(p).strata == []
     _report(9, "three rational simple instances reproduce the classical "
                "face-orbit correspondence with exact chart orders")
 

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,11 +16,12 @@ from toricq.groups import (Quasilattice, _expand, _presentation,
 from toricq.polytope import Polytope
 from toricq.sampling import Sampler
 from toricq.serialize import load_instance
-from toricq.strata import _b_tilde
+from toricq.strata import _b_tilde, build_link, build_stratification
 
 from test_groups_extra import (half_lattice_pyramid, half_lattice_triangle,
                                mixed_denominator_square)
 from test_polytope import _generated
+from test_strata import _links, recursion_inputs
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -178,14 +180,12 @@ def test_kernel_data_rejects_a_corrupted_kernel_vector(qq, monkeypatch):
 
 
 def test_chart_sets_simple(triangle):
-    lat = triangle.face_lattice()
-    charts = chart_index_sets(triangle, lat)
+    charts = chart_index_sets(triangle)
     assert charts == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_chart_sets_pyramid(pyramid):
-    lat = pyramid.face_lattice()
-    charts = chart_index_sets(pyramid, lat)
+    charts = chart_index_sets(pyramid)
     apex_subsets = [c for c in charts if set(c) <= {1, 2, 3, 4}]
     # all four triples of slanted facets are independent: (1,2) opposite
     # pair is rank 2 only with another independent one; check via oracle
@@ -200,19 +200,17 @@ def test_chart_sets_pyramid(pyramid):
 
 
 def test_gamma_trivial_on_unimodular(triangle):
-    lat = triangle.face_lattice()
-    for I in chart_index_sets(triangle, lat):
-        g = gamma_group(triangle, I, lat)
+    for I in chart_index_sets(triangle):
+        g = gamma_group(triangle, I)
         assert g.finite and g.order == 1 and g.invariant_factors == []
         assert g.generator_images == []
 
 
 def test_gamma_weighted_triangle(weighted_triangle):
-    lat = weighted_triangle.face_lattice()
-    g = gamma_group(weighted_triangle, (1, 3), lat)
+    g = gamma_group(weighted_triangle, (1, 3))
     assert g.finite and g.order == 2 and g.invariant_factors == [2]
     for I in ((1, 2), (2, 3)):
-        assert gamma_group(weighted_triangle, I, lat).order == 1
+        assert gamma_group(weighted_triangle, I).order == 1
     # Smith-normal-form oracle on the chart matrix
     mat = sympy.Matrix([[1, -1], [0, -2]])
     snf = smith_normal_form(mat)
@@ -221,17 +219,15 @@ def test_gamma_weighted_triangle(weighted_triangle):
 
 def test_gamma_orders_match_determinants(pyramid, cube, triangle, weighted_triangle):
     for p in (pyramid, cube, triangle, weighted_triangle):
-        lat = p.face_lattice()
-        for I in chart_index_sets(p, lat):
-            g = gamma_group(p, I, lat)
+        for I in chart_index_sets(p):
+            g = gamma_group(p, I)
             d = linalg.det([p.normals[j - 1] for j in I], p.field)
             assert g.finite
             assert g.order == abs(d.as_fraction())
 
 
 def test_gamma_infinite_nonrational(interval_sqrt2):
-    lat = interval_sqrt2.face_lattice()
-    g = gamma_group(interval_sqrt2, (1,), lat)
+    g = gamma_group(interval_sqrt2, (1,))
     assert not g.finite and g.order is None
     assert g.order_text == "infinite"
     # the image of the sqrt2 generator survives mod Z
@@ -239,11 +235,10 @@ def test_gamma_infinite_nonrational(interval_sqrt2):
 
 
 def test_gamma_precondition(triangle):
-    lat = triangle.face_lattice()
     with pytest.raises(PreconditionError):
-        gamma_group(triangle, (1,), lat)
+        gamma_group(triangle, (1,))
     with pytest.raises(PreconditionError):
-        gamma_group(triangle, (1, 2, 3), lat)
+        gamma_group(triangle, (1, 2, 3))
 
 
 # The trapezoid x >= 0, y >= 0, x <= 2, x + y <= 3 has vertices on the
@@ -267,14 +262,24 @@ CHART_PRECONDITIONS = [
 def test_gamma_precondition_messages_in_order(qq):
     p = Polytope(qq, *TRAPEZOID, Quasilattice(qq, [[1, 0], [0, 1]]))
     lat = p.face_lattice()
-    assert chart_index_sets(p, lat) == [(1, 2), (1, 4), (2, 3), (3, 4)]
+    assert chart_index_sets(p) == [(1, 2), (1, 4), (2, 3), (3, 4)]
     for chart, message in CHART_PRECONDITIONS:
         with pytest.raises(PreconditionError) as exc:
-            gamma_group(p, chart, lat)
+            gamma_group(p, chart)
         assert str(exc.value) == message, chart
         with pytest.raises(PreconditionError) as exc:
-            gamma_check(p, chart, lat.interior, lat)
+            gamma_check(p, chart, lat.interior)
         assert str(exc.value) == message, chart
+
+
+def test_chart_queries_read_the_polytopes_own_lattice(octahedron, pyramid4):
+    """No chart or stratification query takes a lattice, so one polytope's
+    lattice cannot seed another's chart table."""
+    for fn in (chart_index_sets, gamma_group, gamma_check,
+               build_stratification, build_link):
+        assert not any("lat" in name for name in inspect.signature(fn).parameters)
+    assert len(chart_index_sets(octahedron)) == 24
+    assert len(chart_index_sets(pyramid4)) == 12
 
 
 # -- the chart table against the subset scan ---------------------------------
@@ -299,23 +304,31 @@ def oracle_charts(p):
     return charts
 
 
-def test_chart_table_matches_the_subset_scan(qq, q_sqrt2):
+def test_chart_table_matches_the_subset_scan(qq, q_sqrt2, octahedron, pyramid4,
+                                             pyramid_sqrt2):
+    """The chart table of every seeded, shipped and link polytope, the links
+    being those of the recursion that ``test_face_bijection_into_link``
+    walks: each link's table is read off its own inherited lattice."""
     shipped = [load_instance(str(path)).polytope
                for path in sorted(INSTANCES.glob("*.json"))]
+    links = [link.delta_F
+             for top in recursion_inputs(octahedron, pyramid4, pyramid_sqrt2)
+             for link in _links(build_stratification(top))]
+    assert len(links) == 44
     nonsimple = 0
-    for p in _generated(qq, q_sqrt2) + shipped:
+    for p in _generated(qq, q_sqrt2) + shipped + links:
         lat = p.face_lattice()
         field = p.field
         oracle = oracle_charts(p)
-        assert chart_index_sets(p, lat) == sorted(oracle)
+        assert chart_index_sets(p) == sorted(oracle)
         face = (lat.singular_faces() or [lat.interior])[0]
         for I, (inverse, images) in oracle.items():
-            assert gamma_group(p, I, lat) == _presentation(p, I, I, images)
+            assert gamma_group(p, I) == _presentation(p, I, I, images)
             for f in lat.faces:
                 overlap = set(I) & set(f.index_set)
                 if len(overlap) == p.n - f.dim:
                     coords = tuple(sorted(set(I) - overlap))
-                    assert gamma_check(p, I, f, lat) \
+                    assert gamma_check(p, I, f) \
                         == _presentation(p, I, coords, images)
             columns = [linalg.mat_vec(inverse, x) for x in p.normals]
             assert _b_tilde(p, face, I).matrix == linalg.transpose(columns)
@@ -360,16 +373,15 @@ def test_integer_pivot_divides_exactly(qq, q_sqrt2, monkeypatch):
             continue
         # a fresh copy: the shared polytopes may hold their tables already
         fresh = Polytope(p.field, p.normals, p.offsets, p.quasilattice)
-        lat = fresh.face_lattice()
-        for I in chart_index_sets(fresh, lat):
-            gamma_group(fresh, I, lat)
+        for I in chart_index_sets(fresh):
+            gamma_group(fresh, I)
     assert divisions[0] > 5000
 
 
 def test_gamma_check_vertex_trivial(weighted_triangle):
     lat = weighted_triangle.face_lattice()
     vertex = lat.face_of_active_set((1, 3))
-    g = gamma_check(weighted_triangle, (1, 3), vertex, lat)
+    g = gamma_check(weighted_triangle, (1, 3), vertex)
     assert g.finite and g.order == 1
     assert g.coords == ()
 
@@ -377,11 +389,11 @@ def test_gamma_check_vertex_trivial(weighted_triangle):
 def test_gamma_check_divides_gamma(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
-    for I in chart_index_sets(pyramid, lat):
+    for I in chart_index_sets(pyramid):
         if len(set(I) & set(apex.index_set)) != pyramid.n - apex.dim:
             continue
-        gi = gamma_group(pyramid, I, lat)
-        gc = gamma_check(pyramid, I, apex, lat)
+        gi = gamma_group(pyramid, I)
+        gc = gamma_check(pyramid, I, apex)
         assert gc.finite and gi.finite
         assert gi.order % gc.order == 0
 
@@ -393,9 +405,9 @@ def test_gamma_check_infinite_nonrational(pyramid_sqrt2):
     for f in lat.faces:
         if f.dim != 1:
             continue
-        for I in chart_index_sets(pyramid_sqrt2, lat):
+        for I in chart_index_sets(pyramid_sqrt2):
             if len(set(I) & set(f.index_set)) == pyramid_sqrt2.n - f.dim:
-                g = gamma_check(pyramid_sqrt2, I, f, lat)
+                g = gamma_check(pyramid_sqrt2, I, f)
                 if not g.finite:
                     found_infinite = True
     assert found_infinite
@@ -406,7 +418,7 @@ def test_gamma_check_cardinality_precondition(pyramid):
     apex = lat.singular_faces()[0]
     base = lat.face_of_active_set((5,))
     with pytest.raises(PreconditionError):
-        gamma_check(pyramid, (1, 2, 5), apex, lat)  # overlap 2 != 3
+        gamma_check(pyramid, (1, 2, 5), apex)  # overlap 2 != 3
     assert base is not None
 
 

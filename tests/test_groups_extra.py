@@ -39,9 +39,8 @@ def test_half_lattice_orders(triangle_half_lattice):
     """order = |det X_I| / covol(Q): all three charts are unimodular, so
     each group is the quarter-translation group (Z/2)^2."""
     p = triangle_half_lattice
-    lat = p.face_lattice()
-    for I in chart_index_sets(p, lat):
-        g = gamma_group(p, I, lat)
+    for I in chart_index_sets(p):
+        g = gamma_group(p, I)
         det = abs(linalg.det([p.normals[j - 1] for j in I], p.field).as_fraction())
         covol = Fraction(1, 4)
         assert g.finite
@@ -51,7 +50,7 @@ def test_half_lattice_orders(triangle_half_lattice):
 
 def test_half_lattice_generator_images(triangle_half_lattice):
     p = triangle_half_lattice
-    g = gamma_group(p, (1, 2), p.face_lattice())
+    g = gamma_group(p, (1, 2))
     # images are embedded d-vectors supported on the chart coordinates
     assert all(img[2].is_zero() for img in g.generator_images)
     images = {(img[0].as_fraction(), img[1].as_fraction())
@@ -62,9 +61,8 @@ def test_half_lattice_generator_images(triangle_half_lattice):
 def test_mixed_denominator_lattice(qq):
     """Q = Z x (1/3)Z on the unit square: orders follow the covolume."""
     square = mixed_denominator_square(qq)
-    lat = square.face_lattice()
-    for I in chart_index_sets(square, lat):
-        g = gamma_group(square, I, lat)
+    for I in chart_index_sets(square):
+        g = gamma_group(square, I)
         assert g.finite and g.order == 3
         assert g.invariant_factors == [3]
 
@@ -75,12 +73,12 @@ def test_gamma_check_quotient_on_half_lattice(qq):
     pyramid = half_lattice_pyramid(qq)
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
-    charts = [I for I in chart_index_sets(pyramid, lat)
+    charts = [I for I in chart_index_sets(pyramid)
               if len(set(I) & set(apex.index_set)) == 3]
     assert charts
     for I in charts:
-        gi = gamma_group(pyramid, I, lat)
-        gc = gamma_check(pyramid, I, apex, lat)
+        gi = gamma_group(pyramid, I)
+        gc = gamma_check(pyramid, I, apex)
         assert gi.finite and gc.finite
         assert gc.order == 1  # all chart coordinates lie in the face
         assert gi.order % gc.order == 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from toricq import linalg, orbits
-from toricq.errors import DomainError, PreconditionError
+from toricq.errors import DomainError, PreconditionError, ValidationError
 from toricq.groups import Quasilattice
 from toricq.moment import retract
 from toricq.orbits import (MAXIMAL_PIECE, ExactVector, _moment_for,
@@ -195,6 +195,25 @@ def test_stratum_of(pyramid):
     assert stratum_of(pyramid, lat, [0, 1, 1, 1, 1]) == MAXIMAL_PIECE
 
 
+def test_support_pattern_picks_the_face(pyramid):
+    """The face a point's zero coordinates close up to, as classify_orbit
+    and stratum_of read it; zeros are detected exactly (== 0)."""
+    lat = pyramid.face_lattice()
+    assert classify_orbit(pyramid, lat, [1, 1, 1, 1, 1]).face_E is lat.interior
+    assert stratum_of(pyramid, lat, [1, 1, 1, 1, 1]) == MAXIMAL_PIECE
+    apex = classify_orbit(pyramid, lat, [0, 0, 0, 0, 1]).face_E
+    assert apex.index_set == (1, 2, 3, 4)
+    assert stratum_of(pyramid, lat, [0, 0, 0, 0, 1]) is apex
+    edge = classify_orbit(pyramid, lat, [0, 1, 0, 1, 1]).face_E
+    assert edge.index_set == (1, 3) and edge.regular
+    assert stratum_of(pyramid, lat, [0, 1, 0, 1, 1]) == MAXIMAL_PIECE
+    for find in (classify_orbit, stratum_of):
+        with pytest.raises(DomainError):
+            find(pyramid, lat, [0, 0, 0, 0, 0])
+        with pytest.raises(ValidationError):
+            find(pyramid, lat, [1, 1, 1, 1])
+
+
 def test_flow_confirms_nonclosedness(pyramid):
     lat = pyramid.face_lattice()
     oc = classify_orbit(pyramid, lat, [0, 0, 0, 1, 1])
@@ -304,7 +323,7 @@ def test_n_element_matches_the_chart_solve_of_the_combination(path):
     p = load_instance(str(path)).polytope
     field = p.field
     fast, slow = Sampler(p, 11), Sampler(p, 11)
-    chart = slow._charts[0]
+    chart = slow._first_chart
     for _ in range(200):
         # the former formula: combine the generators, then solve on the chart
         q = [field.zero()] * p.n

@@ -316,10 +316,9 @@ def test_pyramid_faces(pyramid):
 
 def test_pyramid_depth(pyramid):
     lat = pyramid.face_lattice()
-    depths, total = lat.depths(), lat.polytope_depth
-    assert total == 1
-    assert depths[(1, 2, 3, 4)] == 1
-    assert all(d == 0 for iset, d in depths.items() if iset != (1, 2, 3, 4))
+    assert lat.polytope_depth == 1
+    assert lat.face_by_index_set((1, 2, 3, 4)).depth == 1
+    assert all(f.depth == 0 for f in lat.faces if f.index_set != (1, 2, 3, 4))
 
 
 def test_simple_polytopes_have_depth_zero(cube, triangle, unit_square):
@@ -351,16 +350,6 @@ def test_face_of_active_set(pyramid):
     assert lat.face_of_active_set((1, 2, 3, 4, 5)) is None
     for f in lat.faces:
         assert lat.face_of_active_set(f.index_set) is f
-
-
-def test_cd_delta_membership(pyramid):
-    lat = pyramid.face_lattice()
-    assert lat.cd_delta_membership([1, 1, 1, 1, 1]) is lat.interior
-    apex = lat.cd_delta_membership([0, 0, 0, 0, 1])
-    assert apex.index_set == (1, 2, 3, 4)
-    assert lat.cd_delta_membership([0, 0, 0, 0, 0]) is None
-    edge = lat.cd_delta_membership([0, 1, 0, 1, 1])
-    assert edge.index_set == (1, 3)
 
 
 def test_reverse_containment_duality(pyramid, cube):

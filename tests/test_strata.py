@@ -7,7 +7,6 @@ import pytest
 
 from toricq import linalg, verify
 from toricq.errors import PreconditionError
-from toricq.groups import Quasilattice
 from toricq.moment import (SolverConfig, derived_moment_data, moment_data, psi,
                            retract, upsilon)
 from toricq.polytope import Polytope
@@ -17,13 +16,6 @@ from toricq.strata import (build_link, build_stratification, local_model,
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 FAMILIES = Path(__file__).resolve().parent.parent / "bench" / "families.py"
-
-
-@pytest.fixture(scope="module")
-def octahedron(qq):
-    normals = [[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
-    q = Quasilattice(qq, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    return Polytope(qq, normals, [-1] * 8, q)
 
 
 def test_simple_polytope_has_no_strata(cube):
@@ -37,7 +29,7 @@ def test_simple_polytope_has_no_strata(cube):
 def test_pyramid_link(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
-    link = build_link(pyramid, lat, apex)
+    link = build_link(pyramid, apex)
     assert link.facet_labels == (1, 2, 3, 4)
     assert link.n_f_dim == 1
     assert link.n_f0_dim == 2
@@ -54,14 +46,14 @@ def test_build_link_rejects_regular_face(pyramid):
     lat = pyramid.face_lattice()
     base = lat.face_of_active_set((5,))
     with pytest.raises(PreconditionError):
-        build_link(pyramid, lat, base)
+        build_link(pyramid, base)
 
 
 def test_octahedron_vertex_links(octahedron):
     lat = octahedron.face_lattice()
     singular = lat.singular_faces()
     assert len(singular) == 6 and all(f.dim == 0 and f.r == 4 for f in singular)
-    link = build_link(octahedron, lat, singular[0])
+    link = build_link(octahedron, singular[0])
     assert link.delta_F.n == 2 and link.delta_F.d == 4
 
 
@@ -97,8 +89,7 @@ def test_pyramid4_two_level_recursion(pyramid4):
 
 
 def test_poset_edges_pyramid4(pyramid4):
-    lat = pyramid4.face_lattice()
-    report = build_stratification(pyramid4, lat)
+    report = build_stratification(pyramid4)
     edge_face = next(s.face for s in report.strata if s.complex_dim == 1)
     vertex_keys = [node_key(s.face) for s in report.strata if s.complex_dim == 0]
     expected = {(vk, node_key(edge_face)) for vk in vertex_keys}
@@ -113,21 +104,27 @@ def _links(report):
         yield from _links(s.link.recursive_report)
 
 
+def recursion_inputs(octahedron, pyramid4, pyramid_sqrt2):
+    """The polytopes whose link recursion the link tests walk: three small
+    ones, then seed-1 pyr-cross_3, pyr-cube_4 over Q(sqrt2) and cross_3 over
+    Q(sqrt2) from the bench families, built fresh."""
+    spec = importlib.util.spec_from_file_location("bench_families", FAMILIES)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    generated = [families.pyramid_cross(3, 1), families.pyramid_cube_sqrt2(4, 1),
+                 families.cross_sqrt2(3, 1)]
+    return [octahedron, pyramid4, pyramid_sqrt2] + [
+        instance_from_json(data).polytope for data in generated]
+
+
 def test_face_bijection_into_link(octahedron, pyramid4, pyramid_sqrt2):
     """Every link of the recursion, whose face lattice is read off its
     parent's, against a fresh double-description enumeration of the link
     polytope: the faces (index set, dim, regular flag, depth, vertex ids),
     the vertex active sets, and the vertex coordinates, which the inherited
     lattice solves on first read."""
-    spec = importlib.util.spec_from_file_location("bench_families", FAMILIES)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
-    generated = [families.pyramid_cross(3, 1), families.pyramid_cube_sqrt2(4, 1),
-                 families.cross_sqrt2(3, 1)]
-    polytopes = [octahedron, pyramid4, pyramid_sqrt2] + [
-        instance_from_json(data).polytope for data in generated]
     counts = []
-    for p in polytopes:
+    for p in recursion_inputs(octahedron, pyramid4, pyramid_sqrt2):
         links = list(_links(build_stratification(p)))
         for d in (link.delta_F for link in links):
             lat = d.face_lattice()
@@ -184,7 +181,7 @@ def test_b_tilde_matrix_is_exact_change_of_basis(pyramid):
 
 def test_local_model_pyramid(pyramid):
     lat = pyramid.face_lattice()
-    report = build_stratification(pyramid, lat)
+    report = build_stratification(pyramid)
     apex = lat.singular_faces()[0]
     lm = local_model(report, apex)
     assert lm.base_coords == ()
@@ -198,7 +195,7 @@ def test_local_model_pyramid(pyramid):
 def test_derived_moment_data_sigma(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
-    link = build_link(pyramid, lat, apex)
+    link = build_link(pyramid, apex)
     md = derived_moment_data(link)
     assert md.d == 4 and md.m == 1
     # the cone point is on the zero level
@@ -211,7 +208,7 @@ def test_derived_moment_data_sigma(pyramid):
 def test_derived_moment_data_delta(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
-    link = build_link(pyramid, lat, apex)
+    link = build_link(pyramid, apex)
     md = moment_data(link.delta_F)
     assert md.d == 4 and md.m == 2
     # pairing with the slicing direction is sum s_j |z_j|^2 - 1
@@ -227,7 +224,7 @@ def test_derived_moment_data_delta(pyramid):
 def test_sigma_retract_rejects_nonface_support(pyramid):
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
-    link = build_link(pyramid, lat, apex)
+    link = build_link(pyramid, apex)
     md = derived_moment_data(link)
     # zeros on local coordinates {1, 2} = parent facets {1, 2}: opposite
     # slants meet only at the apex, so this is not a face pattern
@@ -240,7 +237,7 @@ def test_sigma_retract_on_proper_cone_face(pyramid):
     # genuine face of the cone
     lat = pyramid.face_lattice()
     apex = lat.singular_faces()[0]
-    link = build_link(pyramid, lat, apex)
+    link = build_link(pyramid, apex)
     md = derived_moment_data(link)
     res = retract(md, [0, 2.0, 0, 0.5])
     assert res.residual <= 1e-9
@@ -253,7 +250,7 @@ def test_sub_quasilattice_saturation(pyramid4):
     coordinates, here)."""
     lat = pyramid4.face_lattice()
     edge = next(f for f in lat.singular_faces() if f.dim == 1)
-    link = build_link(pyramid4, lat, edge)
+    link = build_link(pyramid4, edge)
     assert edge.index_set == (1, 2, 3, 4)
     field = pyramid4.field
     basis = link.d_F_basis
@@ -297,6 +294,6 @@ def test_pivot_basis_matches_greedy_rank_loop(name):
     p = load_instance(str(INSTANCES / f"{name}.json")).polytope
     lat = p.face_lattice()
     for face in lat.singular_faces():
-        link = build_link(p, lat, face)
+        link = build_link(p, face)
         assert (link.d_F_basis, link.d_F_basis_labels) == \
             _greedy_pivot_basis(p, face.index_set)

@@ -151,15 +151,15 @@ def test_chart_order_mismatch_is_reported_by_both_suites(triangle, monkeypatch):
     order = |det X_I| check; each reports the first bad chart its own way."""
     real = verify_mod.gamma_group
 
-    def doubled(p, I, lat=None):
-        g = real(p, I, lat)
+    def doubled(p, I):
+        g = real(p, I)
         return dataclasses.replace(g, order=2 * g.order)
 
     monkeypatch.setattr(verify_mod, "gamma_group", doubled)
     ctx = verify_mod._Context(ProblemInstance(triangle, SolverConfig(), 4),
                               samples=10, seed=4)
-    first = list(verify_mod.chart_index_sets(ctx.p, ctx.lat)[0])
-    order = str(2 * real(ctx.p, tuple(first), ctx.lat).order)
+    first = list(verify_mod.chart_index_sets(ctx.p)[0])
+    order = str(2 * real(ctx.p, tuple(first)).order)
     det = verify_mod.groups_det_orders(ctx)
     assert not det.passed and det.witness == {"I": first, "order": order}
     bijection = verify_mod.orbits_face_orbit_bijection(ctx)
