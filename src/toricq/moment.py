@@ -12,12 +12,21 @@ so the minimizer is the unique intersection of the orbit closure with the
 zero level; the Hessian 4pi R^T diag(|x|^2) R is positive definite there.
 
 The solver works in coordinates u, Y = R u, along an orthonormal basis R of
-that complement.  f, its gradient and its Hessian in u are written once, in
-:func:`_objective`, :func:`_gradient` and :func:`_hessian`; :func:`retract`
-runs on them, and the ``verify`` suites ``moment.gradient_fd`` and
-``moment.hessian_pd`` check them.  Its one setting is the residual
-tolerance of :class:`SolverConfig`; at most ``MAX_ITERATIONS`` damped
-Newton steps are taken, each backtracking by ``LINE_SEARCH_SHRINK``.
+that complement.  |x|^2 together with f, the gradient and the Hessian in u
+are written once, in :func:`_evaluate`, :func:`_gradient` and
+:func:`_hessian`; :func:`retract` runs on them, and the ``verify`` suites
+``moment.gradient_fd`` and ``moment.hessian_pd`` check them through the
+thin wrappers :func:`_objective` and :func:`_squared_moduli`.  Its one
+setting is the residual tolerance of :class:`SolverConfig`; at most
+``MAX_ITERATIONS`` damped Newton steps are taken, each backtracking by
+``LINE_SEARCH_SHRINK``.
+
+Each iterate is evaluated once: the start, then every line-search trial,
+whose |x|^2 and f become the next iterate's when the trial is accepted
+(the next u is that trial's array).  The loop runs with float overflow and
+invalid operations silenced: a trial that overflows reads f = inf or NaN
+and fails the Armijo test, and an iterate whose f is not finite raises
+:class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -90,6 +99,13 @@ class MomentData:
                                         compare=False)
     phase_tests: dict = dataclasses.field(default_factory=dict, repr=False,
                                           compare=False)
+    # A^T A of the float normals A, for the normal equations of xi
+    normal_gram: np.ndarray = dataclasses.field(init=False, repr=False,
+                                                compare=False)
+
+    def __post_init__(self):
+        A = self.normals_float
+        self.normal_gram = _read_only(A.T @ A)
 
     @property
     def d(self) -> int:
@@ -195,10 +211,15 @@ def _zero_labels(z: np.ndarray) -> tuple[int, ...]:
 def _level_residual(m: MomentData, ups: np.ndarray) -> float:
     """|Psi| = |K ups|.  Huge moduli can overflow it; a value that is not
     finite reads as infinitely far from the zero level."""
-    if not m.m:
-        return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm(m.kernel_float @ ups))
+        return _level_residual_unguarded(m, ups)
+
+
+def _level_residual_unguarded(m: MomentData, ups: np.ndarray) -> float:
+    """:func:`_level_residual` for a caller that already silences float
+    errors, by ``np.linalg.norm``'s own 1-D formula sqrt(v . v)."""
+    v = m.kernel_float @ ups
+    residual = math.sqrt(v.dot(v))
     return residual if math.isfinite(residual) else math.inf
 
 
@@ -242,17 +263,22 @@ def _compute_reduced_subspace(m: MomentData,
     return Qb @ u[:, s:]
 
 
-def _objective(R, z2, lam, u) -> float:
-    """f at Y = R u for |z|^2 = z2; an overflowing exponent raises."""
+def _evaluate(R, z2, lam, u) -> tuple[np.ndarray, float]:
+    """(|x|^2, f) at Y = R u for |z|^2 = z2: |x_j|^2 = e^{-4 pi Y_j} |z_j|^2
+    and f = sum |x|^2 / 4pi - lambda . Y."""
     w = R @ u
-    with np.errstate(over="raise"):
-        x2 = np.exp(-FOUR_PI * w) * z2
-    return float(x2.sum() / FOUR_PI - lam @ w)
+    x2 = np.exp(-FOUR_PI * w) * z2
+    return x2, float(x2.sum() / FOUR_PI - lam @ w)
+
+
+def _objective(R, z2, lam, u) -> float:
+    """f at Y = R u for |z|^2 = z2."""
+    return _evaluate(R, z2, lam, u)[1]
 
 
 def _squared_moduli(R, z2, u) -> np.ndarray:
-    """|x_j|^2 = e^{-4 pi Y_j} |z_j|^2 at Y = R u."""
-    return np.exp(-FOUR_PI * (R @ u)) * z2
+    """|x|^2 at Y = R u for |z|^2 = z2 (it does not depend on lambda)."""
+    return _evaluate(R, z2, np.zeros(len(z2)), u)[0]
 
 
 def _gradient(R, ups) -> np.ndarray:
@@ -286,59 +312,57 @@ def retract(m: MomentData, z: Sequence[complex],
     R = _reduced_subspace(m, zero)
     r = R.shape[1]
     lam = m.offsets_float
-    z2 = np.abs(z) ** 2
-
-    if start is None:
-        u = np.zeros(r)
-        at_zero = _level_residual(m, z2 + lam)
-        support = np.flatnonzero(z2 > 0)
-        if r and len(support) and at_zero > cfg.tolerance:
-            # pre-translate along the orbit so the support moduli start
-            # near 1; the minimizer is orbit-invariant, conditioning is not
-            balance = np.log(z2[support]) / FOUR_PI
-            u = np.linalg.lstsq(R[support, :], balance, rcond=None)[0]
-    else:
-        u = np.asarray(start, dtype=float)
-    iterations = 0
-    residual = float("inf")
-    for it in range(MAX_ITERATIONS + 1):
-        x2 = _squared_moduli(R, z2, u)
-        ups = x2 + lam
-        residual = _level_residual(m, ups)
-        iterations = it
-        if residual <= cfg.tolerance:
-            break
-        if it == MAX_ITERATIONS or r == 0:
-            raise SolverError(
-                f"retraction did not converge (residual {residual:.3e})",
-                residual=residual, iterations=it)
-        grad = _gradient(R, ups)
-        hess = _hessian(R, x2)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        f0 = _objective(R, z2, lam, u)
-        slope = float(grad @ step)
-        # rounding slack keeps the backtracking from stalling once the true
-        # decrease drops below float resolution of the objective
-        slack = 1e-14 * (abs(f0) + 1.0)
-        t = 1.0
-        while True:
-            try:
-                ft = _objective(R, z2, lam, u + t * step)
-            except FloatingPointError:
-                ft = math.inf
-            if ft <= f0 + 1e-4 * t * slope + slack:
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = np.abs(z) ** 2
+        if start is None:
+            u = np.zeros(r)
+            at_zero = _level_residual_unguarded(m, z2 + lam)
+            support = np.flatnonzero(z2 > 0)
+            if r and len(support) and at_zero > cfg.tolerance:
+                # pre-translate along the orbit so the support moduli start
+                # near 1; the minimizer is orbit-invariant, conditioning is not
+                balance = np.log(z2[support]) / FOUR_PI
+                u = np.linalg.lstsq(R[support, :], balance, rcond=None)[0]
+        else:
+            u = np.asarray(start, dtype=float)
+        x2, f = _evaluate(R, z2, lam, u)
+        for it in range(MAX_ITERATIONS + 1):
+            ups = x2 + lam
+            residual = _level_residual_unguarded(m, ups)
+            iterations = it
+            if residual <= cfg.tolerance:
                 break
-            t *= LINE_SEARCH_SHRINK
-            if t < 1e-18:
-                raise SolverError("line search collapsed", residual=residual,
+            if it == MAX_ITERATIONS or r == 0:
+                raise SolverError(
+                    f"retraction did not converge (residual {residual:.3e})",
+                    residual=residual, iterations=it)
+            if not math.isfinite(f):
+                raise SolverError("objective overflows at the iterate",
+                                  residual=residual, iterations=it)
+            grad = _gradient(R, ups)
+            hess = _hessian(R, x2)
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            slope = float(grad @ step)
+            # rounding slack keeps the backtracking from stalling once the
+            # true decrease drops below float resolution of the objective
+            slack = 1e-14 * (abs(f) + 1.0)
+            t = 1.0
+            while True:
+                trial = u + t * step
+                x2_t, f_t = _evaluate(R, z2, lam, trial)
+                if f_t <= f + 1e-4 * t * slope + slack:
+                    break
+                t *= LINE_SEARCH_SHRINK
+                if t < 1e-18:
+                    raise SolverError("line search collapsed",
+                                      residual=residual, iterations=it)
+            u, x2, f = trial, x2_t, f_t
+            if not np.all(np.isfinite(u)):
+                raise SolverError("iterates diverged", residual=residual,
                                   iterations=it)
-        u = u + t * step
-        if not np.all(np.isfinite(u)):
-            raise SolverError("iterates diverged", residual=residual,
-                              iterations=it)
 
     w = R @ u
     x = np.exp(-TWO_PI * w) * z
@@ -363,6 +387,4 @@ def polytope_point_of(m: MomentData, x: Sequence[complex],
     if resid > 10 * cfg.tolerance:
         raise PreconditionError(
             f"point is off the moment zero level (|Psi| = {resid:.3e})")
-    A = m.normals_float
-    xi = np.linalg.solve(A.T @ A, A.T @ ups)
-    return xi
+    return np.linalg.solve(m.normal_gram, m.normals_float.T @ ups)

@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -426,6 +427,20 @@ def test_solver_nonconvergence_exit_code(interval_file, capsys):
     assert err["error"]["type"] == "SolverError"
     assert err["error"]["iterations"] == 100
     assert 0 < err["error"]["residual"] < 1e-9
+
+
+def test_overflowing_start_iterate_exits_as_a_solver_error(capsys):
+    # the pre-translation of these moduli overflows the objective at once
+    point = "[[5.561e128,0],[1.215e-129,0],[1.904e-78,0]]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["retract", str(INSTANCES / "weighted_triangle.json"),
+                     "--point", point])
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "SolverError",
+                   "message": "objective overflows at the iterate",
+                   "residual": None, "iterations": 0}
 
 
 def test_solver_error_payload_writes_a_nonfinite_residual_as_null(

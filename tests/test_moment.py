@@ -7,10 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toricq import moment
 from toricq.errors import PreconditionError, SolverError, ValidationError
-from toricq.moment import (SolverConfig, _compute_reduced_subspace,
-                           _reduced_subspace, moment_data, polytope_point_of,
-                           psi, retract, upsilon)
+from toricq.moment import (FOUR_PI, LINE_SEARCH_SHRINK, MAX_ITERATIONS, TWO_PI,
+                           RetractionResult, SolverConfig,
+                           _compute_reduced_subspace, _gradient, _hessian,
+                           _reduced_subspace, _zero_labels, moment_data,
+                           polytope_point_of, psi, retract, upsilon)
+from toricq.orbits import classify_orbit
+from toricq.sampling import Sampler
 from toricq.serialize import load_instance
 
 SQ2 = math.sqrt(0.5)
@@ -173,3 +178,192 @@ def test_reduced_subspace_cache_matches_recomputation(path):
     for zero_labels in open_sets[:3]:
         _reduced_subspace(md, zero_labels)
     assert set(md.subspaces) == index_sets
+
+
+# -- the retraction loop as it was written before each iterate was
+# evaluated once: |x|^2, f and the residual recomputed at every step, an
+# overflowing objective raised.  retract must agree with it bit for bit.
+
+def _oracle_objective(R, z2, lam, u) -> float:
+    w = R @ u
+    with np.errstate(over="raise"):
+        x2 = np.exp(-FOUR_PI * w) * z2
+    return float(x2.sum() / FOUR_PI - lam @ w)
+
+
+def _oracle_level_residual(m, ups) -> float:
+    if not m.m:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(m.kernel_float @ ups))
+    return residual if math.isfinite(residual) else math.inf
+
+
+def oracle_retract(m, z, cfg=None, start=None):
+    """(RetractionResult, number of line-search trials)."""
+    cfg = cfg or SolverConfig()
+    z = np.asarray(z, dtype=complex)
+    zero = _zero_labels(z)
+    R = _reduced_subspace(m, zero)
+    r = R.shape[1]
+    lam = m.offsets_float
+    z2 = np.abs(z) ** 2
+    if start is None:
+        u = np.zeros(r)
+        at_zero = _oracle_level_residual(m, z2 + lam)
+        support = np.flatnonzero(z2 > 0)
+        if r and len(support) and at_zero > cfg.tolerance:
+            balance = np.log(z2[support]) / FOUR_PI
+            u = np.linalg.lstsq(R[support, :], balance, rcond=None)[0]
+    else:
+        u = np.asarray(start, dtype=float)
+    trials = 0
+    for it in range(MAX_ITERATIONS + 1):
+        x2 = np.exp(-FOUR_PI * (R @ u)) * z2
+        ups = x2 + lam
+        residual = _oracle_level_residual(m, ups)
+        if residual <= cfg.tolerance:
+            break
+        if it == MAX_ITERATIONS or r == 0:
+            raise SolverError(
+                f"retraction did not converge (residual {residual:.3e})",
+                residual=residual, iterations=it)
+        grad = _gradient(R, ups)
+        hess = _hessian(R, x2)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        f0 = _oracle_objective(R, z2, lam, u)
+        slope = float(grad @ step)
+        slack = 1e-14 * (abs(f0) + 1.0)
+        t = 1.0
+        while True:
+            trials += 1
+            try:
+                ft = _oracle_objective(R, z2, lam, u + t * step)
+            except FloatingPointError:
+                ft = math.inf
+            if ft <= f0 + 1e-4 * t * slope + slack:
+                break
+            t *= LINE_SEARCH_SHRINK
+            if t < 1e-18:
+                raise SolverError("line search collapsed", residual=residual,
+                                  iterations=it)
+        u = u + t * step
+        if not np.all(np.isfinite(u)):
+            raise SolverError("iterates diverged", residual=residual,
+                              iterations=it)
+    w = R @ u
+    x = np.exp(-TWO_PI * w) * z
+    if zero:
+        x[[j - 1 for j in zero]] = 0
+    A = m.normals_float
+    xi = np.linalg.solve(A.T @ A, A.T @ (np.abs(x) ** 2 + lam))
+    return RetractionResult(x=x, y_star=w, residual=residual, iterations=it,
+                            xi=xi, zero_set=zero), trials
+
+
+def _retraction_cases(p, md, seed):
+    """Seeded (closed point, start) pairs: closed representatives of
+    biased-nonclosed points, the same scaled by 10^-6 and 10^6, and
+    random start vectors."""
+    sampler = Sampler(p, seed)
+    lat = p.face_lattice()
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        z = sampler.point_biased_nonclosed()
+        rep = classify_orbit(p, lat, z).closed_rep
+        for scale in (1.0, 1e-6, 1e6):
+            yield rep * scale, None
+        r = _reduced_subspace(md, _zero_labels(rep)).shape[1]
+        for spread in (0.3, 3.0):
+            yield rep, rng.normal(size=r) * spread
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (SolverError, FloatingPointError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda f: f.stem)
+def test_retract_matches_the_oracle_bit_for_bit(path):
+    p = load_instance(str(path)).polytope
+    md = moment_data(p)
+    solved = 0
+    for seed in (1, 2, 3):
+        for z, start in _retraction_cases(p, md, seed):
+            want = _outcome(lambda: oracle_retract(md, z, start=start))
+            got = _outcome(lambda: retract(md, z, start=start))
+            if isinstance(want, FloatingPointError):
+                # the old loop let an overflowing objective escape
+                assert isinstance(got, SolverError)
+                continue
+            if isinstance(want, SolverError):
+                assert isinstance(got, SolverError)
+                assert (str(got), got.residual, got.iterations) == \
+                    (str(want), want.residual, want.iterations)
+                continue
+            want = want[0]
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y_star, want.y_star)
+            assert got.residual == want.residual
+            assert got.iterations == want.iterations
+            assert np.array_equal(got.xi, want.xi)
+            assert got.zero_set == want.zero_set
+            solved += 1
+    assert solved >= 150
+
+
+def test_each_iterate_is_evaluated_once(monkeypatch):
+    """The (|x|^2, f) helper runs once for the start iterate and once per
+    line-search trial; the wrapper _objective is not on the solver's path."""
+    calls = {"evaluate": 0, "objective": 0}
+    evaluate, objective = moment._evaluate, moment._objective
+
+    def counted_evaluate(*args):
+        calls["evaluate"] += 1
+        return evaluate(*args)
+
+    def counted_objective(*args):
+        calls["objective"] += 1
+        return objective(*args)
+
+    monkeypatch.setattr(moment, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(moment, "_objective", counted_objective)
+    p = load_instance(str(INSTANCES / "pyramid4.json")).polytope
+    md = moment_data(p)
+    solves = backtracked = 0
+    for z, start in _retraction_cases(p, md, 4):
+        want = _outcome(lambda: oracle_retract(md, z, start=start))
+        if isinstance(want, Exception):
+            continue
+        trials = want[1]
+        before = calls["evaluate"]
+        res = retract(md, z, start=start)
+        assert calls["evaluate"] - before == 1 + trials
+        solves += 1
+        backtracked += trials > res.iterations
+    assert calls["objective"] == 0
+    assert solves >= 55 and backtracked > 0
+
+
+def test_retract_overflowing_start_is_a_solver_error():
+    p = load_instance(str(INSTANCES / "square_pyramid.json")).polytope
+    md = moment_data(p)
+    r = _reduced_subspace(md, ()).shape[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as info:
+            retract(md, np.ones(p.d), start=np.full(r, 100.0))
+    assert str(info.value) == "objective overflows at the iterate"
+    assert info.value.iterations == 0
+    assert info.value.residual == math.inf
+
+
+def test_polytope_point_reuses_the_normal_gram(pyramid_md):
+    A = pyramid_md.normals_float
+    assert np.array_equal(pyramid_md.normal_gram, A.T @ A)
+    assert not pyramid_md.normal_gram.flags.writeable

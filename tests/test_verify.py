@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toricq import linalg, moment, serialize
@@ -192,6 +193,25 @@ def test_gradient_suite_checks_the_solvers_gradient(pyramid, monkeypatch):
     assert not result.passed and set(result.witness) == {"gap"}
     assert result.witness["gap"] > result.tolerance
     assert retract(moment_data(pyramid), z).iterations > before.iterations
+
+
+def test_gradient_suite_checks_the_solvers_objective(pyramid, monkeypatch):
+    """|x|^2 and f are written once: evaluated at 1.01 u under every name
+    of the shared helper, they fail moment.gradient_fd (f's slope is 1%
+    off the gradient), and the solver, which reads both, converges to
+    u* / 1.01."""
+    z = [0.5, 1.5, 2.0, 0.7, 1.1]
+    before = retract(moment_data(pyramid), z)
+    real = moment._evaluate
+    _bind_everywhere(monkeypatch, real,
+                     lambda R, z2, lam, u: real(R, z2, lam, 1.01 * u))
+    result = _moment_suite(verify_mod.moment_gradient_fd, pyramid)
+    assert not result.passed and set(result.witness) == {"gap"}
+    assert result.witness["gap"] > result.tolerance
+    after = retract(moment_data(pyramid), z)
+    assert after.residual <= SolverConfig().tolerance
+    assert np.allclose(1.01 * after.y_star, before.y_star, atol=1e-9)
+    assert np.max(np.abs(after.x - before.x)) > 1e-4
 
 
 def test_hessian_suite_checks_the_solvers_hessian(pyramid, monkeypatch):
