@@ -180,9 +180,9 @@ def test_reduced_subspace_cache_matches_recomputation(path):
     assert set(md.subspaces) == index_sets
 
 
-# -- the retraction loop as it was written before each iterate was
-# evaluated once: |x|^2, f and the residual recomputed at every step, an
-# overflowing objective raised.  retract must agree with it bit for bit.
+# -- reference retraction loop: it recomputes |x|^2, f and the residual
+# from u at every step and lets an overflowing objective raise.  retract
+# must agree with it bit for bit wherever it returns.
 
 def _oracle_objective(R, z2, lam, u) -> float:
     w = R @ u
