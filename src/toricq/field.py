@@ -18,10 +18,12 @@ with no certificate (one that is not squarefree, or that splits modulo
 every prime, like x^4 - 10x^2 + 1) imports sympy to decide.
 
 Degree 1 collapses to plain rational arithmetic: a scalar's one
-coefficient is its value.  The elimination kernels (``linalg._rref``,
-``linalg.pivot``, ``polytope.cone_rays``, the chart search in ``groups``)
-compute on that ``Fraction`` directly and wrap a ``FieldScalar`` only
-around what they return; over a larger field they compute on the scalars.
+coefficient is its value.  The exact eliminations (``linalg.first_basis``
+and ``linalg.exchange``, behind ``linalg._rref`` and the chart search in
+``groups``) scale those ``Fraction`` values to integer rows and run
+fraction-free; ``polytope.cone_rays`` and ``linalg.dot`` compute on the
+``Fraction`` values directly.  Each wraps a ``FieldScalar`` only around
+what it returns; over a larger field they compute on the scalars.
 """
 
 from __future__ import annotations

@@ -11,34 +11,26 @@ so no chart query takes a lattice argument.
 A chart lies in exactly one vertex (n independent active normals fix it).
 Per vertex, one elimination of the tableau [X_A | G] (active set A,
 generators G) gives a first basis; a depth-first search over basis
-exchanges inside A, one pivot per new basis, gives the others, each with
-its preimages in the G columns (Avis & Fukuda 1992).  One search loop
-serves every field; :func:`_search` picks its tableau and pivot once per
-field, as ``linalg.arithmetic`` does:
+exchanges inside A, one exchange per new basis, gives the others, each with
+its preimages in the G columns (Avis & Fukuda 1992).  Both steps are
+``linalg.first_basis`` and ``linalg.exchange``, the driver of every exact
+elimination: over Q they run fraction-free on the rows scaled to integers,
+over a field of degree >= 2 they are Gauss-Jordan steps on the scalars.
 
-- over Q, each row of [X_A | G] is scaled to integers (which keeps every
-  solution of X_I theta = g) and a pivot on (r, c) is the fraction-free
-  exchange T'_ij = (T_ij T_rc - T_ic T_rj) / D for i != r, row r kept,
-  D' = T_rc, as in lrs (Avis 2000); each division is exact because every
-  entry is a minor (Bareiss 1968);
-- over a field of degree >= 2 a pivot is the Gauss-Jordan step on raw
-  scalars (see ``linalg``) and D stays 1.
-
-A table entry is (D, T): the signed denominator of the chart's tableau
-(over Q, +-det of the scaled X_I) and the G columns T, one list per
-generator in the order of I, so the preimages are T / D.  Over Q a chart
-group is read off the integers alone: the images mod 1 are
-(sign(D) T mod |D|) / |D|, and their Smith form gives the invariant
-factors; :func:`_chart` wraps T / D as scalars when asked.
+A table entry is (D, T): the tableau's denominator (over Q, +-det of the
+scaled X_I; otherwise 1) and the G columns T, one list per generator in the
+order of I, so the preimages are T / D.  Over Q a chart group is read off
+the integers alone: the images mod 1 are (sign(D) T mod |D|) / |D|, and
+their Smith form gives the invariant factors; :func:`_chart` wraps T / D
+as scalars when asked.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import intlat, linalg
 from .errors import PreconditionError, ValidationError
@@ -174,97 +166,16 @@ def _chart_table(p: "Polytope") -> dict:
     return p._charts
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """Each raw rational row times the lcm of its denominators."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
-
-
-def _bareiss_pivot(tableau, denom: int, r: int, c: int):
-    """The integer tableau after the basis exchange on its nonzero entry
-    (r, c), and its new denominator T_rc: row r is kept and every other
-    row i becomes (T_i T_rc - T_ic T_r) / denom.  Every entry is a minor of
-    the scaled [X_A | G], so each division is exact (Bareiss 1968)."""
-    top = tableau[r]
-    new = top[c]
-    out = []
-    for i, row in enumerate(tableau):
-        f = row[c]
-        if i == r or (not f and new == denom):
-            out.append(row)
-        elif f:
-            out.append([(x * new - f * t) // denom for x, t in zip(row, top)])
-        else:
-            out.append([x * new // denom for x in row])
-    return out, new
-
-
-def _scalar_pivot(tableau, denom, r: int, c: int):
-    """The Gauss-Jordan basis exchange, which keeps the denominator 1."""
-    return linalg.pivot(tableau, r, c), denom
-
-
-def _integer_preimages(field: NumberField, entry) -> list[list[FieldScalar]]:
-    denom, columns = entry
-    return [[FieldScalar(field, (Fraction(x, denom),)) for x in col]
-            for col in columns]
-
-
-def _scalar_preimages(field: NumberField, entry) -> list[list[FieldScalar]]:
-    return [linalg.wrapped(field, col) for col in entry[1]]
-
-
-class _Search(NamedTuple):
-    """One field's chart search: the tableau rows it starts from, its zero
-    test and basis exchange, and how a table entry is read back as
-    generator preimages and as a chart group."""
-
-    start: Callable       # raw rows of [X_A | G] -> tableau rows
-    is_zero: Callable
-    pivot: Callable       # (tableau, denom, r, c) -> (tableau, denom)
-    preimages: Callable   # (field, entry) -> FieldScalar preimages
-    present: Callable     # (p, I, coords, entry) -> DiscreteGroupPresentation
-
-
-def _search(field: NumberField) -> _Search:
-    """The integer tableau over Q, the scalar one over a field of degree
-    at least 2."""
-    return _INTEGER if field.degree == 1 else _SCALAR
-
-
-def _first_basis(search: _Search, tableau, ncols: int):
-    """A first pivot basis among the columns < ncols by the search's own
-    pivot, each on the first nonzero row at or below the next pivot row;
-    returns (tableau, denominator, basis)."""
-    denom, basis = 1, []
-    for c in range(ncols):
-        r = len(basis)
-        i = next((i for i in range(r, len(tableau))
-                  if not search.is_zero(tableau[i][c])), None)
-        if i is None:
-            continue
-        tableau = list(tableau)
-        tableau[r], tableau[i] = tableau[i], tableau[r]
-        tableau, denom = search.pivot(tableau, denom, r, c)
-        basis.append(c)
-        if len(basis) == len(tableau):
-            break
-    return tableau, denom, basis
-
-
 def _vertex_charts(p: "Polytope", active) -> dict:
     """Every basis inside one vertex's active set, with its table entry,
     by basis exchange from the first pivot basis."""
     field = p.field
-    search = _search(field)
+    is_zero = linalg.arithmetic(field).is_zero
     a, k = len(active), len(p.quasilattice.generators)
     rows = [linalg.raw(field, [p.normals[j - 1][i] for j in active]
                        + [g[i] for g in p.quasilattice.generators])
             for i in range(p.n)]
-    charts, stack = {}, [_first_basis(search, search.start(rows), a)]
+    charts, stack = {}, [linalg.first_basis(rows, a)[:3]]
     while stack:
         tableau, denom, basis = stack.pop()
         order = sorted(range(p.n), key=basis.__getitem__)
@@ -273,13 +184,13 @@ def _vertex_charts(p: "Polytope", active) -> dict:
         nonbasic = [c for c in range(a) if c not in basis]
         for r, row in enumerate(tableau):
             for c in nonbasic:
-                if search.is_zero(row[c]):
+                if is_zero(row[c]):
                     continue
                 swapped = basis[:r] + [c] + basis[r + 1:]
                 key = tuple(sorted(active[x] for x in swapped))
                 if key not in charts:
                     charts[key] = None   # filled in when popped
-                    stack.append((*search.pivot(tableau, denom, r, c), swapped))
+                    stack.append((*linalg.exchange(tableau, denom, r, c), swapped))
     return charts
 
 
@@ -328,8 +239,8 @@ def _table_entry(p: "Polytope", index_set):
 def _chart(p: "Polytope", index_set):
     """The sorted chart index set and its generator preimages, as
     scalars."""
-    I, entry = _table_entry(p, index_set)
-    return I, _search(p.field).preimages(p.field, entry)
+    I, (denom, columns) = _table_entry(p, index_set)
+    return I, [linalg.wrapped(p.field, col) for col in linalg.over(columns, denom)]
 
 
 def _presentation(p: "Polytope", I, coords, images_on_chart) -> DiscreteGroupPresentation:
@@ -390,18 +301,19 @@ def _integer_presentation(p: "Polytope", I, coords, entry) -> DiscreteGroupPrese
         finite=True, invariant_factors=factors, order=order)
 
 
-_INTEGER = _Search(_integer_rows, operator.not_, _bareiss_pivot,
-                   _integer_preimages, _integer_presentation)
-_SCALAR = _Search(list, FieldScalar.is_zero, _scalar_pivot,
-                  _scalar_preimages,
-                  lambda p, I, coords, entry: _presentation(p, I, coords, entry[1]))
+def _group(p: "Polytope", I, coords, entry) -> DiscreteGroupPresentation:
+    """The chart group on coords of a table entry: over Q read off the
+    integers, otherwise off the scalar preimages (the denominator is 1)."""
+    if p.field.degree == 1:
+        return _integer_presentation(p, I, coords, entry)
+    return _presentation(p, I, coords, entry[1])
 
 
 def gamma_group(p: "Polytope", index_set) -> DiscreteGroupPresentation:
     """The discrete group attached to a chart index set: quasilattice
     preimages under the chart basis, modulo the integer lattice."""
     I, entry = _table_entry(p, index_set)
-    return _search(p.field).present(p, I, I, entry)
+    return _group(p, I, I, entry)
 
 
 def gamma_check(p: "Polytope", index_set, face: "Face") -> DiscreteGroupPresentation:
@@ -413,7 +325,7 @@ def gamma_check(p: "Polytope", index_set, face: "Face") -> DiscreteGroupPresenta
         raise PreconditionError(
             "chart must meet the face's active set in exactly n - p facets")
     coords = tuple(sorted(set(I) - overlap))
-    return _search(p.field).present(p, I, coords, entry)
+    return _group(p, I, coords, entry)
 
 
 def n_membership(seq: SequenceData, q: Quasilattice, theta) -> bool:

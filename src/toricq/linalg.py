@@ -5,22 +5,24 @@ The public functions take and return vectors (lists/tuples) of
 Gaussian elimination with exact zero tests, sized for desk-scale problems
 (dimensions in the tens).
 
-The elimination kernels, :func:`_rref` and :func:`pivot`, compute on raw
-entries: the plain ``Fraction`` value of each scalar when the field has
-degree 1, the ``FieldScalar`` itself otherwise.  Over Q that skips the
-coercion, the coefficient tuple and the fresh wrapper of each
-``FieldScalar`` operation.  :func:`raw` and :func:`wrapped` convert at the
+Every exact elimination runs on one basis-exchange driver:
+:func:`first_basis` picks the pivots of a first basis and :func:`exchange`
+makes each one basic; :func:`_rref` and the chart search in ``groups`` both
+call them.  They compute on raw entries.  Over a field of degree >= 2 the
+raw entry is the ``FieldScalar`` itself and an exchange is the Gauss-Jordan
+step.  Over Q it is the plain ``Fraction`` value of each scalar: the rows
+are scaled to integers once, every exchange is fraction-free (Bareiss
+1968), and :func:`over` divides the tableau by its one denominator at the
+end.  :func:`raw` and :func:`wrapped` convert at the
 boundary, and :func:`arithmetic` gives the zero test, inverse and sign of a
-field's raw entries, picked once per kernel call.  The public functions
-here, ``polytope.cone_rays`` and the link data in ``strata`` unwrap their
-input and wrap only what they return; :func:`dot` does the same for
-vectors over a field of degree 1.  The chart search in ``groups`` pivots
-with :func:`pivot` over fields of degree >= 2 and on an integer tableau
-of its own over Q.
+field's raw entries.  The public functions here, ``polytope.cone_rays`` and
+the link data in ``strata`` unwrap their input and wrap only what they
+return; :func:`dot` does the same for vectors over a field of degree 1.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -45,11 +47,6 @@ _SCALAR = Arithmetic(FieldScalar.is_zero, operator.methodcaller("inverse"),
 
 def arithmetic(field: NumberField) -> Arithmetic:
     return _RATIONAL if field.degree == 1 else _SCALAR
-
-
-def _arithmetic_of(entry) -> Arithmetic:
-    """The arithmetic of a raw entry's field: a Fraction is degree 1."""
-    return _RATIONAL if type(entry) is Fraction else _SCALAR
 
 
 def raw(field: NumberField, entries) -> list:
@@ -118,60 +115,104 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def _rref(rows, ncols):
-    """Row-reduce raw rows (on a copy); returns (reduced rows, pivot cols,
-    pivot values).
+def exchange(tableau, denom, r, c):
+    """The tableau after the basis exchange on its nonzero entry (r, c),
+    which makes column c the pivot of row r, and its new denominator.
 
-    The pivot values are the entries divided by, each negated when a row
-    swap brought it into place, so for a square nonsingular matrix their
-    product is the determinant.
-    """
-    work = [list(r) for r in rows]
-    pivots = []
-    values = []
-    if not work or not ncols:
-        return work, pivots, values
-    is_zero = _arithmetic_of(work[0][0]).is_zero
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if not is_zero(work[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        value = work[pivot_row][c]
-        values.append(value if pivot_row == r else -value)
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        work = pivot(work, r, c)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots, values
-
-
-def pivot(rows, r, c):
-    """The raw rows after one Gauss-Jordan step on the nonzero entry
-    (r, c): row r scaled to 1 there, column c cleared from every other row.
-    In a simplex tableau this is the basis exchange that makes column c the
-    pivot of row r."""
-    is_zero, inverse, _ = _arithmetic_of(rows[r][c])
-    inv = inverse(rows[r][c])
-    support = [k for k, y in enumerate(rows[r]) if not is_zero(y)]
-    top = list(rows[r])
+    On an integer tableau the exchange is fraction-free, as in lrs (Avis
+    2000): row r is kept, every other row i becomes
+    (T_i T_rc - T_ic T_r) / denom, and T_rc is the new denominator.  Every
+    entry is a minor of the scaled rows, so each division is exact (Bareiss
+    1968).  On scalars it is the Gauss-Jordan step: row r scaled to 1 at c,
+    column c cleared from every other row, and the denominator stays 1."""
+    top = tableau[r]
+    new = top[c]
+    out = []
+    if type(new) is int:
+        for i, row in enumerate(tableau):
+            f = row[c]
+            if i == r or (not f and new == denom):
+                out.append(row)
+            elif f:
+                out.append([(x * new - f * t) // denom for x, t in zip(row, top)])
+            else:
+                out.append([x * new // denom for x in row])
+        return out, new
+    inv = new.inverse()
+    support = [k for k, y in enumerate(top) if not y.is_zero()]
+    top = list(top)
     for k in support:
         top[k] = inv * top[k]
-    out = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(tableau):
         f = row[c]
-        if i != r and not is_zero(f):
+        if i != r and not f.is_zero():
             row = list(row)
             for k in support:
                 row[k] = row[k] - f * top[k]
         out.append(top if i == r else row)
-    return out
+    return out, denom
+
+
+def first_basis(rows, ncols: int):
+    """A first pivot basis of raw rows among the columns < ncols, each pivot
+    on the first nonzero entry at or below the next pivot row, swapped into
+    place and exchanged.  Rational rows are first scaled to integers by the
+    lcm of all their denominators, which keeps every solution, so every
+    exchange is fraction-free; scalar rows are exchanged as they are.  The
+    input rows are left as they are.
+
+    Returns (tableau, denominator, basis, values): a pivot row of the
+    tableau over the denominator is the reduced row, and value k is the
+    k-th pivot of the elimination on the given rows, negated when a row
+    swap brought it into place, so for a square nonsingular matrix the
+    values' product is the determinant."""
+    rational = type(rows[0][0]) is Fraction
+    scale, tableau = 1, rows
+    if rational:
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        tableau = [[x.numerator * (scale // x.denominator) for x in row]
+                   for row in rows]
+    is_zero = operator.not_ if rational else FieldScalar.is_zero
+    denom, basis, values = 1, [], []
+    for c in range(ncols):
+        r = len(basis)
+        i = next((i for i in range(r, len(tableau))
+                  if not is_zero(tableau[i][c])), None)
+        if i is None:
+            continue
+        value = Fraction(tableau[i][c], denom * scale) if rational else tableau[i][c]
+        values.append(value if i == r else -value)
+        tableau = list(tableau)
+        tableau[r], tableau[i] = tableau[i], tableau[r]
+        tableau, denom = exchange(tableau, denom, r, c)
+        basis.append(c)
+        if len(basis) == len(tableau):
+            break
+    return tableau, denom, basis, values
+
+
+def over(rows, denom) -> list:
+    """The raw rows that a tableau's rows over its denominator stand for:
+    integer entries as Fractions, scalar ones (denominator 1) as they
+    are."""
+    if type(rows[0][0]) is int:
+        return [[Fraction(x, denom) for x in row] for row in rows]
+    return rows
+
+
+def _rref(rows, ncols):
+    """Row-reduce raw rows by :func:`first_basis`; returns (reduced rows,
+    pivot cols, pivot values).
+
+    The pivot values are the entries divided by, each negated when a row
+    swap brought it into place, so for a square nonsingular matrix their
+    product is the determinant.  Over Q a row below the rank comes out
+    times the rows' integer scale; only its zero pattern is meaningful.
+    """
+    if not rows or not ncols:
+        return [list(r) for r in rows], [], []
+    tableau, denom, pivots, values = first_basis(rows, ncols)
+    return over(tableau, denom), pivots, values
 
 
 def rank(rows, ncols: int) -> int:

@@ -26,7 +26,9 @@ whose |x|^2 and f become the next iterate's when the trial is accepted
 (the next u is that trial's array).  The loop runs with float overflow and
 invalid operations silenced: a trial that overflows reads f = inf or NaN
 and fails the Armijo test, and an iterate whose f is not finite raises
-:class:`SolverError`.
+:class:`SolverError`, with one exception: when a finite z has an
+overflowing |z_j|^2, the start is moved along the orbit by the
+pre-translation of 2 log|z| and retracted from there.
 """
 
 from __future__ import annotations
@@ -337,8 +339,14 @@ def retract(m: MomentData, z: Sequence[complex],
                     f"retraction did not converge (residual {residual:.3e})",
                     residual=residual, iterations=it)
             if not math.isfinite(f):
-                raise SolverError("objective overflows at the iterate",
-                                  residual=residual, iterations=it)
+                shift = _overflow_shift(R, z, z2) if it == 0 else None
+                if shift is None:
+                    raise SolverError("objective overflows at the iterate",
+                                      residual=residual, iterations=it)
+                moved = retract(m, np.exp(-TWO_PI * (R @ shift)) * z, cfg,
+                                None if start is None else u - shift)
+                return dataclasses.replace(moved,
+                                           y_star=moved.y_star + R @ shift)
             grad = _gradient(R, ups)
             hess = _hessian(R, x2)
             try:
@@ -371,6 +379,19 @@ def retract(m: MomentData, z: Sequence[complex],
     xi = polytope_point_of(m, x, cfg, _residual=residual)
     return RetractionResult(x=x, y_star=w, residual=residual,
                             iterations=iterations, xi=xi, zero_set=zero)
+
+
+def _overflow_shift(R, z, z2) -> np.ndarray | None:
+    """For a finite z whose |z|^2 overflows, the pre-translation u taken
+    from 2 log|z| instead of log |z|^2, when moving z along its orbit by it
+    brings every |z_j|^2 into range; otherwise None."""
+    if np.all(np.isfinite(z2)) or not np.all(np.isfinite(z)):
+        return None
+    support = np.flatnonzero(z)
+    balance = 2 * np.log(np.abs(z[support])) / FOUR_PI
+    shift = np.linalg.lstsq(R[support, :], balance, rcond=None)[0]
+    moved = np.exp(-TWO_PI * (R @ shift)) * z   # the point retract moves to
+    return shift if np.all(np.isfinite(np.abs(moved) ** 2)) else None
 
 
 def polytope_point_of(m: MomentData, x: Sequence[complex],

@@ -307,9 +307,9 @@ def cone_rays(rows):
     independent rows, then the remaining rows one at a time, in order.  One
     elimination of [rows^T | I] gives the starting rows (its pivots) and the
     simplicial rays (its right-hand rows: ray i is zero on every starting
-    row but start[i]).  The pass runs on the field's raw entries (plain
-    Fractions over Q, see ``linalg``); only the returned rays are wrapped
-    as scalars."""
+    row but start[i]).  Over Q that elimination runs fraction-free on
+    integer rows and the pass on the scalars' Fraction values (see
+    ``linalg``); only the returned rays are wrapped as scalars."""
     field = rows[0][0].field
     arith = linalg.arithmetic(field)
     rows = [linalg.raw(field, row) for row in rows]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from toricq import cli, groups, intlat, linalg, serialize
+from toricq import cli, intlat, linalg, serialize
 from toricq.cli import main
 from toricq.errors import SolverError, ValidationError
 from toricq.field import FieldScalar
@@ -163,7 +163,8 @@ def test_strata_link_feeds_back(pyramid_file, tmp_path, capsys):
 
 
 def test_commands_eliminate_once_per_exact_question(monkeypatch, capsys):
-    """Counts the exact eliminations (``linalg._rref`` calls) of in-process
+    """Counts the exact eliminations (``linalg.first_basis`` calls, which
+    every nonempty ``linalg._rref`` and the chart search make) of in-process
     commands.  A link reduces its active normals once for the basis, the
     normals' span coordinates and the cone kernel, and the DD start reduces
     [rows^T | I] once; with a second solve per normal, a rank before the
@@ -172,29 +173,23 @@ def test_commands_eliminate_once_per_exact_question(monkeypatch, capsys):
     lattice off its parent's, so strata enumerates vertices once (6 times
     on pyramid4 and 7 on the octahedron, at 56 and 68 eliminations, when
     each link ran its own double-description pass).  The chart search in
-    analyze reduces one tableau per nonsimple vertex (by its own pivots,
-    counted here through its first basis) and reaches every other basis of
-    that vertex by single pivots, which are not counted."""
+    analyze reduces one tableau per nonsimple vertex to its first basis and
+    reaches every other basis of that vertex by single exchanges, which are
+    not counted."""
     calls = [0]
     enumerations = [0]
-    rref = linalg._rref
-    first_basis = groups._first_basis
+    first_basis = linalg.first_basis
     enumerate_vertices = Polytope._enumerate_vertices
 
     def counted(rows, ncols):
         calls[0] += 1
-        return rref(rows, ncols)
-
-    def counted_first_basis(search, tableau, ncols):
-        calls[0] += 1
-        return first_basis(search, tableau, ncols)
+        return first_basis(rows, ncols)
 
     def counted_enumeration(self):
         enumerations[0] += 1
         return enumerate_vertices(self)
 
-    monkeypatch.setattr(linalg, "_rref", counted)
-    monkeypatch.setattr(groups, "_first_basis", counted_first_basis)
+    monkeypatch.setattr(linalg, "first_basis", counted)
     monkeypatch.setattr(Polytope, "_enumerate_vertices", counted_enumeration)
 
     def eliminations(command, name):

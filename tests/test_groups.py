@@ -8,7 +8,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from toricq import groups, intlat, linalg
+from toricq import intlat, linalg
 from toricq.errors import PreconditionError, ValidationError
 from toricq.groups import (Quasilattice, _expand, _presentation,
                            chart_index_sets, gamma_check, gamma_group,
@@ -348,22 +348,26 @@ def test_chart_table_matches_the_subset_scan(qq, q_sqrt2, octahedron, pyramid4,
 
 
 def test_integer_pivot_divides_exactly(qq, q_sqrt2, monkeypatch):
-    """Every numerator T_ij T_rc - T_ic T_rj of the integer chart search is a
+    """Every numerator T_ij T_rc - T_ic T_rj of an integer exchange is a
     multiple of the old denominator, so its floor division is exact: a
-    dropped remainder would change a chart group without an error."""
-    pivot = groups._INTEGER.pivot
+    dropped remainder would change a reduced row or a chart group without
+    an error.  analyze and strata run every elimination over Q through
+    ``linalg.exchange``: validation, the double-description start, the
+    chart search, the link data and b-tilde."""
+    exchange = linalg.exchange
     divisions = [0]
 
     def checked(tableau, denom, r, c):
         top = tableau[r]
-        for i, row in enumerate(tableau):
-            if i != r:
-                for x, t in zip(row, top):
-                    assert (x * top[c] - row[c] * t) % denom == 0
-                divisions[0] += len(row)
-        return pivot(tableau, denom, r, c)
+        if type(top[c]) is int:
+            for i, row in enumerate(tableau):
+                if i != r:
+                    for x, t in zip(row, top):
+                        assert (x * top[c] - row[c] * t) % denom == 0
+                    divisions[0] += len(row)
+        return exchange(tableau, denom, r, c)
 
-    monkeypatch.setattr(groups, "_INTEGER", groups._INTEGER._replace(pivot=checked))
+    monkeypatch.setattr(linalg, "exchange", checked)
     shipped = [load_instance(str(path)).polytope
                for path in sorted(INSTANCES.glob("*.json"))]
     refined = [half_lattice_triangle(qq), mixed_denominator_square(qq),
@@ -371,11 +375,13 @@ def test_integer_pivot_divides_exactly(qq, q_sqrt2, monkeypatch):
     for p in _generated(qq, q_sqrt2) + shipped + refined:
         if p.field.degree != 1:
             continue
-        # a fresh copy: the shared polytopes may hold their tables already
+        # fresh copies: the shared polytopes may hold their tables already
         fresh = Polytope(p.field, p.normals, p.offsets, p.quasilattice)
         for I in chart_index_sets(fresh):
             gamma_group(fresh, I)
-    assert divisions[0] > 5000
+        build_stratification(Polytope(p.field, p.normals, p.offsets,
+                                      p.quasilattice))
+    assert divisions[0] > 20000
 
 
 def test_gamma_check_vertex_trivial(weighted_triangle):

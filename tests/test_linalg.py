@@ -45,6 +45,57 @@ def test_det_matches_sympy(qq):
     assert kinds["singular"] >= 10 and kinds["swap"] >= 10
 
 
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows])
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def test_rank_nullspace_and_solve_match_sympy_rref(qq):
+    """Rectangular and augmented systems over Q against sympy's rref: the
+    rank, the nullspace basis read off the reduced rows, and one solution
+    with the free variables zero, or None.  Over Q the rows below the rank
+    come out scaled, so an inconsistent right-hand side has to be seen on
+    scaled rows."""
+    rng = random.Random(29)
+    kinds = {"deficient": 0, "inconsistent": 0, "consistent": 0}
+    for trial in range(90):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+                 for _ in range(n)] for _ in range(m)]
+        if trial % 3 and m > 2:
+            # the last row a rational combination of two others
+            a, b = rng.sample(range(m - 1), 2)
+            s, t = (Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(2))
+            rows[-1] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+            kinds["deficient"] += 1
+        if trial % 2:
+            rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)]
+        else:
+            x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            rhs = [sum((x * y for x, y in zip(r, x0)), Fraction(0)) for r in rows]
+        a = [linalg.vec(qq, r) for r in rows]
+        ref, pivots = _sympy(rows).rref()
+        assert linalg.rank(a, n) == len(pivots)
+        assert [[s.as_fraction() for s in v] for v in linalg.nullspace(a, n, qq)] \
+            == [[_fraction(x) for x in v] for v in _sympy(rows).nullspace()]
+        aug, aug_pivots = _sympy([r + [y] for r, y in zip(rows, rhs)]).rref()
+        x = linalg.solve(a, linalg.vec(qq, rhs), n, qq)
+        if n in aug_pivots:
+            assert x is None
+            kinds["inconsistent"] += 1
+            continue
+        want = [Fraction(0)] * n
+        for r, c in enumerate(aug_pivots):
+            want[c] = _fraction(aug[r, n])
+        assert [s.as_fraction() for s in x] == want
+        kinds["consistent"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_det_is_multiplicative_over_sqrt2(q_sqrt2):
     rng = random.Random(19)
 
@@ -63,10 +114,10 @@ def test_det_is_multiplicative_over_sqrt2(q_sqrt2):
 
 
 def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
-    """The same rational data over Q, where the kernels run on plain
-    Fractions and the chart search on an integer tableau, and over
-    Q(sqrt2), where both run on FieldScalars, gives the same eliminations,
-    chart preimages and chart groups, coefficient by coefficient."""
+    """The same rational data over Q, where every elimination runs
+    fraction-free on an integer tableau, and over Q(sqrt2), where it runs
+    Gauss-Jordan on FieldScalars, gives the same eliminations, chart
+    preimages and chart groups, coefficient by coefficient."""
     def lift(s):
         # a Q scalar's coefficients as a rational Q(sqrt2) scalar's
         return s.coeffs + (Fraction(0),)

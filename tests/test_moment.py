@@ -160,6 +160,28 @@ def test_retract_huge_moduli_raise_no_overflow_warning():
                                                 rel=1e-6)
 
 
+def test_retract_moves_an_overflowing_point_along_its_orbit(interval_md):
+    # |z_j|^2 = 1e320 overflows, |z_j| does not: the pre-translation comes
+    # from 2 log|z|, so the point retracts like (1, 1) on its orbit, with
+    # y* further along the orbit by log(1e160) / 2pi per coordinate
+    small = retract(interval_md, [1, 1])
+    shift = math.log(1e160) / TWO_PI
+    # a start near the big point's minimizer, in its own coordinates
+    near = _reduced_subspace(interval_md, ()).T @ (small.y_star + shift) + 0.5
+    for start in (None, near):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = retract(interval_md, [1e160, 1e160], start=start)
+        assert np.allclose(big.x, small.x, atol=1e-9)
+        assert np.allclose(big.xi, small.xi, atol=1e-9)
+        assert np.allclose(big.y_star, small.y_star + shift, atol=1e-9)
+        assert big.residual <= 1e-9
+    # the orbit of (1e160, 1) holds no point with both moduli squared in
+    # range and off zero together, so it still fails as a SolverError
+    with pytest.raises(SolverError):
+        retract(interval_md, [1e160, 1])
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda f: f.stem)
 def test_reduced_subspace_cache_matches_recomputation(path):
     p = load_instance(str(path)).polytope
