@@ -17,13 +17,24 @@ factor degrees of the polynomial modulo small primes.  Only a polynomial
 with no certificate (one that is not squarefree, or that splits modulo
 every prime, like x^4 - 10x^2 + 1) imports sympy to decide.
 
-Degree 1 collapses to plain rational arithmetic: a scalar's one
+Scalars are stored by degree.  In degree 1 a scalar's one ``Fraction``
 coefficient is its value.  The exact eliminations (``linalg.first_basis``
 and ``linalg.exchange``, behind ``linalg._rref`` and the chart search in
 ``groups``) scale those ``Fraction`` values to integer rows and run
 fraction-free; ``polytope.cone_rays`` and ``linalg.dot`` compute on the
 ``Fraction`` values directly.  Each wraps a ``FieldScalar`` only around
 what it returns; over a larger field they compute on the scalars.
+
+In degree k >= 2 a scalar is one integer numerator vector over one
+positive common denominator, in lowest terms (Cohen 1993, §4.2).  Sums are
+integer operations; a product is an integer convolution reduced by an
+integer power table (t^m for m >= k, over one denominator, so a non-monic
+minimal polynomial needs no ``Fraction``); an inverse solves its system by
+fraction-free steps.  The enclosure evaluates the numerators by Horner's
+rule on the root interval written as integers over a common denominator,
+the same interval value that the ``Fraction`` coefficients would give, so
+every test and every bisection is as it would be on them.  ``coeffs``
+reads the coordinates as ``Fraction`` values, built on first read.
 """
 
 from __future__ import annotations
@@ -46,22 +57,6 @@ def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-# Closed rational intervals, as (lo, hi) pairs of Fractions.
-
-def _iv_mul(a, b):
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(p), max(p))
-
-
-def _iv_eval(coeffs: Sequence[Fraction], iv) -> tuple[Fraction, Fraction]:
-    """Horner evaluation of a polynomial on an interval."""
-    acc = (coeffs[-1], coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        lo, hi = _iv_mul(acc, iv)
-        acc = (lo + c, hi + c)
-    return acc
 
 
 def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -232,11 +227,22 @@ def _float_up(x: Fraction) -> float:
     return f
 
 
+def _convolve(a, b) -> list[int]:
+    """Coefficients of the product of two polynomials, given by their
+    integer coefficients (constant term first)."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return prod
+
+
 class NumberField:
     """A real number field Q(t), t the unique root in ``root_interval``."""
 
     __slots__ = ("minpoly", "degree", "root_interval", "irreducibility_checked",
-                 "_iv", "_monic", "_power_table", "_fp", "_lo_positive")
+                 "_iv", "_iv_int", "_table", "_table_den", "_fp", "_lo_positive")
 
     def __init__(self, minpoly: Sequence[int], root_interval=None, *,
                  check_irreducible: bool = True):
@@ -278,24 +284,31 @@ class NumberField:
                 raise FieldDefinitionError("minimal polynomial is reducible over Q")
             self.irreducibility_checked = bool(check_irreducible)
 
-        self._iv = self.root_interval
-        lead = Fraction(coeffs[-1])
-        self._monic = tuple(Fraction(c) / lead for c in coeffs[:-1])
-        self._power_table = self._build_power_table()
+        self._set_interval(*self.root_interval)
+        self._table, self._table_den = self._build_power_table()
 
     def _build_power_table(self):
-        """Coefficient vectors of t^k for k = degree .. 2*degree-2."""
+        """Integer rows R_m and one positive integer L with
+        t^m = (sum_i R_m[i] t^i) / L, for m = degree .. 2*degree-2."""
         k = self.degree
-        table = []
+        monic = [Fraction(c, self.minpoly[-1]) for c in self.minpoly[:-1]]
         # t^k = -sum_i monic_i t^i
-        cur = [-c for c in self._monic]
-        table.append(tuple(cur))
+        cur = [-c for c in monic]
+        rows = [cur]
         for _ in range(k - 2):
-            shifted = [Fraction(0)] + cur[:-1]
             overflow = cur[-1]
-            cur = [shifted[i] - overflow * self._monic[i] for i in range(k)]
-            table.append(tuple(cur))
-        return tuple(table)
+            cur = [(cur[i - 1] if i else 0) - overflow * monic[i] for i in range(k)]
+            rows.append(cur)
+        scale = math.lcm(*(c.denominator for row in rows for c in row))
+        return tuple(tuple(int(c * scale) for c in row) for row in rows), scale
+
+    def _set_interval(self, lo: Fraction, hi: Fraction):
+        """Keeps the root interval as Fractions and as integers (a, b, q)
+        with lo = a/q and hi = b/q, which the enclosures read."""
+        self._iv = (lo, hi)
+        q = math.lcm(lo.denominator, hi.denominator)
+        self._iv_int = (lo.numerator * (q // lo.denominator),
+                        hi.numerator * (q // hi.denominator), q)
 
     # The isolating interval only ever shrinks.  Exact answers and shadow
     # floats do not depend on how far it has been refined; shadow error
@@ -311,9 +324,26 @@ class NumberField:
                 "rational root hit during refinement: polynomial is reducible")
         # the minimal polynomial keeps the sign it has at lo on [lo, root)
         if (vm > 0) == self._lo_positive:
-            self._iv = (mid, hi)
+            self._set_interval(mid, hi)
         else:
-            self._iv = (lo, mid)
+            self._set_interval(lo, mid)
+
+    def _element(self, num, den: int) -> "FieldScalar":
+        """The scalar (sum_i num[i] t^i) / den, for integers num[i] with
+        i <= 2*degree - 2 and den > 0: the powers t^m with m >= degree are
+        reduced by the power table, then the form by one gcd."""
+        k = self.degree
+        high = num[k:]
+        num = num[:k]
+        if any(high):
+            if self._table_den != 1:
+                num = [x * self._table_den for x in num]
+                den *= self._table_den
+            for c, row in zip(high, self._table):
+                if c:
+                    for i in range(k):
+                        num[i] += c * row[i]
+        return _reduced(self, tuple(num), den)
 
     # -- constructors ---------------------------------------------------
 
@@ -330,16 +360,15 @@ class NumberField:
         return FieldScalar(self, tuple(cs))
 
     def from_rational(self, q: RationalLike) -> "FieldScalar":
-        cs = [Fraction(0)] * self.degree
-        cs[0] = _frac(q)
-        return FieldScalar(self, tuple(cs))
+        q = _frac(q)
+        if self.degree == 1:
+            return FieldScalar(self, (q,))
+        return _make(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def generator(self) -> "FieldScalar":
         if self.degree == 1:
             return self.from_rational(Fraction(-self.minpoly[0], self.minpoly[1]))
-        cs = [Fraction(0)] * self.degree
-        cs[1] = Fraction(1)
-        return FieldScalar(self, tuple(cs))
+        return _make(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def zero(self) -> "FieldScalar":
         return self.from_rational(0)
@@ -361,27 +390,72 @@ class NumberField:
         return f"NumberField(minpoly={list(self.minpoly)}, root~{float(self.root_interval[0]):.6g})"
 
 
-class FieldScalar:
-    """An element of a :class:`NumberField`, exact and immutable."""
+def _make(field: NumberField, num: tuple[int, ...], den: int) -> "FieldScalar":
+    """The degree >= 2 scalar num/den, already in lowest terms."""
+    s = object.__new__(FieldScalar)
+    s.field, s.num, s.den = field, num, den
+    return s
 
-    __slots__ = ("field", "coeffs")
+
+def _reduced(field: NumberField, num: tuple[int, ...], den: int) -> "FieldScalar":
+    """The degree >= 2 scalar num/den (den > 0), brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    return _make(field, num, den)
+
+
+class FieldScalar:
+    """An element of a :class:`NumberField`, exact and immutable.
+
+    Over Q the scalar keeps its one ``Fraction`` coefficient, which is its
+    value.  In degree >= 2 the arithmetic runs on ``num``, the integer
+    numerators of the power-basis coordinates, over ``den``, their one
+    positive denominator, with gcd(den, *num) = 1, so that equal values have
+    equal forms.  ``coeffs`` reads the coordinates as Fractions, built on
+    first read in degree >= 2; the kernels read a degree-1 scalar's tuple
+    off its slot ``_coeffs``.  (A ``__getattr__`` would fill it lazily
+    too, but it stops CPython from specialising any attribute read on a
+    scalar, degree 1 included.)"""
+
+    __slots__ = ("field", "_coeffs", "num", "den")
 
     def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
         self.field = field
-        self.coeffs = coeffs
+        if field.degree == 1:
+            self._coeffs = coeffs
+        else:
+            den = math.lcm(*(c.denominator for c in coeffs))
+            self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+            self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            self._coeffs = tuple(Fraction(x, den) for x in self.num)
+            return self._coeffs
 
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        if self.field.degree == 1:
+            return not self._coeffs[0]
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return self.field.degree == 1 or not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar is irrational")
-        return self.coeffs[0]
+        if self.field.degree == 1:
+            return self._coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring operations ------------------------------------------------
 
@@ -398,20 +472,36 @@ class FieldScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldScalar(self.field,
-                           tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if self.field.degree == 1:
+            return FieldScalar(self.field, (self._coeffs[0] + o._coeffs[0],))
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(self.field,
+                            tuple(a + b for a, b in zip(self.num, o.num)), da)
+        return _reduced(self.field,
+                        tuple(a * db + b * da for a, b in zip(self.num, o.num)),
+                        da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldScalar(self.field, tuple(-a for a in self.coeffs))
+        if self.field.degree == 1:
+            return FieldScalar(self.field, (-self._coeffs[0],))
+        return _make(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldScalar(self.field,
-                           tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if self.field.degree == 1:
+            return FieldScalar(self.field, (self._coeffs[0] - o._coeffs[0],))
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(self.field,
+                            tuple(a - b for a, b in zip(self.num, o.num)), da)
+        return _reduced(self.field,
+                        tuple(a * db - b * da for a, b in zip(self.num, o.num)),
+                        da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -423,41 +513,34 @@ class FieldScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = self.field.degree
-        if k == 1:
-            return FieldScalar(self.field, (self.coeffs[0] * o.coeffs[0],))
-        prod = [Fraction(0)] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b != 0:
-                    prod[i + j] += a * b
-        out = list(prod[:k])
-        table = self.field._power_table
-        for m in range(k, 2 * k - 1):
-            c = prod[m]
-            if c != 0:
-                row = table[m - k]
-                for i in range(k):
-                    out[i] += c * row[i]
-        return FieldScalar(self.field, tuple(out))
+        field = self.field
+        if field.degree == 1:
+            return FieldScalar(field, (self._coeffs[0] * o._coeffs[0],))
+        return field._element(_convolve(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldScalar":
         if self.is_zero():
             raise ZeroDivisionError("field scalar inverse of zero")
-        if self.is_rational():
-            return self.field.from_rational(1 / self.coeffs[0])
+        field = self.field
+        if field.degree == 1:
+            return field.from_rational(1 / self._coeffs[0])
+        num = self.num
+        if not any(num[1:]):
+            return field.from_rational(Fraction(self.den, num[0]))
         # x = self^-1 solves M x = e_1, M the matrix of multiplication by
-        # self on the power basis: its column j is self * t^j.
-        k = self.field.degree
-        cols, t = [self], self.field.generator()
+        # self on the power basis: its column j is self * t^j.  On the
+        # integer columns cols[j].num = cols[j].den * self * t^j it is
+        # N z = e_1 with x_j = cols[j].den * z_j, solved by fraction-free
+        # Gauss-Jordan steps (Bareiss 1968): at the end every pivot is the
+        # last one, D, and the right-hand side is D * z.
+        k = field.degree
+        cols, t = [self], field.generator()
         while len(cols) < k:
             cols.append(cols[-1] * t)
-        rows = [[col.coeffs[i] for col in cols] + [Fraction(int(i == 0))]
-                for i in range(k)]
+        rows = [[col.num[i] for col in cols] + [int(i == 0)] for i in range(k)]
+        denom = 1
         for c in range(k):
             p = next((r for r in range(c, k) if rows[r][c]), None)
             if p is None:
@@ -465,12 +548,15 @@ class FieldScalar:
                     "gcd with minimal polynomial is nontrivial: polynomial is reducible")
             rows[c], rows[p] = rows[p], rows[c]
             pivot = rows[c]
-            for row in rows:
-                if row is not pivot and row[c]:
-                    m = row[c] / pivot[c]
-                    for j in range(c + 1, k + 1):
-                        row[j] -= m * pivot[j]
-        return FieldScalar(self.field, tuple(row[k] / row[i] for i, row in enumerate(rows)))
+            new = pivot[c]
+            for r, row in enumerate(rows):
+                if r != c:
+                    f = row[c]
+                    rows[r] = [(x * new - f * y) // denom for x, y in zip(row, pivot)]
+            denom = new
+        sign = 1 if denom > 0 else -1
+        return _reduced(field, tuple(sign * col.den * row[k]
+                                     for col, row in zip(cols, rows)), abs(denom))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -500,32 +586,55 @@ class FieldScalar:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, by root-interval refinement."""
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            return 1 if self.coeffs[0] > 0 else -1
-        lo, _ = self._enclose(
-            lambda lo, hi: lo > 0 or hi < 0,
+        if self.field.degree == 1:
+            c = self._coeffs[0]
+            return 0 if not c else 1 if c > 0 else -1
+        num = self.num
+        if not any(num[1:]):
+            return (num[0] > 0) - (num[0] < 0)
+        lo, _, _ = self._enclose(
+            lambda lo, hi, scale: lo > 0 or hi < 0,
             "sign refinement did not separate from zero: "
             "the declared minimal polynomial is likely reducible")
         return 1 if lo > 0 else -1
 
-    def _enclose(self, done, message: str) -> tuple[Fraction, Fraction]:
-        """Rational (lo, hi) around the value, refined until done(lo, hi)."""
-        field = self.field
+    def _enclose(self, done, message: str) -> tuple[int, int, int]:
+        """Integers (lo, hi, scale) with the value in [lo/scale, hi/scale],
+        refined until done(lo, hi, scale).  Horner's rule runs on the
+        numerators over the root interval [a/q, b/q], its step m scaled by
+        q^m, so lo/scale and hi/scale are the ends of the interval Horner
+        evaluation of ``coeffs`` on [a/q, b/q]."""
+        field, num = self.field, self.num
+        lower = num[-2::-1]
         for _ in range(BISECTION_CAP):
-            lo, hi = _iv_eval(self.coeffs, field._iv)
-            if done(lo, hi):
-                return lo, hi
+            a, b, q = field._iv_int
+            lo = hi = num[-1]
+            power = 1
+            for c in lower:
+                power *= q
+                p = (lo * a, lo * b, hi * a, hi * b)
+                lo, hi = min(p) + c * power, max(p) + c * power
+            scale = power * self.den
+            if done(lo, hi, scale):
+                return lo, hi, scale
             field._refine()
-        raise FieldDefinitionError(message)
+        from decimal import Decimal
+        raise FieldDefinitionError(
+            f"{message} (scalar {[str(c) for c in self.coeffs]}, value "
+            f"interval width {Decimal(hi - lo) / Decimal(scale):.3e} after "
+            f"{BISECTION_CAP} bisections)")
 
     def __eq__(self, other):
         if isinstance(other, FieldScalar):
-            return ((self.field is other.field or self.field == other.field)
-                    and self.coeffs == other.coeffs)
+            if self.field is not other.field and self.field != other.field:
+                return False
+            if self.field.degree == 1:
+                return self._coeffs == other._coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            if self.field.degree == 1:
+                return self._coeffs[0] == other
+            return self.is_rational() and self.num[0] == other * self.den
         return NotImplemented
 
     def __hash__(self):
@@ -547,21 +656,24 @@ class FieldScalar:
 
     def floor(self) -> int:
         """Exact floor."""
+        if self.field.degree == 1:
+            return math.floor(self._coeffs[0])
         if self.is_rational():
-            return math.floor(self.coeffs[0])
+            return self.num[0] // self.den
         # an irrational value is never an integer: refine until the
         # enclosure lies strictly between two
-        lo, _ = self._enclose(
-            lambda lo, hi: math.floor(lo) < lo and hi < math.floor(lo) + 1,
+        lo, _, scale = self._enclose(
+            lambda lo, hi, scale: lo % scale != 0 and hi < (lo // scale + 1) * scale,
             "floor refinement failed")
-        return math.floor(lo)
+        return lo // scale
 
     def frac_part(self) -> "FieldScalar":
         """self - floor(self), in [0, 1)."""
-        if self.is_rational():
-            c = self.coeffs[0]
-            return FieldScalar(self.field, (c - math.floor(c),) + self.coeffs[1:])
-        return self - self.floor()
+        if self.field.degree == 1:
+            c = self._coeffs[0]
+            return FieldScalar(self.field, (c - math.floor(c),))
+        num, den = self.num, self.den
+        return _make(self.field, (num[0] - self.floor() * den,) + num[1:], den)
 
     def shadow(self, precision: int = 53) -> tuple[float, float]:
         """The correctly rounded float of the exact value, with a rigorous
@@ -571,23 +683,26 @@ class FieldScalar:
         if precision < 24:
             raise ValueError("precision must be at least 24 bits")
         if self.is_rational():
-            v = self.coeffs[0]
+            v = self.as_fraction()
             f = float(v)
             return f, _float_up(abs(v - Fraction(f)))
-        # once both ends round to the same float, so does every point between
-        target = Fraction(1, 2 ** precision)
-        lo, hi = self._enclose(
-            lambda lo, hi: (hi - lo <= target * max(2, abs(lo + hi))
-                            and float(lo) == float(hi)),
+        # once both ends round to the same float, so does every point
+        # between; hi - lo <= 2**-precision * max(2, |lo + hi|), times scale
+        lo, hi, scale = self._enclose(
+            lambda lo, hi, scale: ((hi - lo) << precision <= max(2 * scale, abs(lo + hi))
+                                   and lo / scale == hi / scale),
             "shadow refinement exceeded bisection cap")
-        f = float(lo)
-        return f, _float_up(max(Fraction(f) - lo, hi - Fraction(f)))
+        f = lo / scale
+        return f, _float_up(max(Fraction(f) - Fraction(lo, scale),
+                                Fraction(hi, scale) - Fraction(f)))
 
     def __float__(self):
         """The float of :meth:`shadow`, without computing its error bound."""
-        return float(self.coeffs[0]) if self.is_rational() else self.shadow(53)[0]
+        if self.field.degree == 1:
+            return float(self._coeffs[0])
+        return self.num[0] / self.den if self.is_rational() else self.shadow(53)[0]
 
     def __repr__(self):
         if self.is_rational():
-            return f"FieldScalar({self.coeffs[0]})"
+            return f"FieldScalar({self.as_fraction()})"
         return f"FieldScalar({list(self.coeffs)})"

@@ -44,7 +44,10 @@ def _expand(v: Sequence[FieldScalar]) -> list[Fraction]:
     """Rational coordinates of a field vector w.r.t. the power basis."""
     out: list[Fraction] = []
     for s in v:
-        out.extend(s.coeffs)
+        if s.field.degree == 1:
+            out.extend(s._coeffs)
+        else:
+            out.extend(Fraction(x, s.den) for x in s.num)
     return out
 
 
@@ -254,7 +257,9 @@ def _presentation(p: "Polytope", I, coords, images_on_chart) -> DiscreteGroupPre
         for j in coord_list:
             full[j - 1] = theta[pos[j]].frac_part()
         if any(not s.is_zero() for s in full):
-            distinct.setdefault(tuple(s.coeffs for s in full), full)
+            key = (tuple((s.num, s.den) for s in full) if field.degree > 1
+                   else tuple(s._coeffs for s in full))
+            distinct.setdefault(key, full)
     reduced = list(distinct.values())
     finite = all(s.is_rational() for img in reduced for s in img)
     if finite:

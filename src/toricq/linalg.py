@@ -9,15 +9,18 @@ Every exact elimination runs on one basis-exchange driver:
 :func:`first_basis` picks the pivots of a first basis and :func:`exchange`
 makes each one basic; :func:`_rref` and the chart search in ``groups`` both
 call them.  They compute on raw entries.  Over a field of degree >= 2 the
-raw entry is the ``FieldScalar`` itself and an exchange is the Gauss-Jordan
-step.  Over Q it is the plain ``Fraction`` value of each scalar: the rows
-are scaled to integers once, every exchange is fraction-free (Bareiss
-1968), and :func:`over` divides the tableau by its one denominator at the
-end.  :func:`raw` and :func:`wrapped` convert at the
+raw entry is the ``FieldScalar`` itself, whose arithmetic runs on integer
+numerators over one denominator (see ``field``), and an exchange is the
+Gauss-Jordan step.  Over Q it is the plain ``Fraction`` value of each
+scalar: the rows are scaled to integers once, every exchange is
+fraction-free (Bareiss 1968), and :func:`over` divides the tableau by its
+one denominator at the end.  :func:`raw` and :func:`wrapped` convert at the
 boundary, and :func:`arithmetic` gives the zero test, inverse and sign of a
 field's raw entries.  The public functions here, ``polytope.cone_rays`` and
 the link data in ``strata`` unwrap their input and wrap only what they
-return; :func:`dot` does the same for vectors over a field of degree 1.
+return; :func:`dot` does the same for vectors over a field of degree 1,
+and over a larger field sums the numerators of all products before it
+normalises once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .field import FieldScalar, NumberField
+from .field import FieldScalar, NumberField, _convolve
 
 
 class Arithmetic(NamedTuple):
@@ -52,7 +55,7 @@ def arithmetic(field: NumberField) -> Arithmetic:
 def raw(field: NumberField, entries) -> list:
     """The kernels' entries for the given scalars of ``field``."""
     if field.degree == 1:
-        return [s.coeffs[0] for s in entries]
+        return [s._coeffs[0] for s in entries]
     return list(entries)
 
 
@@ -95,16 +98,45 @@ def barycenter(vectors, field: NumberField):
 
 
 def dot(a, b) -> FieldScalar:
-    """<a, b>; degree-1 scalars are summed on their raw values and wrapped
-    once, other entries (raw ones too) are summed as they are."""
+    """<a, b>.  Degree-1 scalars are summed on their raw values and wrapped
+    once; scalars of a larger field by :func:`_scalar_dot`; other entries
+    (raw ones too) are summed as they are."""
     first = a[0]
-    if type(first) is FieldScalar and first.field.degree == 1:
+    if type(first) is FieldScalar:
         field = first.field
-        return FieldScalar(field, (dot(raw(field, a), raw(field, b)),))
+        if field.degree == 1:
+            return FieldScalar(field, (dot(raw(field, a), raw(field, b)),))
+        out = _scalar_dot(field, a, b)
+        if out is not None:
+            return out
     acc = a[0] * b[0]
     for x, y in zip(a[1:], b[1:]):
         acc = acc + x * y
     return acc
+
+
+def _scalar_dot(field: NumberField, a, b) -> FieldScalar | None:
+    """<a, b> for scalars of a field of degree >= 2 in one pass: the
+    numerators of each product are convolved and summed over the product of
+    the denominators, then reduced and normalised once.  None when an entry
+    is not a scalar of ``field`` itself."""
+    acc, den = None, 1
+    for x, y in zip(a, b):
+        if (type(x) is not FieldScalar or type(y) is not FieldScalar
+                or x.field is not field or y.field is not field):
+            return None
+        xn, yn = x.num, y.num
+        if not (any(xn) and any(yn)):
+            continue
+        prod, d = _convolve(xn, yn), x.den * y.den
+        if acc is None:
+            acc, den = prod, d
+        elif d == den:
+            acc = [u + v for u, v in zip(acc, prod)]
+        else:
+            acc = [u * d + v * den for u, v in zip(acc, prod)]
+            den *= d
+    return field.zero() if acc is None else field._element(acc, den)
 
 
 def mat_vec(rows, v):

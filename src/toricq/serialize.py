@@ -9,6 +9,7 @@ terminated, and file writes are atomic.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -54,13 +55,31 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def scalar_to_json(s: FieldScalar) -> list[str]:
-    return [str(c) for c in s.coeffs]
+    if s.field.degree == 1:
+        return [str(s._coeffs[0])]
+    return [_ratio(x, s.den) for x in s.num]
+
+
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def scalar_from_json(field: NumberField, data) -> FieldScalar:
-    if isinstance(data, (str, int)):
-        return field.from_rational(Fraction(data))
-    return field.scalar([Fraction(c) for c in data])
+    if isinstance(data, (str, int, float)):
+        return field.from_rational(_exact(data))
+    return field.scalar([_exact(c) for c in data])
+
+
+def _exact(value) -> Fraction:
+    """``Fraction(value)`` for a JSON string or integer, refusing a float
+    (read as its binary value, 0.1 as 3602879701896397/2**55) or a boolean
+    (read as 0 or 1)."""
+    if isinstance(value, (bool, float)):
+        raise ValidationError(f"scalar entry {json.dumps(value)} is not exact: "
+                              'write it as a string such as "1/10"')
+    return Fraction(value)
 
 
 def _integer(value) -> int:

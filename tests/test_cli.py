@@ -74,6 +74,36 @@ def test_sqrt2_field_roundtrip(q_sqrt2):
     s = q_sqrt2.scalar([1, -2])
     arr = serialize.scalar_to_json(s)
     assert serialize.scalar_from_json(back, arr) == s
+    # scalars made by arithmetic print from their integer numerators
+    for s in (q_sqrt2.scalar(["3/4", "-5/6"]), q_sqrt2.scalar(["3/4", "-5/6"]).inverse(),
+              q_sqrt2.scalar(["-7/3", 0]), q_sqrt2.zero()):
+        arr = serialize.scalar_to_json(s)
+        assert arr == [str(c) for c in s.coeffs]
+        assert serialize.scalar_from_json(back, arr) == s
+
+
+def _sqrt2_interval_with(key, value):
+    data = json.loads((INSTANCES / "interval_sqrt2.json").read_text())
+    return dict(data, **{key: value})
+
+
+@pytest.mark.parametrize("data, shown", [
+    (dict(INTERVAL_JSON, offsets=[["0"], [-1.0]]), "-1.0"),
+    (dict(INTERVAL_JSON, offsets=[["0"], [0.1]]), "0.1"),
+    (dict(INTERVAL_JSON, offsets=[["0"], [True]]), "true"),
+    (dict(INTERVAL_JSON, offsets=[["0"], True]), "true"),
+    (_sqrt2_interval_with("normals", [[[1.5, "0"]], [["-1", "0"]]]), "1.5"),
+], ids=["integral-float", "float", "boolean", "bare-boolean", "sqrt2-float"])
+def test_inexact_scalar_is_refused(tmp_path, capsys, data, shown):
+    """A JSON float or boolean scalar is an input error that names the
+    value, not 0.1 read as its binary value or true as 1."""
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["message"] == (f'scalar entry {shown} is not exact: write it as a '
+                              'string such as "1/10"')
 
 
 def test_cmd_analyze(pyramid_file, capsys):
@@ -241,6 +271,27 @@ def test_rational_charts_reduce_on_integers(monkeypatch, capsys):
     assert main(["analyze", str(INSTANCES / "interval_sqrt2.json")]) == 0
     capsys.readouterr()
     assert frac_calls[0] > 0
+
+
+def test_degree_two_scalar_methods_stay_patchable(monkeypatch, capsys):
+    """Degree >= 2 arithmetic runs in FieldScalar's own methods, so a patch
+    of FieldScalar.__mul__ or .sign (as the benchmark tracer's counters
+    make) sees the Q(sqrt2) calls of analyze."""
+    calls = {"__mul__": 0, "sign": 0}
+
+    def counting(name):
+        original = getattr(FieldScalar, name)
+
+        def method(self, *args):
+            calls[name] += self.field.degree == 2
+            return original(self, *args)
+        return method
+
+    for name in calls:
+        monkeypatch.setattr(FieldScalar, name, counting(name))
+    assert main(["analyze", str(INSTANCES / "interval_sqrt2.json")]) == 0
+    capsys.readouterr()
+    assert calls["__mul__"] > 0 and calls["sign"] > 0
 
 
 def test_cmd_retract(interval_file, capsys):

@@ -1,5 +1,6 @@
 """Field arithmetic beyond the quadratic cases the fixtures use."""
 
+import math
 import os
 import random
 import subprocess
@@ -243,3 +244,188 @@ def test_shipped_sqrt2_runs_never_import_sympy():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def _float_up(x):
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f
+
+
+class _Reference:
+    """A field's arithmetic on plain ``Fraction`` coefficient tuples, as
+    the formulas were before scalars kept integer numerators: products
+    reduced by a power table over Q, the inverse by Gauss-Jordan steps on
+    the multiplication matrix, and enclosures by interval Horner evaluation
+    on a Fraction copy of the root interval, bisected as the field bisects
+    its own."""
+
+    def __init__(self, minpoly, interval):
+        self.minpoly = tuple(minpoly)
+        self.fp = [Fraction(c) for c in minpoly]
+        self.k = k = len(minpoly) - 1
+        monic = [c / self.fp[-1] for c in self.fp[:-1]]
+        cur = [-c for c in monic]
+        self.table = [cur]
+        for _ in range(k - 2):
+            cur = [(cur[i - 1] if i else 0) - cur[-1] * monic[i] for i in range(k)]
+            self.table.append(cur)
+        self.iv = tuple(Fraction(e) for e in interval)
+        self.lo_positive = self._value(self.iv[0]) > 0
+        self.refinements = 0
+
+    def _value(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.fp):
+            acc = acc * x + c
+        return acc
+
+    def refine(self):
+        lo, hi = self.iv
+        mid = (lo + hi) / 2
+        self.iv = (mid, hi) if (self._value(mid) > 0) == self.lo_positive else (lo, mid)
+        self.refinements += 1
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        k = self.k
+        prod = [Fraction(0)] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        out = prod[:k]
+        for row, c in zip(self.table, prod[k:]):
+            out = [o + c * r for o, r in zip(out, row)]
+        return tuple(out)
+
+    def inverse(self, a):
+        k = self.k
+        t = tuple(Fraction(int(i == 1)) for i in range(k))
+        cols = [a]
+        while len(cols) < k:
+            cols.append(self.mul(cols[-1], t))
+        rows = [[col[i] for col in cols] + [Fraction(int(i == 0))] for i in range(k)]
+        for c in range(k):
+            p = next(r for r in range(c, k) if rows[r][c])
+            rows[c], rows[p] = rows[p], rows[c]
+            for row in rows:
+                if row is not rows[c] and row[c]:
+                    m = row[c] / rows[c][c]
+                    for j in range(c, k + 1):
+                        row[j] -= m * rows[c][j]
+        return tuple(row[k] / row[i] for i, row in enumerate(rows))
+
+    def _enclose(self, a, done):
+        while True:
+            acc = (a[-1], a[-1])
+            for c in reversed(a[:-1]):
+                p = [x * y for x in acc for y in self.iv]
+                acc = (min(p) + c, max(p) + c)
+            if done(*acc):
+                return acc
+            self.refine()
+
+    def sign(self, a):
+        if not any(a):
+            return 0
+        if not any(a[1:]):
+            return 1 if a[0] > 0 else -1
+        lo, _ = self._enclose(a, lambda lo, hi: lo > 0 or hi < 0)
+        return 1 if lo > 0 else -1
+
+    def floor(self, a):
+        if not any(a[1:]):
+            return math.floor(a[0])
+        lo, _ = self._enclose(
+            a, lambda lo, hi: math.floor(lo) < lo and hi < math.floor(lo) + 1)
+        return math.floor(lo)
+
+    def frac_part(self, a):
+        return (a[0] - self.floor(a),) + a[1:]
+
+    def shadow(self, a, precision):
+        if not any(a[1:]):
+            f = float(a[0])
+            return f, _float_up(abs(a[0] - Fraction(f)))
+        target = Fraction(1, 2 ** precision)
+        lo, hi = self._enclose(a, lambda lo, hi: (hi - lo <= target * max(2, abs(lo + hi))
+                                                  and float(lo) == float(hi)))
+        f = float(lo)
+        return f, _float_up(max(Fraction(f) - lo, hi - Fraction(f)))
+
+
+@pytest.mark.parametrize("minpoly, interval, irreducible", [
+    ([-2, 0, 1], (Fraction(141, 100), Fraction(71, 50)), True),  # the instances'
+    ([-2, 0, 1], (1, 2), True),                                  # the bench families'
+    ([-1, 0, 2], (0, 1), True),                                  # 1/sqrt2, non-monic
+    ([-2, 0, 0, 1], (1, 2), True),                               # 2^(1/3)
+    ([1, 0, -10, 0, 1], (3, 4), False),                          # sqrt2 + sqrt3
+])
+def test_integer_scalars_match_the_fraction_formulas(monkeypatch, minpoly, interval,
+                                                     irreducible):
+    """Every operation on seeded scalars gives what the Fraction formulas
+    give, and each call refines the root interval exactly as often."""
+    refinements = [0]
+    refine = NumberField._refine
+
+    def counted_refine(self):
+        refinements[0] += 1
+        refine(self)
+
+    monkeypatch.setattr(NumberField, "_refine", counted_refine)
+    field = NumberField(minpoly, interval, check_irreducible=irreducible)
+    ref = _Reference(minpoly, interval)
+    rng = random.Random(len(minpoly) * 1000 + int(interval[1] * 100))
+
+    def draw(i):
+        cs = [Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(ref.k)]
+        if i % 5 == 0:
+            cs[1:] = [Fraction(0)] * (ref.k - 1)   # a rational scalar
+        return tuple(cs)
+
+    def same(s, coeffs):
+        assert s.coeffs == coeffs
+        assert s == field.scalar(coeffs) and hash(s) == hash((field.minpoly, coeffs))
+
+    def lockstep(name, s, coeffs, *args):
+        got = getattr(s, name)(*args)
+        want = getattr(ref, name)(coeffs, *args)
+        if name == "frac_part":
+            same(got, want)
+        else:
+            assert got == want, (name, coeffs)
+        assert refinements[0] == ref.refinements, (name, coeffs)
+        assert field._iv == ref.iv
+
+    for i in range(30):
+        a, b = draw(i), draw(i + 1)
+        x, y = field.scalar(a), field.scalar(b)
+        same(x + y, ref.add(a, b))
+        same(x - y, ref.sub(a, b))
+        same(x * y, ref.mul(a, b))
+        if any(a):
+            same(x.inverse(), ref.inverse(a))
+        assert (x == y) == (a == b) and (x == x * 1)
+        # a scalar read from Fractions and one made by arithmetic
+        for s, coeffs in ((x, a), (x * y - 3, ref.sub(ref.mul(a, b), (Fraction(3),)
+                                                       + (Fraction(0),) * (ref.k - 1)))):
+            lockstep("sign", s, coeffs)
+            lockstep("floor", s, coeffs)
+            lockstep("frac_part", s, coeffs)
+            lockstep("shadow", s, coeffs, 53 + 20 * (i % 3))
+    assert ref.refinements > 0
+
+
+def test_enclosure_cap_names_the_scalar_and_the_width():
+    # x^2 - 4 with check_irreducible=False: t is the rational 2, so t - 2
+    # never separates from zero, and no bisection midpoint lands on 2
+    f = NumberField([-4, 0, 1], (Fraction(19, 10), Fraction(11, 5)),
+                    check_irreducible=False)
+    with pytest.raises(FieldDefinitionError,
+                       match=r"sign refinement .* \(scalar \['-2', '1'\], "
+                             r"value interval width \d\.\d{3}e-\d+ after 4096"):
+        f.scalar([-2, 1]).sign()
