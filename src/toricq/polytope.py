@@ -12,9 +12,12 @@ any declared field.  It serves the contraction rates of nonclosed orbits
 (``sampling._positive_decay_rates``) and the vertices, on the homogenised
 cone {(y, t) : t >= 0, <X_j, y> >= lambda_j t}: a final ray with t = 0 is a
 recession direction (the polytope is unbounded); the rays with t > 0 are
-the vertices, and their zero sets are the vertex active sets.  Faces are
-the intersections of facet vertex sets, and a face's dimension is read off
-the grading of that lattice.
+the vertices, and their zero sets are the vertex active sets.  The face
+lattice is built from these vertex-facet incidences alone, on vertex bit
+masks, walking down from the whole polytope: the facets of a face F are the
+inclusion-maximal proper nonempty intersections of F with a facet, and dim F
+is one more than the largest of theirs (Kaibel & Pfetsch 2002, "Computing
+the face lattice of a polytope from its vertex-facet incidences").
 
 Facets carry 1-based labels 1..d throughout; index sets are sorted tuples
 of labels.  Coordinate arrays are 0-based, so coordinate j-1 belongs to
@@ -52,24 +55,29 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a polytope with their containment partial order.
+    """All faces of a polytope with their containment partial order, kept
+    as found by :meth:`Polytope._build_lattice`: faces keyed by vertex bit
+    mask, facet masks, and the Hasse diagram as each face's upper covers.
 
     ``F <= G`` (F contained in the closure of G) holds exactly when the
-    index sets reverse-contain: I_F >= I_G.  A link's lattice is its parent's
-    interval above the face (:meth:`link_lattice`).
+    vertex sets are contained, and when the index sets reverse-contain:
+    I_F >= I_G.  A link's lattice is its parent's interval above the face
+    (:meth:`link_lattice`).
     """
 
-    def __init__(self, polytope: "Polytope", faces: list[Face],
+    def __init__(self, polytope: "Polytope", by_mask: dict[int, Face],
+                 upper: dict[tuple[int, ...], list[Face]], facet_masks: list[int],
                  vertex_coords: list[list[FieldScalar]] | None,
                  vertex_active: list[tuple[int, ...]]):
         self.polytope = polytope
-        self.faces = faces
+        self.faces = list(by_mask.values())
         if vertex_coords is not None:
             self.vertex_coords = vertex_coords
         self.vertex_active = vertex_active
-        self._by_index = {f.index_set: f for f in faces}
+        self._by_index = {f.index_set: f for f in self.faces}
+        self._by_mask, self._upper, self._facet_masks = by_mask, upper, facet_masks
         self.interior = self._by_index[()]
-        self.polytope_depth = max(f.depth for f in faces)
+        self.polytope_depth = max(f.depth for f in self.faces)
 
     @cached_property
     def vertex_coords(self) -> list[list[FieldScalar]]:
@@ -84,23 +92,19 @@ class FaceLattice:
         (Ziegler 1995, 2.1), vertices sorted as _enumerate_vertices sorts them."""
         return link._build_lattice(None, sorted(
             tuple(face.index_set.index(j) + 1 for j in g.index_set)
-            for g in self.faces if g.dim == face.dim + 1 and self.lt(face, g)))
+            for g in self._upper[face.index_set]))
 
     # -- order ------------------------------------------------------------
 
     @staticmethod
-    def le(a: Face, b: Face) -> bool:
-        """a <= b: a lies in the closure of b."""
-        return set(a.index_set) >= set(b.index_set)
-
-    def lt(self, a: Face, b: Face) -> bool:
-        return a != b and self.le(a, b)
+    def lt(a: Face, b: Face) -> bool:
+        """a < b: a lies in the boundary of b."""
+        return a.vertex_ids < b.vertex_ids
 
     def covers(self) -> list[tuple[Face, Face]]:
-        """Hasse diagram edges (lower, upper): the lattice is graded by
-        dimension, so b covers a exactly when a < b and dim b = dim a + 1."""
-        return [(a, b) for a in self.faces for b in self.faces
-                if b.dim == a.dim + 1 and a.vertex_ids < b.vertex_ids]
+        """Hasse diagram edges (lower, upper), ordered by the positions of
+        the lower, then the upper face in ``faces``."""
+        return [(a, b) for a in self.faces for b in self._upper[a.index_set]]
 
     # -- queries ------------------------------------------------------------
 
@@ -115,17 +119,14 @@ class FaceLattice:
 
     def face_of_active_set(self, index_set) -> Face | None:
         """The unique face on which every facet in ``index_set`` is active,
-        with the smallest such index set; None when no point of the
-        polytope satisfies all the equalities."""
-        want = set(index_set)
-        ids = [v for v, active in enumerate(self.vertex_active)
-               if want <= set(active)]
-        if not ids:
-            return None
-        face = self._by_index.get(_common_active(self.vertex_active, ids))
-        if face is None:
-            raise InternalConsistencyError("active-set closure missed the lattice")
-        return face
+        with the smallest such index set; None when a label is not in 1..d
+        or no point of the polytope satisfies all the equalities."""
+        mask = (1 << len(self.vertex_active)) - 1
+        for j in index_set:
+            if not 1 <= j <= len(self._facet_masks):
+                return None
+            mask &= self._facet_masks[j - 1]
+        return self._by_mask[mask] if mask else None
 
     def vertices_of(self, f: Face) -> list[list[FieldScalar]]:
         return [self.vertex_coords[v] for v in sorted(f.vertex_ids)]
@@ -222,80 +223,71 @@ class Polytope:
 
     def _build_lattice(self, coords, active) -> FaceLattice:
         """Builds and keeps the lattice on the given vertices (coordinates may
-        be None); rejects empty, lower-dimensional and redundant descriptions."""
+        be None); rejects empty, lower-dimensional and redundant descriptions.
+
+        The walk down from the full vertex mask reaches every nonempty
+        intersection of facets, valid input or not.  The lower covers of F
+        are the inclusion-maximal proper nonempty F & m_j (m_j: facet j)."""
         if not active:
             raise ValidationError("polytope is empty")
-        nverts = len(active)
-        all_ids = frozenset(range(nverts))
-        facet_sets = [frozenset(v for v in range(nverts) if j in active[v])
-                      for j in range(1, self.d + 1)]
-        sets = {s for s in facet_sets if s}
-        sets.add(all_ids)
-        # close under intersection; every face is an intersection of facets
-        frontier = set(sets)
-        while frontier:
-            new = set()
-            for a in frontier:
-                for b in sets:
-                    c = a & b
-                    if c and c not in sets and c not in new:
-                        new.add(c)
-            sets |= new
-            frontier = new
-
+        full = (1 << len(active)) - 1
+        facet_masks = [0] * self.d
+        for v, labels in enumerate(active):
+            for j in labels:
+                facet_masks[j - 1] |= 1 << v
+        lower, index_sets, todo = {}, {}, [full]
+        while todo:
+            f = todo.pop()
+            if f in lower:
+                continue
+            below = {f & m for m in facet_masks} - {0, f}
+            kept = []
+            for c in sorted(below, key=int.bit_count, reverse=True):
+                if all(c & k != c for k in kept):
+                    kept.append(c)
+            lower[f] = kept
+            index_sets[f] = tuple([j for j, m in enumerate(facet_masks, start=1)
+                                   if f & m == f])
+            todo += kept
         # the lattice is graded: a vertex has dim 0, any other face one
-        # more than its largest proper subface
-        by_size = sorted(sets, key=len)
-        dims: dict[frozenset, int] = {}
-        for i, vset in enumerate(by_size):
-            below = [dims[u] for u in by_size[:i] if u < vset]
-            dims[vset] = 1 + max(below) if below else 0
-        if dims[all_ids] != self.n:
+        # more than its largest lower cover
+        dims = {}
+        for f in sorted(lower, key=int.bit_count):
+            dims[f] = 1 + max(map(dims.__getitem__, lower[f]), default=-1)
+        if dims[full] != self.n:
             raise ValidationError("polytope is lower-dimensional")
-        for j, vset in enumerate(facet_sets, start=1):
-            if not vset:
+        for j, m in enumerate(facet_masks, start=1):
+            if not m:
                 raise ValidationError(f"facet {j} is never active (redundant)")
-            if dims[vset] != self.n - 1:
+            if dims[m] != self.n - 1:
                 raise ValidationError(f"facet {j} is not an (n-1)-face (redundant)")
-
-        entries = []
-        index_sets = {}
-        for vset in sets:
-            iset = _common_active(active, vset)
-            if iset in index_sets:
-                raise InternalConsistencyError("two faces share an index set")
-            index_sets[iset] = vset
-            entries.append((iset, dims[vset], vset))
-        if sum(1 for iset, _, _ in entries if len(iset) == 1) != self.d:
+        if len(set(index_sets.values())) != len(index_sets):
+            raise InternalConsistencyError("two faces share an index set")
+        if sum(1 for iset in index_sets.values() if len(iset) == 1) != self.d:
             raise ValidationError("duplicate or redundant facet detected")
 
-        entries.sort(key=lambda e: (e[1], e[0]))
-        regular = {e[0]: len(e[0]) == self.n - e[1] for e in entries}
-        # depth: length of the longest ascent through singular faces before
-        # reaching a regular one; regular faces sit at depth 0
-        by_dim_desc = sorted(entries, key=lambda e: -e[1])
-        depth: dict[tuple[int, ...], int] = {}
-        for iset, dim, vset in by_dim_desc:
-            if regular[iset]:
-                depth[iset] = 0
-                continue
-            sing_above = [depth[e[0]] for e in by_dim_desc
-                          if e[0] != iset and set(e[0]) < set(iset)
-                          and not regular[e[0]]]
-            depth[iset] = 1 + (max(sing_above) if sing_above else 0)
-
-        faces = [Face(iset, dim, regular[iset], depth[iset], vset)
-                 for iset, dim, vset in entries]
-        self._lattice = FaceLattice(self, faces, coords, active)
+        masks = sorted(lower, key=lambda f: (dims[f], index_sets[f]))
+        upper = {f: [] for f in masks}
+        for f in masks:
+            for c in lower[f]:
+                upper[c].append(f)
+        # depth: the longest chain of singular faces in [F, P], found from
+        # the top down over upper covers; regular faces sit at depth 0
+        singular = {f: len(index_sets[f]) != self.n - dims[f] for f in masks}
+        chain = {}
+        for f in reversed(masks):
+            chain[f] = singular[f] + max(map(chain.get, upper[f]), default=0)
+        faces = {f: Face(index_sets[f], dims[f], not singular[f],
+                         chain[f] if singular[f] else 0,
+                         frozenset([v for v in range(len(active)) if f >> v & 1]))
+                 for f in masks}
+        self._lattice = FaceLattice(
+            self, faces, {faces[f].index_set: [faces[g] for g in upper[f]]
+                          for f in masks}, facet_masks, coords, active)
         return self._lattice
 
     def __repr__(self):
         return f"Polytope(n={self.n}, d={self.d})"
-
-
-def _common_active(active, ids) -> tuple[int, ...]:
-    """The sorted labels active at every vertex in the nonempty ``ids``."""
-    return tuple(sorted(set.intersection(*(set(active[v]) for v in ids))))
 
 
 def cone_rays(rows):

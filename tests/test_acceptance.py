@@ -142,7 +142,7 @@ def test_criterion_09_rational_recovery(triangle, unit_square, cube):
         lat = p.face_lattice()
         for a in lat.faces:
             for b in lat.faces:
-                assert (set(a.index_set) >= set(b.index_set)) == lat.le(a, b)
+                assert (set(a.index_set) > set(b.index_set)) == lat.lt(a, b)
         assert build_stratification(p).strata == []
     _report(9, "three rational simple instances reproduce the classical "
                "face-orbit correspondence with exact chart orders")

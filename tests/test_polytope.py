@@ -5,6 +5,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from toricq import linalg
 from toricq.errors import ValidationError
 from toricq.groups import Quasilattice
 from toricq.polytope import Polytope
+from toricq.strata import build_stratification
 
 
 # -- oracles: subset scans, independent of the double-description pass --------
@@ -229,6 +231,47 @@ def test_enumeration_matches_the_subset_scan(qq, q_sqrt2):
     assert nonsimple >= 3   # the generator does reach degenerate vertices
 
 
+def _link_polytopes(report, depth=1):
+    """(depth, link polytope) of every link of the recursion under
+    ``report``, depth first."""
+    for s in report.strata:
+        yield depth, s.link.delta_F
+        yield from _link_polytopes(s.link.recursive_report, depth + 1)
+
+
+def _pyramid_over_octahedron(qq):
+    """The apex is on all eight slanted facets; its link is the octahedron,
+    whose six vertices are singular, so the recursion reaches depth 2."""
+    normals = [[sx, sy, sz, -1] for sx in (1, -1) for sy in (1, -1)
+               for sz in (1, -1)] + [[0, 0, 0, 1]]
+    return Polytope(qq, normals, [-1] * 8 + [0], _quasilattice(qq, 4))
+
+
+def test_link_lattices_match_the_subset_scan_at_every_depth(qq, q_sqrt2):
+    """Every link lattice of the recursion, read off its parent's interval,
+    against the subset-scan oracles applied to the link polytope: vertices,
+    faces (index set, dim, regular flag, depth, vertex ids) and covers."""
+    inputs = [p for p in _generated(qq, q_sqrt2)
+              if p.face_lattice().singular_faces()]
+    inputs.append(_pyramid_over_octahedron(qq))
+    depths = []
+    for p in inputs:
+        for depth, d in _link_polytopes(build_stratification(p)):
+            lat = d.face_lattice()
+            coords, active = oracle_vertices(d)
+            assert lat.vertex_active == active
+            assert lat.vertex_coords == coords
+            faces = oracle_faces(d, active)
+            assert [(f.index_set, f.dim, f.regular, f.depth, f.vertex_ids)
+                    for f in lat.faces] == faces
+            assert [(a.index_set, b.index_set) for a, b in lat.covers()] \
+                == oracle_covers(faces)
+            depths.append(depth)
+    # 7 generated inputs have singular faces: 18 links; the pyramid over
+    # the octahedron has 13 links at depth 1 and 12 at depth 2
+    assert (len(inputs), depths.count(1), depths.count(2)) == (8, 31, 12)
+
+
 def _random_description(rng, qq):
     """A small description that is often unbounded, empty, redundant or
     outside its quasilattice: random rows, half of the time added to the
@@ -284,6 +327,39 @@ def test_cross_polytope_5_f_vector(qq):
         == sorted(tuple(s if i == j else 0 for i in range(5))
                   for j in range(5) for s in (-1, 1))
     assert all(len(a) == 16 for a in lat.vertex_active)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_cube_lattice_closed_forms(qq, k):
+    """f_j = C(k, j) 2^(k-j), and a j-face lies in k - j faces of dim j + 1."""
+    normals = [[s if i == j else 0 for i in range(k)]
+               for s in (1, -1) for j in range(k)]
+    lat = Polytope(qq, normals, [0] * k + [-1] * k,
+                   _quasilattice(qq, k)).face_lattice()
+    f = [sum(1 for g in lat.faces if g.dim == j) for j in range(k + 1)]
+    assert f == [comb(k, j) * 2 ** (k - j) for j in range(k + 1)]
+    covers = lat.covers()
+    assert len(covers) == sum(f[j] * (k - j) for j in range(k)) \
+        == {5: 810, 6: 2916}[k]
+    assert all(a.dim + 1 == b.dim and a.vertex_ids < b.vertex_ids
+               for a, b in covers)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_cross_polytope_lattice_closed_forms(qq, n):
+    """f_j = C(n, j + 1) 2^(j + 1) for the proper faces, which are
+    simplices: a (j + 1)-face has j + 2 facets, and each facet is covered
+    by the polytope itself."""
+    normals = [list(s) for s in product((1, -1), repeat=n)]
+    lat = Polytope(qq, normals, [-1] * 2 ** n,
+                   _quasilattice(qq, n)).face_lattice()
+    f = [sum(1 for g in lat.faces if g.dim == j) for j in range(n + 1)]
+    assert f == [comb(n, j + 1) * 2 ** (j + 1) for j in range(n)] + [1]
+    covers = lat.covers()
+    assert len(covers) == sum(f[j + 1] * (j + 2) for j in range(n - 1)) + f[n - 1]
+    assert len(covers) == {4: 224, 5: 832}[n]
+    assert all(a.dim + 1 == b.dim and a.vertex_ids < b.vertex_ids
+               for a, b in covers)
 
 
 def test_unit_square_faces(unit_square):
@@ -348,6 +424,8 @@ def test_face_of_active_set(pyramid):
     apex = lat.face_of_active_set((1, 2, 3))
     assert apex is not None and apex.index_set == (1, 2, 3, 4)
     assert lat.face_of_active_set((1, 2, 3, 4, 5)) is None
+    assert lat.face_of_active_set((0,)) is None       # labels run 1..d
+    assert lat.face_of_active_set((1, 6)) is None
     for f in lat.faces:
         assert lat.face_of_active_set(f.index_set) is f
 
