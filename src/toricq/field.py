@@ -17,24 +17,20 @@ factor degrees of the polynomial modulo small primes.  Only a polynomial
 with no certificate (one that is not squarefree, or that splits modulo
 every prime, like x^4 - 10x^2 + 1) imports sympy to decide.
 
-Scalars are stored by degree.  In degree 1 a scalar's one ``Fraction``
-coefficient is its value.  The exact eliminations (``linalg.first_basis``
-and ``linalg.exchange``, behind ``linalg._rref`` and the chart search in
-``groups``) scale those ``Fraction`` values to integer rows and run
-fraction-free; ``polytope.cone_rays`` and ``linalg.dot`` compute on the
-``Fraction`` values directly.  Each wraps a ``FieldScalar`` only around
-what it returns; over a larger field they compute on the scalars.
-
-In degree k >= 2 a scalar is one integer numerator vector over one
-positive common denominator, in lowest terms (Cohen 1993, §4.2).  Sums are
-integer operations; a product is an integer convolution reduced by an
-integer power table (t^m for m >= k, over one denominator, so a non-monic
-minimal polynomial needs no ``Fraction``); an inverse solves its system by
-fraction-free steps.  The enclosure evaluates the numerators by Horner's
-rule on the root interval written as integers over a common denominator,
-the same interval value that the ``Fraction`` coefficients would give, so
-every test and every bisection is as it would be on them.  ``coeffs``
-reads the coordinates as ``Fraction`` values, built on first read.
+In every degree k, Q (k = 1) included, a scalar is one integer numerator
+vector over one positive common denominator, in lowest terms (Cohen 1993,
+§4.2).  Sums are integer operations; a product is an integer convolution
+reduced by an integer power table (t^m for m >= k, over one denominator,
+so a non-monic minimal polynomial needs no ``Fraction``); an inverse
+solves its system by fraction-free steps, and a rational scalar's inverse
+is read off its numerator.  A scalar whose numerators past the first are
+zero is rational, and its sign, floor and float are read off the first
+numerator and the denominator without any refinement.  Otherwise the
+enclosure evaluates the numerators by Horner's rule on the root interval
+written as integers over a common denominator, the same interval value
+that the ``Fraction`` coefficients would give, so every test and every
+bisection is as it would be on them.  ``coeffs`` reads the coordinates as
+``Fraction`` values, built on first read.
 """
 
 from __future__ import annotations
@@ -361,8 +357,6 @@ class NumberField:
 
     def from_rational(self, q: RationalLike) -> "FieldScalar":
         q = _frac(q)
-        if self.degree == 1:
-            return FieldScalar(self, (q,))
         return _make(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def generator(self) -> "FieldScalar":
@@ -391,14 +385,14 @@ class NumberField:
 
 
 def _make(field: NumberField, num: tuple[int, ...], den: int) -> "FieldScalar":
-    """The degree >= 2 scalar num/den, already in lowest terms."""
+    """The scalar num/den, already in lowest terms."""
     s = object.__new__(FieldScalar)
     s.field, s.num, s.den = field, num, den
     return s
 
 
 def _reduced(field: NumberField, num: tuple[int, ...], den: int) -> "FieldScalar":
-    """The degree >= 2 scalar num/den (den > 0), brought to lowest terms."""
+    """The scalar num/den (den > 0), brought to lowest terms."""
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
@@ -407,29 +401,28 @@ def _reduced(field: NumberField, num: tuple[int, ...], den: int) -> "FieldScalar
     return _make(field, num, den)
 
 
+def _check_field(field: NumberField, other: NumberField) -> None:
+    """Refuses a scalar of ``other`` where one of ``field`` is expected; an
+    equal field that is another object is the same field."""
+    if other is not field and other != field:
+        raise ValueError("scalars from different fields")
+
+
 class FieldScalar:
     """An element of a :class:`NumberField`, exact and immutable.
 
-    Over Q the scalar keeps its one ``Fraction`` coefficient, which is its
-    value.  In degree >= 2 the arithmetic runs on ``num``, the integer
-    numerators of the power-basis coordinates, over ``den``, their one
-    positive denominator, with gcd(den, *num) = 1, so that equal values have
-    equal forms.  ``coeffs`` reads the coordinates as Fractions, built on
-    first read in degree >= 2; the kernels read a degree-1 scalar's tuple
-    off its slot ``_coeffs``.  (A ``__getattr__`` would fill it lazily
-    too, but it stops CPython from specialising any attribute read on a
-    scalar, degree 1 included.)"""
+    The arithmetic runs on ``num``, the integer numerators of the
+    power-basis coordinates, over ``den``, their one positive denominator,
+    with gcd(den, *num) = 1, so that equal values have equal forms.
+    ``coeffs`` reads the coordinates as Fractions, built on first read."""
 
     __slots__ = ("field", "_coeffs", "num", "den")
 
     def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
         self.field = field
-        if field.degree == 1:
-            self._coeffs = coeffs
-        else:
-            den = math.lcm(*(c.denominator for c in coeffs))
-            self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-            self.den = den
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -443,26 +436,21 @@ class FieldScalar:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.field.degree == 1:
-            return not self._coeffs[0]
         return not any(self.num)
 
     def is_rational(self) -> bool:
-        return self.field.degree == 1 or not any(self.num[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar is irrational")
-        if self.field.degree == 1:
-            return self._coeffs[0]
         return Fraction(self.num[0], self.den)
 
     # -- ring operations ------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, FieldScalar):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("scalars from different fields")
+            _check_field(self.field, other.field)
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
@@ -472,8 +460,6 @@ class FieldScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.field.degree == 1:
-            return FieldScalar(self.field, (self._coeffs[0] + o._coeffs[0],))
         da, db = self.den, o.den
         if da == db:
             return _reduced(self.field,
@@ -485,16 +471,12 @@ class FieldScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.degree == 1:
-            return FieldScalar(self.field, (-self._coeffs[0],))
         return _make(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.field.degree == 1:
-            return FieldScalar(self.field, (self._coeffs[0] - o._coeffs[0],))
         da, db = self.den, o.den
         if da == db:
             return _reduced(self.field,
@@ -513,22 +495,17 @@ class FieldScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        field = self.field
-        if field.degree == 1:
-            return FieldScalar(field, (self._coeffs[0] * o._coeffs[0],))
-        return field._element(_convolve(self.num, o.num), self.den * o.den)
+        return self.field._element(_convolve(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldScalar":
         if self.is_zero():
             raise ZeroDivisionError("field scalar inverse of zero")
-        field = self.field
-        if field.degree == 1:
-            return field.from_rational(1 / self._coeffs[0])
-        num = self.num
+        field, num = self.field, self.num
         if not any(num[1:]):
-            return field.from_rational(Fraction(self.den, num[0]))
+            sign = 1 if num[0] > 0 else -1
+            return _make(field, (sign * self.den,) + num[1:], abs(num[0]))
         # x = self^-1 solves M x = e_1, M the matrix of multiplication by
         # self on the power basis: its column j is self * t^j.  On the
         # integer columns cols[j].num = cols[j].den * self * t^j it is
@@ -586,9 +563,6 @@ class FieldScalar:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, by root-interval refinement."""
-        if self.field.degree == 1:
-            c = self._coeffs[0]
-            return 0 if not c else 1 if c > 0 else -1
         num = self.num
         if not any(num[1:]):
             return (num[0] > 0) - (num[0] < 0)
@@ -628,12 +602,8 @@ class FieldScalar:
         if isinstance(other, FieldScalar):
             if self.field is not other.field and self.field != other.field:
                 return False
-            if self.field.degree == 1:
-                return self._coeffs == other._coeffs
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            if self.field.degree == 1:
-                return self._coeffs[0] == other
             return self.is_rational() and self.num[0] == other * self.den
         return NotImplemented
 
@@ -656,8 +626,6 @@ class FieldScalar:
 
     def floor(self) -> int:
         """Exact floor."""
-        if self.field.degree == 1:
-            return math.floor(self._coeffs[0])
         if self.is_rational():
             return self.num[0] // self.den
         # an irrational value is never an integer: refine until the
@@ -669,9 +637,6 @@ class FieldScalar:
 
     def frac_part(self) -> "FieldScalar":
         """self - floor(self), in [0, 1)."""
-        if self.field.degree == 1:
-            c = self._coeffs[0]
-            return FieldScalar(self.field, (c - math.floor(c),))
         num, den = self.num, self.den
         return _make(self.field, (num[0] - self.floor() * den,) + num[1:], den)
 
@@ -698,8 +663,6 @@ class FieldScalar:
 
     def __float__(self):
         """The float of :meth:`shadow`, without computing its error bound."""
-        if self.field.degree == 1:
-            return float(self._coeffs[0])
         return self.num[0] / self.den if self.is_rational() else self.shadow(53)[0]
 
     def __repr__(self):

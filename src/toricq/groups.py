@@ -14,20 +14,23 @@ generators G) gives a first basis; a depth-first search over basis
 exchanges inside A, one exchange per new basis, gives the others, each with
 its preimages in the G columns (Avis & Fukuda 1992).  Both steps are
 ``linalg.first_basis`` and ``linalg.exchange``, the driver of every exact
-elimination: over Q they run fraction-free on the rows scaled to integers,
-over a field of degree >= 2 they are Gauss-Jordan steps on the scalars.
+elimination, which take rows of scalars: over Q they run fraction-free on
+the rows scaled to integers, over a field of degree >= 2 they are
+Gauss-Jordan steps on the scalars.  A basis is reached once, by the bit
+mask of its tableau columns.
 
 A table entry is (D, T): the tableau's denominator (over Q, +-det of the
 scaled X_I; otherwise 1) and the G columns T, one list per generator in the
 order of I, so the preimages are T / D.  Over Q a chart group is read off
 the integers alone: the images mod 1 are (sign(D) T mod |D|) / |D|, and
-their Smith form gives the invariant factors; :func:`_chart` wraps T / D
-as scalars when asked.
+their Smith form gives the invariant factors; :func:`_chart` turns T / D
+into scalars by ``linalg.over`` when asked.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -42,13 +45,7 @@ if TYPE_CHECKING:
 
 def _expand(v: Sequence[FieldScalar]) -> list[Fraction]:
     """Rational coordinates of a field vector w.r.t. the power basis."""
-    out: list[Fraction] = []
-    for s in v:
-        if s.field.degree == 1:
-            out.extend(s._coeffs)
-        else:
-            out.extend(Fraction(x, s.den) for x in s.num)
-    return out
+    return [Fraction(x, s.den) for s in v for x in s.num]
 
 
 def _unexpand(field: NumberField, flat: Sequence[Fraction], n: int) -> list[FieldScalar]:
@@ -172,28 +169,32 @@ def _chart_table(p: "Polytope") -> dict:
 def _vertex_charts(p: "Polytope", active) -> dict:
     """Every basis inside one vertex's active set, with its table entry,
     by basis exchange from the first pivot basis."""
-    field = p.field
-    is_zero = linalg.arithmetic(field).is_zero
+    # the tableau over Q holds integers, otherwise scalars
+    is_zero = operator.not_ if p.field.degree == 1 else FieldScalar.is_zero
     a, k = len(active), len(p.quasilattice.generators)
-    rows = [linalg.raw(field, [p.normals[j - 1][i] for j in active]
-                       + [g[i] for g in p.quasilattice.generators])
-            for i in range(p.n)]
-    charts, stack = {}, [linalg.first_basis(rows, a)[:3]]
+    rows = [[p.normals[j - 1][i] for j in active]
+            + [g[i] for g in p.quasilattice.generators] for i in range(p.n)]
+    tableau, denom, basis, _ = linalg.first_basis(rows, a)
+    # a basis is seen once, by the bit mask of its columns
+    mask = sum(1 << c for c in basis)
+    charts, seen, stack = {}, {mask}, [(tableau, denom, basis, mask)]
     while stack:
-        tableau, denom, basis = stack.pop()
+        tableau, denom, basis, mask = stack.pop()
         order = sorted(range(p.n), key=basis.__getitem__)
         charts[tuple(active[basis[r]] for r in order)] = (
             denom, [[tableau[r][a + t] for r in order] for t in range(k)])
         nonbasic = [c for c in range(a) if c not in basis]
         for r, row in enumerate(tableau):
+            rest = mask & ~(1 << basis[r])
             for c in nonbasic:
-                if is_zero(row[c]):
+                new = rest | 1 << c
+                if is_zero(row[c]) or new in seen:
                     continue
+                seen.add(new)
                 swapped = basis[:r] + [c] + basis[r + 1:]
-                key = tuple(sorted(active[x] for x in swapped))
-                if key not in charts:
-                    charts[key] = None   # filled in when popped
-                    stack.append((*linalg.exchange(tableau, denom, r, c), swapped))
+                # filled in when popped
+                charts[tuple(sorted(active[x] for x in swapped))] = None
+                stack.append((*linalg.exchange(tableau, denom, r, c), swapped, new))
     return charts
 
 
@@ -243,7 +244,7 @@ def _chart(p: "Polytope", index_set):
     """The sorted chart index set and its generator preimages, as
     scalars."""
     I, (denom, columns) = _table_entry(p, index_set)
-    return I, [linalg.wrapped(p.field, col) for col in linalg.over(columns, denom)]
+    return I, linalg.over(p.field, columns, denom)
 
 
 def _presentation(p: "Polytope", I, coords, images_on_chart) -> DiscreteGroupPresentation:
@@ -257,9 +258,7 @@ def _presentation(p: "Polytope", I, coords, images_on_chart) -> DiscreteGroupPre
         for j in coord_list:
             full[j - 1] = theta[pos[j]].frac_part()
         if any(not s.is_zero() for s in full):
-            key = (tuple((s.num, s.den) for s in full) if field.degree > 1
-                   else tuple(s._coeffs for s in full))
-            distinct.setdefault(key, full)
+            distinct.setdefault(tuple((s.num, s.den) for s in full), full)
     reduced = list(distinct.values())
     finite = all(s.is_rational() for img in reduced for s in img)
     if finite:
@@ -298,7 +297,7 @@ def _integer_presentation(p: "Polytope", I, coords, entry) -> DiscreteGroupPrese
         full = [scalars[0]] * p.d
         for j, x in zip(coord_list, image):
             if x not in scalars:
-                scalars[x] = FieldScalar(field, (Fraction(x, size),))
+                scalars[x] = field.from_rational(Fraction(x, size))
             full[j - 1] = scalars[x]
         reduced.append(full)
     return DiscreteGroupPresentation(

@@ -8,62 +8,22 @@ Gaussian elimination with exact zero tests, sized for desk-scale problems
 Every exact elimination runs on one basis-exchange driver:
 :func:`first_basis` picks the pivots of a first basis and :func:`exchange`
 makes each one basic; :func:`_rref` and the chart search in ``groups`` both
-call them.  They compute on raw entries.  Over a field of degree >= 2 the
-raw entry is the ``FieldScalar`` itself, whose arithmetic runs on integer
-numerators over one denominator (see ``field``), and an exchange is the
-Gauss-Jordan step.  Over Q it is the plain ``Fraction`` value of each
-scalar: the rows are scaled to integers once, every exchange is
-fraction-free (Bareiss 1968), and :func:`over` divides the tableau by its
-one denominator at the end.  :func:`raw` and :func:`wrapped` convert at the
-boundary, and :func:`arithmetic` gives the zero test, inverse and sign of a
-field's raw entries.  The public functions here, ``polytope.cone_rays`` and
-the link data in ``strata`` unwrap their input and wrap only what they
-return; :func:`dot` does the same for vectors over a field of degree 1,
-and over a larger field sums the numerators of all products before it
-normalises once.
+call them on rows of scalars.  Over a field of degree >= 2 the tableau
+holds the scalars themselves, whose arithmetic runs on integer numerators
+over one denominator (see ``field``), and an exchange is the Gauss-Jordan
+step.  Over Q the rows are scaled once to integers from each scalar's
+numerator and denominator, every exchange is fraction-free (Bareiss 1968),
+and :func:`over` turns the integer tableau over its one denominator back
+into scalars.  :func:`dot` sums the numerators of all products in one pass
+and normalises once, in every degree.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from typing import Callable, NamedTuple
 
-from .field import FieldScalar, NumberField, _convolve
-
-
-class Arithmetic(NamedTuple):
-    """The zero test, inverse and sign of one kind of raw entry."""
-
-    is_zero: Callable
-    inverse: Callable
-    sign: Callable
-
-
-_RATIONAL = Arithmetic(operator.not_, Fraction(1).__truediv__,
-                      lambda q: (q > 0) - (q < 0))
-# looked up on each call, so a patched FieldScalar method is the one run
-_SCALAR = Arithmetic(FieldScalar.is_zero, operator.methodcaller("inverse"),
-                    operator.methodcaller("sign"))
-
-
-def arithmetic(field: NumberField) -> Arithmetic:
-    return _RATIONAL if field.degree == 1 else _SCALAR
-
-
-def raw(field: NumberField, entries) -> list:
-    """The kernels' entries for the given scalars of ``field``."""
-    if field.degree == 1:
-        return [s._coeffs[0] for s in entries]
-    return list(entries)
-
-
-def wrapped(field: NumberField, entries) -> list[FieldScalar]:
-    """The scalars of ``field`` for the given raw entries."""
-    if field.degree == 1:
-        return [FieldScalar(field, (q,)) for q in entries]
-    return list(entries)
+from .field import FieldScalar, NumberField, _check_field, _convolve, _reduced
 
 
 def vec(field: NumberField, entries) -> list[FieldScalar]:
@@ -98,33 +58,15 @@ def barycenter(vectors, field: NumberField):
 
 
 def dot(a, b) -> FieldScalar:
-    """<a, b>.  Degree-1 scalars are summed on their raw values and wrapped
-    once; scalars of a larger field by :func:`_scalar_dot`; other entries
-    (raw ones too) are summed as they are."""
-    first = a[0]
-    if type(first) is FieldScalar:
-        field = first.field
-        if field.degree == 1:
-            return FieldScalar(field, (dot(raw(field, a), raw(field, b)),))
-        out = _scalar_dot(field, a, b)
-        if out is not None:
-            return out
-    acc = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        acc = acc + x * y
-    return acc
-
-
-def _scalar_dot(field: NumberField, a, b) -> FieldScalar | None:
-    """<a, b> for scalars of a field of degree >= 2 in one pass: the
-    numerators of each product are convolved and summed over the product of
-    the denominators, then reduced and normalised once.  None when an entry
-    is not a scalar of ``field`` itself."""
+    """<a, b> in one pass: the numerators of each product are convolved and
+    summed over the product of the denominators, then reduced and
+    normalised once.  A scalar from another field is refused."""
+    field = a[0].field
     acc, den = None, 1
     for x, y in zip(a, b):
-        if (type(x) is not FieldScalar or type(y) is not FieldScalar
-                or x.field is not field or y.field is not field):
-            return None
+        if x.field is not field or y.field is not field:
+            _check_field(field, x.field)
+            _check_field(field, y.field)
         xn, yn = x.num, y.num
         if not (any(xn) and any(yn)):
             continue
@@ -185,25 +127,35 @@ def exchange(tableau, denom, r, c):
     return out, denom
 
 
+def _ratio(field: NumberField, x: int, d: int) -> FieldScalar:
+    """The scalar x/d of the field Q, for integers x and d != 0."""
+    return _reduced(field, (x,), d) if d > 0 else _reduced(field, (-x,), -d)
+
+
 def first_basis(rows, ncols: int):
-    """A first pivot basis of raw rows among the columns < ncols, each pivot
-    on the first nonzero entry at or below the next pivot row, swapped into
-    place and exchanged.  Rational rows are first scaled to integers by the
-    lcm of all their denominators, which keeps every solution, so every
-    exchange is fraction-free; scalar rows are exchanged as they are.  The
-    input rows are left as they are.
+    """A first pivot basis of rows of scalars among the columns < ncols,
+    each pivot on the first nonzero entry at or below the next pivot row,
+    swapped into place and exchanged.  A scalar from another field is
+    refused.  Rows over Q are first scaled to integers by the lcm of all
+    their denominators, which keeps every solution, so every exchange is
+    fraction-free; over a larger field the scalar rows are exchanged as
+    they are.  The input rows are left as they are.
 
     Returns (tableau, denominator, basis, values): a pivot row of the
     tableau over the denominator is the reduced row, and value k is the
-    k-th pivot of the elimination on the given rows, negated when a row
-    swap brought it into place, so for a square nonsingular matrix the
-    values' product is the determinant."""
-    rational = type(rows[0][0]) is Fraction
+    k-th pivot of the elimination on the given rows as a scalar, negated
+    when a row swap brought it into place, so for a square nonsingular
+    matrix the values' product is the determinant."""
+    field = rows[0][0].field
+    for row in rows:
+        for x in row:
+            if x.field is not field:
+                _check_field(field, x.field)
+    rational = field.degree == 1
     scale, tableau = 1, rows
     if rational:
-        scale = math.lcm(*(x.denominator for row in rows for x in row))
-        tableau = [[x.numerator * (scale // x.denominator) for x in row]
-                   for row in rows]
+        scale = math.lcm(*(x.den for row in rows for x in row))
+        tableau = [[x.num[0] * (scale // x.den) for x in row] for row in rows]
     is_zero = operator.not_ if rational else FieldScalar.is_zero
     denom, basis, values = 1, [], []
     for c in range(ncols):
@@ -212,7 +164,9 @@ def first_basis(rows, ncols: int):
                   if not is_zero(tableau[i][c])), None)
         if i is None:
             continue
-        value = Fraction(tableau[i][c], denom * scale) if rational else tableau[i][c]
+        value = tableau[i][c]
+        if rational:
+            value = _ratio(field, value, denom * scale)
         values.append(value if i == r else -value)
         tableau = list(tableau)
         tableau[r], tableau[i] = tableau[i], tableau[r]
@@ -223,18 +177,18 @@ def first_basis(rows, ncols: int):
     return tableau, denom, basis, values
 
 
-def over(rows, denom) -> list:
-    """The raw rows that a tableau's rows over its denominator stand for:
-    integer entries as Fractions, scalar ones (denominator 1) as they
+def over(field: NumberField, rows, denom) -> list:
+    """The rows of scalars that a tableau's rows over its denominator stand
+    for: integer entries divided by it, scalar ones (denominator 1) as they
     are."""
     if type(rows[0][0]) is int:
-        return [[Fraction(x, denom) for x in row] for row in rows]
+        return [[_ratio(field, x, denom) for x in row] for row in rows]
     return rows
 
 
 def _rref(rows, ncols):
-    """Row-reduce raw rows by :func:`first_basis`; returns (reduced rows,
-    pivot cols, pivot values).
+    """Row-reduce rows of scalars by :func:`first_basis`; returns (reduced
+    rows, pivot cols, pivot values).
 
     The pivot values are the entries divided by, each negated when a row
     swap brought it into place, so for a square nonsingular matrix their
@@ -244,60 +198,56 @@ def _rref(rows, ncols):
     if not rows or not ncols:
         return [list(r) for r in rows], [], []
     tableau, denom, pivots, values = first_basis(rows, ncols)
-    return over(tableau, denom), pivots, values
+    return over(rows[0][0].field, tableau, denom), pivots, values
 
 
 def rank(rows, ncols: int) -> int:
-    if not rows or not ncols:
-        return 0
-    field = rows[0][0].field
-    return len(_rref([raw(field, r) for r in rows], ncols)[1])
+    return len(_rref(rows, ncols)[1])
 
 
 def nullspace(rows, ncols: int, field: NumberField):
     """Basis of {x : A x = 0} for A given by rows, in reduced echelon form."""
-    red, pivots, _ = _rref([raw(field, r) for r in rows], ncols)
+    red, pivots, _ = _rref(rows, ncols)
     return _reduced_nullspace(red, pivots, ncols, field)
 
 
 def _reduced_nullspace(red, pivots, ncols: int, field: NumberField):
-    """The nullspace basis of ``nullspace``, read off raw rows already
-    reduced by ``_rref`` and their pivot columns: one vector per free
-    column."""
-    zero, one = raw(field, [field.zero(), field.one()])
+    """The nullspace basis of ``nullspace``, read off rows already reduced
+    by ``_rref`` and their pivot columns: one vector per free column."""
+    zero, one = field.zero(), field.one()
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [zero] * ncols
         v[fc] = one
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
-        basis.append(wrapped(field, v))
+        basis.append(v)
     return basis
 
 
 def solve(rows, b, ncols: int, field: NumberField):
     """One solution of A x = b (free variables set to zero), or None."""
-    aug = [raw(field, list(r) + [bb]) for r, bb in zip(rows, b)]
+    aug = [list(r) + [bb] for r, bb in zip(rows, b)]
     red, pivots, _ = _rref(aug, ncols)
-    is_zero = arithmetic(field).is_zero
     # inconsistent iff a pivot lands in the augmented column
     for row in red:
-        if all(is_zero(row[c]) for c in range(ncols)) and not is_zero(row[ncols]):
+        if (all(row[c].is_zero() for c in range(ncols))
+                and not row[ncols].is_zero()):
             return None
-    x = raw(field, [field.zero()]) * ncols
+    x = [field.zero()] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
-    return wrapped(field, x)
+    return x
 
 
 def solve_unique(rows, b, field: NumberField):
     """Solution of a square nonsingular system, or None if singular."""
     n = len(rows)
-    aug = [raw(field, list(r) + [bb]) for r, bb in zip(rows, b)]
+    aug = [list(r) + [bb] for r, bb in zip(rows, b)]
     red, pivots, _ = _rref(aug, n)
     if len(pivots) != n or pivots != list(range(n)):
         return None
-    return wrapped(field, [red[i][n] for i in range(n)])
+    return [red[i][n] for i in range(n)]
 
 
 def in_span(vectors, v, ncols: int, field: NumberField):
@@ -311,10 +261,10 @@ def in_span(vectors, v, ncols: int, field: NumberField):
 def det(rows, field: NumberField) -> FieldScalar:
     """Determinant of a square matrix: the signed pivot product of its
     elimination."""
-    _, pivots, values = _rref([raw(field, r) for r in rows], len(rows))
+    _, pivots, values = _rref(rows, len(rows))
     if len(pivots) < len(rows):
         return field.zero()
     result = field.one()
-    for v in wrapped(field, values):
+    for v in values:
         result = result * v
     return result

@@ -299,48 +299,45 @@ def cone_rays(rows):
     independent rows, then the remaining rows one at a time, in order.  One
     elimination of [rows^T | I] gives the starting rows (its pivots) and the
     simplicial rays (its right-hand rows: ray i is zero on every starting
-    row but start[i]).  Over Q that elimination runs fraction-free on
-    integer rows and the pass on the scalars' Fraction values (see
-    ``linalg``); only the returned rays are wrapped as scalars."""
+    row but start[i]).  Rows and rays are scalars throughout: over Q the
+    elimination runs fraction-free inside ``linalg``, and a row's value on
+    a ray is one fused ``linalg.dot``."""
     field = rows[0][0].field
-    arith = linalg.arithmetic(field)
-    rows = [linalg.raw(field, row) for row in rows]
     dim, m = len(rows[0]), len(rows)
-    identity = [linalg.raw(field, e) for e in linalg.identity(dim, field)]
+    identity = linalg.identity(dim, field)
     tableau = [col + e for col, e in zip(linalg.transpose(rows), identity)]
     red, start, _ = linalg._rref(tableau, m)
     if len(start) != dim:
         return None
-    rays = [_normalised(row[m:], arith) for row in red]
+    rays = [_normalised(row[m:]) for row in red]
     everything = sum(1 << k for k in start)
     zeros = [everything & ~(1 << k) for k in start]
     for k, row in enumerate(rows):
         if k not in start:
-            rays, zeros = _add_constraint(row, 1 << k, rays, zeros, dim - 1,
-                                          arith)
-    return [linalg.wrapped(field, ray) for ray in rays], zeros
+            rays, zeros = _add_constraint(row, 1 << k, rays, zeros, dim - 1)
+    return rays, zeros
 
 
-def _normalised(ray, arith):
-    """The raw ray scaled to a last coordinate of absolute value 1, or,
-    when that is 0, to a first nonzero coordinate of absolute value 1."""
+def _normalised(ray):
+    """The ray scaled to a last coordinate of absolute value 1, or, when
+    that is 0, to a first nonzero coordinate of absolute value 1."""
     scale = ray[-1]
-    if arith.is_zero(scale):
-        scale = next(x for x in ray if not arith.is_zero(x))
-    if arith.sign(scale) < 0:
+    if scale.is_zero():
+        scale = next(x for x in ray if not x.is_zero())
+    if scale.sign() < 0:
         scale = -scale
     if scale == 1:
         return ray
-    inv = arith.inverse(scale)
+    inv = scale.inverse()
     return [inv * x for x in ray]
 
 
-def _add_constraint(row, bit, rays, zeros, n, arith):
-    """One double-description step on raw entries: the extreme rays of the
-    cone cut by <row, .> >= 0, with their zero sets (bit masks over the
-    rows added).  ``n`` is the cone's dimension minus one."""
+def _add_constraint(row, bit, rays, zeros, n):
+    """One double-description step: the extreme rays of the cone cut by
+    <row, .> >= 0, with their zero sets (bit masks over the rows added).
+    ``n`` is the cone's dimension minus one."""
     values = [linalg.dot(row, r) for r in rays]
-    signs = [arith.sign(v) for v in values]
+    signs = [v.sign() for v in values]
     keep = [i for i, s in enumerate(signs) if s >= 0]
     new_rays = [rays[i] for i in keep]
     new_zeros = [zeros[i] | bit if signs[i] == 0 else zeros[i] for i in keep]
@@ -356,6 +353,6 @@ def _add_constraint(row, bit, rays, zeros, n, arith):
                    for k in range(len(rays)) if k != i and k != j):
                 continue
             w = [values[i] * b - values[j] * a for a, b in zip(rays[i], rays[j])]
-            new_rays.append(_normalised(w, arith))
+            new_rays.append(_normalised(w))
             new_zeros.append(common | bit)
     return new_rays, new_zeros

@@ -55,8 +55,6 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def scalar_to_json(s: FieldScalar) -> list[str]:
-    if s.field.degree == 1:
-        return [str(s._coeffs[0])]
     return [_ratio(x, s.den) for x in s.num]
 
 

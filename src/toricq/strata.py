@@ -135,15 +135,13 @@ def _sub_quasilattice(p: Polytope, basis):
     # span coordinates of every kept vector from one elimination of
     # [basis | kept]; a nonzero entry below the basis rows leaves the span
     k = len(basis)
-    rows = [linalg.raw(field, [b[i] for b in basis] + [g[i] for g in kept])
-            for i in range(p.n)]
+    rows = [[b[i] for b in basis] + [g[i] for g in kept] for i in range(p.n)]
     red, _, _ = linalg._rref(rows, k)
-    is_zero = linalg.arithmetic(field).is_zero
-    if any(not is_zero(s) for row in red[k:] for s in row[k:]):
+    if any(not s.is_zero() for row in red[k:] for s in row[k:]):
         raise InternalConsistencyError("vector left the span of the face normals")
     coords = linalg.transpose([row[k:] for row in red[:k]])
-    return Quasilattice(field, [linalg.wrapped(field, c) for c in coords
-                                if any(not is_zero(s) for s in c)])
+    return Quasilattice(field, [c for c in coords
+                                if any(not s.is_zero() for s in c)])
 
 
 def build_link(p: Polytope, face: Face) -> LinkData:
@@ -157,14 +155,13 @@ def build_link(p: Polytope, face: Face) -> LinkData:
     labels = face.index_set
     normals = [p.normals[j - 1] for j in labels]
     # one elimination with the normals as columns (see the module docstring)
-    red, pivots, _ = linalg._rref(
-        [linalg.raw(field, row) for row in linalg.transpose(normals)], len(labels))
+    red, pivots, _ = linalg._rref(linalg.transpose(normals), len(labels))
     k = len(pivots)                      # n - p
     if k != p.n - face.dim:
         raise InternalConsistencyError("span dimension disagrees with the face")
     basis = [normals[c] for c in pivots]
     basis_labels = tuple(labels[c] for c in pivots)
-    sigma_normals = [linalg.wrapped(field, col) for col in linalg.transpose(red[:k])]
+    sigma_normals = linalg.transpose(red[:k])
     sigma_offsets = [p.offsets[j - 1] for j in labels]
 
     cone_kernel = linalg._reduced_nullspace(red[:k], pivots, len(labels), field)
@@ -216,11 +213,9 @@ def _chart_for_face(p: Polytope, face: Face, charts) -> tuple[int, ...]:
 
 def _b_tilde(p: Polytope, face: Face, I) -> BTildeData:
     # M_I^-1 [X_1 ... X_d] from one elimination of [X_I | X_1 ... X_d]
-    rows = [linalg.raw(p.field, [p.normals[j - 1][i] for j in I]
-                       + [x[i] for x in p.normals])
+    rows = [[p.normals[j - 1][i] for j in I] + [x[i] for x in p.normals]
             for i in range(p.n)]
-    matrix_rows = [linalg.wrapped(p.field, row[p.n:])
-                   for row in linalg._rref(rows, p.n)[0]]
+    matrix_rows = [row[p.n:] for row in linalg._rref(rows, p.n)[0]]
     domain = tuple(k for k in range(1, p.d + 1)
                    if k not in set(I) | set(face.index_set))
     return BTildeData(chart_index_set=tuple(I), matrix=matrix_rows,

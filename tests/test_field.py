@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricq import linalg
 from toricq.errors import FieldDefinitionError
 from toricq.field import NumberField
 
@@ -157,6 +158,24 @@ def test_degree_one_reproduces_rationals(qq):
 def test_mixed_field_arithmetic_rejected(qq, q_sqrt2):
     with pytest.raises(ValueError):
         qq.one() + q_sqrt2.one()
+    # the linalg kernels refuse it too, whichever field comes first
+    for a, b in ((qq.one(), q_sqrt2.one()), (q_sqrt2.one(), qq.one())):
+        with pytest.raises(ValueError):
+            linalg.dot([a], [b])
+        with pytest.raises(ValueError):
+            linalg.rank([[a], [b]], 1)
+        with pytest.raises(ValueError):
+            linalg.solve([[a]], [b], 1, a.field)
+        # a zero of the other field is never computed on, and still refused
+        with pytest.raises(ValueError):
+            linalg.rank([[a, b - b]], 2)
+    # an equal field that is another object is the same field
+    other = NumberField.rationals()
+    assert other is not qq
+    assert linalg.dot([qq.from_rational(2)], [other.from_rational(3)]) == 6
+    assert linalg.rank([[qq.one()], [other.one()]], 1) == 1
+    assert linalg.solve([[qq.from_rational(2)]], [other.one()], 1, qq) \
+        == [qq.from_rational(Fraction(1, 2))]
 
 
 def test_precision_floor():

@@ -364,6 +364,8 @@ class _Reference:
     ([-1, 0, 2], (0, 1), True),                                  # 1/sqrt2, non-monic
     ([-2, 0, 0, 1], (1, 2), True),                               # 2^(1/3)
     ([1, 0, -10, 0, 1], (3, 4), False),                          # sqrt2 + sqrt3
+    ([0, 1], (0, 0), True),                                      # Q
+    ([-3, 2], (Fraction(3, 2), Fraction(3, 2)), True),           # Q, root 3/2
 ])
 def test_integer_scalars_match_the_fraction_formulas(monkeypatch, minpoly, interval,
                                                      irreducible):
@@ -417,7 +419,8 @@ def test_integer_scalars_match_the_fraction_formulas(monkeypatch, minpoly, inter
             lockstep("floor", s, coeffs)
             lockstep("frac_part", s, coeffs)
             lockstep("shadow", s, coeffs, 53 + 20 * (i % 3))
-    assert ref.refinements > 0
+    # a rational field never bisects
+    assert (ref.refinements > 0) == (ref.k > 1)
 
 
 def test_enclosure_cap_names_the_scalar_and_the_width():

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from toricq import linalg
+from toricq.field import NumberField
 from toricq.groups import (Quasilattice, _chart, _table_entry, chart_index_sets,
                            gamma_check, gamma_group)
 from toricq.polytope import Polytope
@@ -96,6 +100,86 @@ def test_rank_nullspace_and_solve_match_sympy_rref(qq):
     assert min(kinds.values()) >= 20, kinds
 
 
+@pytest.mark.parametrize("minpoly, generator", [([-2, 0, 1], sympy.sqrt(2)),
+                                                ([-2, 0, 0, 1], sympy.cbrt(2))])
+def test_irrational_rank_nullspace_solve_and_det_match_sympy_rref(minpoly, generator):
+    """The Gauss-Jordan elimination over Q(sqrt2) and Q(cbrt2) against
+    sympy's rref over the same algebraic field, on seeded matrices with
+    irrational entries: the rank, the nullspace basis read off the reduced
+    rows, one solution with the free variables zero or None, and the
+    determinant of a square matrix."""
+    field = NumberField(minpoly, (1, 2))
+    K = QQ.algebraic_field(generator)
+    k = field.degree
+
+    def to_sympy(s):
+        return K([QQ(c.numerator, c.denominator) for c in reversed(s.coeffs)])
+
+    def from_sympy(e):
+        cs = [Fraction(int(c.numerator), int(c.denominator))
+              for c in reversed(e.to_list())]
+        return field.scalar(cs + [Fraction(0)] * (k - len(cs)))
+
+    def matrix(rows):
+        return DomainMatrix([[to_sympy(s) for s in r] for r in rows],
+                            (len(rows), len(rows[0])), K)
+
+    def rref(rows):
+        ref, pivots = matrix(rows).rref()
+        return [[from_sympy(e) for e in r] for r in ref.to_list()], list(pivots)
+
+    rng = random.Random(37 + k)
+
+    def draw():
+        # a scalar with a rational part and, mostly, an irrational one
+        cs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+              for _ in range(k)]
+        if rng.random() < 0.2:
+            cs[1:] = [Fraction(0)] * (k - 1)
+        return field.scalar(cs)
+
+    kinds = {"deficient": 0, "inconsistent": 0, "consistent": 0, "square": 0}
+    for trial in range(45):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[draw() for _ in range(n)] for _ in range(m)]
+        if trial % 3 and m > 2:
+            # the last row an irrational combination of two others
+            a, b = rng.sample(range(m - 1), 2)
+            s, t = draw(), draw()
+            rows[-1] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+            kinds["deficient"] += 1
+        if trial % 2:
+            rhs = [draw() for _ in range(m)]
+        else:
+            x0 = [draw() for _ in range(n)]
+            rhs = [linalg.dot(r, x0) for r in rows]
+        ref, pivots = rref(rows)
+        assert linalg.rank(rows, n) == len(pivots)
+        want_null = []
+        for fc in (c for c in range(n) if c not in pivots):
+            v = [field.zero()] * n
+            v[fc] = field.one()
+            for r, pc in enumerate(pivots):
+                v[pc] = -ref[r][fc]
+            want_null.append(v)
+        assert linalg.nullspace(rows, n, field) == want_null
+        if m == n:
+            assert linalg.det(rows, field) == from_sympy(matrix(rows).det())
+            kinds["square"] += 1
+        aug, aug_pivots = rref([r + [y] for r, y in zip(rows, rhs)])
+        x = linalg.solve(rows, rhs, n, field)
+        if n in aug_pivots:
+            assert x is None
+            kinds["inconsistent"] += 1
+            continue
+        want = [field.zero()] * n
+        for r, c in enumerate(aug_pivots):
+            want[c] = aug[r][n]
+        assert x == want
+        kinds["consistent"] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
 def test_det_is_multiplicative_over_sqrt2(q_sqrt2):
     rng = random.Random(19)
 
@@ -147,8 +231,8 @@ def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
             kinds["zero column"] += 1
         a = [linalg.vec(qq, r) for r in rows]
         b = over_sqrt2(a)
-        red_a, piv_a, val_a = linalg._rref([linalg.raw(qq, r) for r in a], n)
-        red_b, piv_b, val_b = linalg._rref([linalg.raw(q_sqrt2, r) for r in b], n)
+        red_a, piv_a, val_a = linalg._rref(a, n)
+        red_b, piv_b, val_b = linalg._rref(b, n)
         assert [[(x, Fraction(0)) for x in r] for r in red_a] == coeffs(red_b)
         assert piv_a == piv_b
         assert [(x, Fraction(0)) for x in val_a] == [s.coeffs for s in val_b]
