@@ -1,17 +1,19 @@
 """Command-line interface.
 
 Commands: analyze, faces, strata, retract, equiv, gamma, verify.  Instances
-are JSON files (see serialize); reports print to stdout as canonical JSON
-after any --json copy is written atomically; faces and strata build a DOT
-digraph only for --dot.  Exit codes: 0 success, 2 validation or
-precondition failure or an unwritable output file, 3 solver nonconvergence,
-4 property failure.  Set TORICQ_LOG=DEBUG|INFO|... for logging.
+are JSON files (see serialize); each report prints to stdout as one line of
+canonical compact JSON after any --json copy of the same bytes is written
+atomically; faces and strata build a DOT digraph only for --dot.  Exit
+codes: 0 success, 2 validation or precondition failure or an unwritable
+output file, 3 solver nonconvergence, 4 property failure.  Set
+TORICQ_LOG=DEBUG|INFO|... for logging.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -155,7 +157,10 @@ def cmd_verify(args) -> int:
     return 0 if run.passed else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="toricq",
         description="Stratification and orbit computations for toric spaces "

@@ -13,9 +13,11 @@ holds the scalars themselves, whose arithmetic runs on integer numerators
 over one denominator (see ``field``), and an exchange is the Gauss-Jordan
 step.  Over Q the rows are scaled once to integers from each scalar's
 numerator and denominator, every exchange is fraction-free (Bareiss 1968),
-and :func:`over` turns the integer tableau over its one denominator back
-into scalars.  :func:`dot` sums the numerators of all products in one pass
-and normalises once, in every degree.
+and :func:`over` turns the columns a caller reads of the integer tableau
+over its one denominator back into scalars; :func:`rank` and :func:`det`
+read only the pivots and convert nothing.  :func:`dot` sums the
+numerators of all products in one pass and normalises once, in every
+degree.
 """
 
 from __future__ import annotations
@@ -177,18 +179,21 @@ def first_basis(rows, ncols: int):
     return tableau, denom, basis, values
 
 
-def over(field: NumberField, rows, denom) -> list:
-    """The rows of scalars that a tableau's rows over its denominator stand
-    for: integer entries divided by it, scalar ones (denominator 1) as they
-    are."""
+def over(field: NumberField, rows, denom, start: int = 0) -> list:
+    """The columns from ``start`` on of the rows of scalars that a
+    tableau's rows over its denominator stand for: integer entries divided
+    by it, scalar ones (denominator 1) as they are.  Only those columns are
+    converted."""
     if type(rows[0][0]) is int:
-        return [[_ratio(field, x, denom) for x in row] for row in rows]
-    return rows
+        return [[_ratio(field, x, denom) for x in row[start:]] for row in rows]
+    return [row[start:] for row in rows] if start else rows
 
 
-def _rref(rows, ncols):
-    """Row-reduce rows of scalars by :func:`first_basis`; returns (reduced
-    rows, pivot cols, pivot values).
+def _rref(rows, ncols, start: int = 0):
+    """Row-reduce rows of scalars by :func:`first_basis`; returns (the
+    columns from ``start`` on of the reduced rows, pivot cols, pivot
+    values).  A caller names the first column it reads, and only the
+    columns from there on are turned back into scalars.
 
     The pivot values are the entries divided by, each negated when a row
     swap brought it into place, so for a square nonsingular matrix their
@@ -196,13 +201,14 @@ def _rref(rows, ncols):
     times the rows' integer scale; only its zero pattern is meaningful.
     """
     if not rows or not ncols:
-        return [list(r) for r in rows], [], []
+        return [list(r[start:]) for r in rows], [], []
     tableau, denom, pivots, values = first_basis(rows, ncols)
-    return over(rows[0][0].field, tableau, denom), pivots, values
+    return over(rows[0][0].field, tableau, denom, start), pivots, values
 
 
 def rank(rows, ncols: int) -> int:
-    return len(_rref(rows, ncols)[1])
+    # the pivots alone; no entry is turned back into a scalar
+    return len(first_basis(rows, ncols)[2]) if rows and ncols else 0
 
 
 def nullspace(rows, ncols: int, field: NumberField):
@@ -228,15 +234,14 @@ def _reduced_nullspace(red, pivots, ncols: int, field: NumberField):
 def solve(rows, b, ncols: int, field: NumberField):
     """One solution of A x = b (free variables set to zero), or None."""
     aug = [list(r) + [bb] for r, bb in zip(rows, b)]
-    red, pivots, _ = _rref(aug, ncols)
-    # inconsistent iff a pivot lands in the augmented column
-    for row in red:
-        if (all(row[c].is_zero() for c in range(ncols))
-                and not row[ncols].is_zero()):
-            return None
+    red, pivots, _ = _rref(aug, ncols, ncols)
+    # inconsistent iff a row below the rank, zero on the first ncols
+    # columns, is nonzero in the augmented one
+    if any(not row[0].is_zero() for row in red[len(pivots):]):
+        return None
     x = [field.zero()] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = red[r][0]
     return x
 
 
@@ -244,10 +249,10 @@ def solve_unique(rows, b, field: NumberField):
     """Solution of a square nonsingular system, or None if singular."""
     n = len(rows)
     aug = [list(r) + [bb] for r, bb in zip(rows, b)]
-    red, pivots, _ = _rref(aug, n)
+    red, pivots, _ = _rref(aug, n, n)
     if len(pivots) != n or pivots != list(range(n)):
         return None
-    return [red[i][n] for i in range(n)]
+    return [red[i][0] for i in range(n)]
 
 
 def in_span(vectors, v, ncols: int, field: NumberField):
@@ -260,8 +265,11 @@ def in_span(vectors, v, ncols: int, field: NumberField):
 
 def det(rows, field: NumberField) -> FieldScalar:
     """Determinant of a square matrix: the signed pivot product of its
-    elimination."""
-    _, pivots, values = _rref(rows, len(rows))
+    elimination, read off :func:`first_basis` without converting its
+    tableau."""
+    if not rows:
+        return field.one()
+    _, _, pivots, values = first_basis(rows, len(rows))
     if len(pivots) < len(rows):
         return field.zero()
     result = field.one()

@@ -306,10 +306,10 @@ def cone_rays(rows):
     dim, m = len(rows[0]), len(rows)
     identity = linalg.identity(dim, field)
     tableau = [col + e for col, e in zip(linalg.transpose(rows), identity)]
-    red, start, _ = linalg._rref(tableau, m)
+    red, start, _ = linalg._rref(tableau, m, m)
     if len(start) != dim:
         return None
-    rays = [_normalised(row[m:]) for row in red]
+    rays = [_normalised(row) for row in red]
     everything = sum(1 << k for k in start)
     zeros = [everything & ~(1 << k) for k in start]
     for k, row in enumerate(rows):

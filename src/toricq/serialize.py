@@ -2,8 +2,12 @@
 
 Exact data travels as rational strings "p/q" so parse(serialize(x)) == x
 bit for bit; floats appear only in solver outputs and are tagged with the
-tolerances that produced them.  All dumps are key-sorted and newline
-terminated, and file writes are atomic.
+tolerances that produced them.  Every dump is one line of key-sorted
+compact JSON (no whitespace between tokens) ending in a newline, made by
+one ``json.dumps`` call: only that form runs CPython's C encoder, while
+``indent`` or a streaming ``json.dump`` falls back to the pure-Python one.
+``python -m json.tool`` prints a report indented for reading.  File
+writes are atomic.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .strata import LinkData, StratificationReport
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -136,10 +136,10 @@ def _sub_quasilattice(p: Polytope, basis):
     # [basis | kept]; a nonzero entry below the basis rows leaves the span
     k = len(basis)
     rows = [[b[i] for b in basis] + [g[i] for g in kept] for i in range(p.n)]
-    red, _, _ = linalg._rref(rows, k)
-    if any(not s.is_zero() for row in red[k:] for s in row[k:]):
+    red, _, _ = linalg._rref(rows, k, k)
+    if any(not s.is_zero() for row in red[k:] for s in row):
         raise InternalConsistencyError("vector left the span of the face normals")
-    coords = linalg.transpose([row[k:] for row in red[:k]])
+    coords = linalg.transpose(red[:k])
     return Quasilattice(field, [c for c in coords
                                 if any(not s.is_zero() for s in c)])
 
@@ -215,7 +215,7 @@ def _b_tilde(p: Polytope, face: Face, I) -> BTildeData:
     # M_I^-1 [X_1 ... X_d] from one elimination of [X_I | X_1 ... X_d]
     rows = [[p.normals[j - 1][i] for j in I] + [x[i] for x in p.normals]
             for i in range(p.n)]
-    matrix_rows = [row[p.n:] for row in linalg._rref(rows, p.n)[0]]
+    matrix_rows = linalg._rref(rows, p.n, p.n)[0]
     domain = tuple(k for k in range(1, p.d + 1)
                    if k not in set(I) | set(face.index_set))
     return BTildeData(chart_index_set=tuple(I), matrix=matrix_rows,

@@ -131,6 +131,67 @@ def test_cmd_faces_with_outputs(pyramid_file, tmp_path, capsys):
     assert '"[1, 2, 3, 4]"' in dot
 
 
+def _one_line(out: str):
+    """The report of one compact, key-sorted, newline-terminated line."""
+    assert out.endswith("\n") and out.count("\n") == 1
+    report = json.loads(out)
+    assert out == serialize.dumps(report)
+    return report
+
+
+TRIANGLE = str(INSTANCES / "weighted_triangle.json")
+OUTPUT_SHAPE = {
+    "analyze": [],
+    "faces": [],
+    "strata": [],
+    "verify": ["--samples", "5", "--seed", "7"],
+    "retract": ["--point", "[[1,0.5],[0.3,-0.2],[2,1]]"],
+    "equiv": ["--points", "[[[1,0],[1,0],[1,0]], [[2,0],[2,0],[2,0]]]"],
+    "gamma": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHAPE))
+def test_every_command_prints_one_line_and_copies_it(command, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    assert main([command, TRIANGLE, *OUTPUT_SHAPE[command],
+                 "--json", str(target)]) == 0
+    out = capsys.readouterr().out
+    _one_line(out)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv,code,kind", [
+    (["retract", TRIANGLE, "--point", "[[1,0],[1,0],[1,0]]", "--tol", "-1"],
+     2, "ValidationError"),
+    (["retract", TRIANGLE, "--point",
+      "[[5.561e128,0],[1.215e-129,0],[1.904e-78,0]]"], 3, "SolverError"),
+], ids=["validation", "solver"])
+def test_error_payload_is_one_line(argv, code, kind, capsys):
+    assert main(argv) == code
+    assert _one_line(capsys.readouterr().out)["error"]["type"] == kind
+
+
+def test_retract_floats_survive_the_compact_form(capsys):
+    """Every float of a retraction prints as its shortest round-trip repr,
+    so the compact report parses to the floats of the indented one."""
+    assert main(["retract", TRIANGLE, *OUTPUT_SHAPE["retract"]]) == 0
+    report = _one_line(capsys.readouterr().out)
+    xi = [0.39481241856987925, 0.012968953575299813]
+    assert report["canonical"] == {
+        "face": [], "xi": xi,
+        "x": [[0.6283410050043531, 4.1158998800183345e-18],
+              [0.0565009540021346, -0.09887666950373557],
+              [1.2566820100087064, 1.9952736092661406e-17]]}
+    assert report["retraction"] == {
+        "iterations": 6, "residual": 7.716050021144838e-15,
+        "tolerance": 1e-09, "xi": xi, "zero_set": [],
+        "x": [[0.5620052800961076, 0.2810026400480538],
+              [0.09475498045677133, -0.0631699869711809],
+              [1.1240105601922155, 0.5620052800961077]],
+        "y_star": [0.09171208642936601, 0.183424172858732, 0.091712086429366]}
+
+
 @pytest.mark.parametrize("flag", ["--json", "--dot"])
 def test_unwritable_output_file_is_an_error_payload(interval_file, tmp_path,
                                                     capsys, flag):

@@ -3,10 +3,14 @@
 Every number in `analyze`, `faces` and `strata` output and in the `--dot`
 files of the last two is exact, and a `verify` report holds only suite
 names, sample counts, verdicts, fixed tolerances and notes, so the stdout
-of each command and each DOT file is the same on every platform.  A change that alters any of these bytes must say why and update
-the digest.  The orbit verdicts of seeded point pairs on each instance are
-pinned the same way, so a change that moves any verdict or its exactness
-flag must name it."""
+of each command and each DOT file is the same on every platform.  A report
+is one line of compact JSON, which must equal its own canonical
+re-encoding; its digest is taken of the key-sorted indent-2 text it parses
+to, so the table pins the content and the canonical form pins the bytes.
+A change that alters any of these must say why and update the digest.  The
+orbit verdicts of seeded point pairs on each instance are pinned the same
+way, so a change that moves any verdict or its exactness flag must name
+it."""
 
 import hashlib
 import json
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from toricq import linalg
+from toricq import linalg, serialize
 from toricq.cli import main
 from toricq.orbits import ExactVector, classify_orbit, equivalent, n_orbit_equal
 from toricq.sampling import Sampler
@@ -91,7 +95,12 @@ def test_report_digest(name, command, capsys):
     path = str(INSTANCES / f"{name}.json")
     assert main([command, path, *ARGS.get(command, [])]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == SHA256[name, command]
+    # the bytes: one line of the canonical compact form
+    assert out == serialize.dumps(json.loads(out))
+    assert out.count("\n") == 1 and out.endswith("\n")
+    # the content, pinned as the key-sorted indent-2 text it parses to
+    indented = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == SHA256[name, command]
 
 
 @pytest.mark.parametrize("name,command", sorted(DOT_SHA256))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -195,6 +196,39 @@ def test_det_is_multiplicative_over_sqrt2(q_sqrt2):
         ab = [[linalg.dot(row, col) for col in linalg.transpose(b)] for row in a]
         assert linalg.det(ab, q_sqrt2) == (linalg.det(a, q_sqrt2)
                                            * linalg.det(b, q_sqrt2))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_rref_converts_only_the_columns_asked_for(qq, q_sqrt2, degree):
+    """The block ``_rref`` returns from a start column is that slice of the
+    full reduction, with the same pivots and pivot values, on seeded wide
+    matrices over Q (an integer tableau) and Q(sqrt2) (a scalar one); and
+    ``rank`` and ``det``, which read the pivots without converting, agree
+    with the full reduction."""
+    field = qq if degree == 1 else q_sqrt2
+    rng = random.Random(41 + degree)
+
+    def draw():
+        return field.scalar([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                             for _ in range(degree)])
+
+    for trial in range(40):
+        m, ncols = rng.randint(1, 5), rng.randint(0, 4)
+        width = ncols + rng.randint(0, 3)
+        rows = [[draw() for _ in range(width)] for _ in range(m)]
+        if trial % 3 == 1 and m > 1:
+            rows[-1] = list(rows[0])
+        full, pivots, values = linalg._rref(rows, ncols)
+        for start in range(width + 1):
+            block, p, v = linalg._rref(rows, ncols, start)
+            assert block == [row[start:] for row in full]
+            assert (p, v) == (pivots, values)
+        assert linalg.rank(rows, ncols) == len(pivots)
+        square = [row[:m] for row in rows]
+        if width >= m:
+            _, p, v = linalg._rref(square, m)
+            want = field.zero() if len(p) < m else math.prod(v, start=field.one())
+            assert linalg.det(square, field) == want
 
 
 def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
