@@ -14,10 +14,10 @@ over one denominator (see ``field``), and an exchange is the Gauss-Jordan
 step.  Over Q the rows are scaled once to integers from each scalar's
 numerator and denominator, every exchange is fraction-free (Bareiss 1968),
 and :func:`over` turns the columns a caller reads of the integer tableau
-over its one denominator back into scalars; :func:`rank` and :func:`det`
-read only the pivots and convert nothing.  :func:`dot` sums the
-numerators of all products in one pass and normalises once, in every
-degree.
+over its one denominator back into scalars; :func:`nullspace` converts
+only the entries it reads, and :func:`rank` and :func:`det` read only the
+pivots and convert nothing.  :func:`dot` sums the numerators of all
+products in one pass and normalises once, in every degree.
 """
 
 from __future__ import annotations
@@ -212,21 +212,28 @@ def rank(rows, ncols: int) -> int:
 
 
 def nullspace(rows, ncols: int, field: NumberField):
-    """Basis of {x : A x = 0} for A given by rows, in reduced echelon form."""
-    red, pivots, _ = _rref(rows, ncols)
-    return _reduced_nullspace(red, pivots, ncols, field)
+    """Basis of {x : A x = 0} for A given by rows, in reduced echelon form.
+    It is read off the tableau of :func:`first_basis`, and only the entries
+    it reads, the free columns of the pivot rows, are turned into scalars."""
+    if not rows or not ncols:
+        return _reduced_nullspace([], [], ncols, field)
+    tableau, denom, pivots, _ = first_basis(rows, ncols)
+    return _reduced_nullspace(tableau, pivots, ncols, field, denom)
 
 
-def _reduced_nullspace(red, pivots, ncols: int, field: NumberField):
-    """The nullspace basis of ``nullspace``, read off rows already reduced
-    by ``_rref`` and their pivot columns: one vector per free column."""
+def _reduced_nullspace(red, pivots, ncols: int, field: NumberField, denom=1):
+    """The nullspace basis of ``nullspace``, read off reduced rows and
+    their pivot columns: one vector per free column.  The rows are scalars
+    (as ``_rref`` returns them) or a tableau of :func:`first_basis` over its
+    denominator, whose integer entries are divided by it as they are read."""
     zero, one = field.zero(), field.one()
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [zero] * ncols
         v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            x = -red[r][fc]
+            v[pc] = _ratio(field, x, denom) if type(x) is int else x
         basis.append(v)
     return basis
 

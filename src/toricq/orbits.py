@@ -126,10 +126,12 @@ class OrbitClass:
         return x, np.array(self.retracted.xi)
 
 
-def classify_orbit(p: Polytope, lat: FaceLattice, z,
-                   cfg: SolverConfig | None = None) -> OrbitClass:
-    """Decide closedness of the orbit through z, produce the closed
-    representative in its closure, and retract it onto the zero level."""
+def _closure(p: Polytope, lat: FaceLattice, z):
+    """The closure map of the orbit through z, without the retraction: the
+    labels of z's zero coordinates, its support face, whether the orbit is
+    closed, the closed representative in its closure (an
+    :class:`ExactVector` for an exact z) and that representative as a
+    complex vector."""
     zc, exact, labels, face = _support_face(p, lat, z)
     closed = labels == face.index_set
     if exact is not None:
@@ -138,10 +140,18 @@ def classify_orbit(p: Polytope, lat: FaceLattice, z,
     else:
         rep = rep_c = zc.copy()
         rep[[j - 1 for j in face.index_set]] = 0
+    return labels, face, closed, rep, rep_c
+
+
+def classify_orbit(p: Polytope, lat: FaceLattice, z,
+                   cfg: SolverConfig | None = None) -> OrbitClass:
+    """Decide closedness of the orbit through z, produce the closed
+    representative in its closure, and retract it onto the zero level."""
+    labels, face, closed, rep, rep_c = _closure(p, lat, z)
     res = retract(_moment_for(p), rep_c, cfg)
     return OrbitClass(z=z, i_z=labels, closed=closed, face_E=face,
                       closed_rep=rep, retracted=res,
-                      exactness=_exactness(exact is not None))
+                      exactness=_exactness(isinstance(z, ExactVector)))
 
 
 @dataclass
@@ -328,8 +338,14 @@ def equivalent(p: Polytope, z, w, lat: FaceLattice | None = None,
     phase."""
     lat = lat or p.face_lattice()
     cfg = cfg or SolverConfig()
-    oz = classify_orbit(p, lat, z, cfg)
-    ow = classify_orbit(p, lat, w, cfg)
+    return equivalent_orbits(p, classify_orbit(p, lat, z, cfg),
+                             classify_orbit(p, lat, w, cfg), cfg)
+
+
+def equivalent_orbits(p: Polytope, oz: OrbitClass, ow: OrbitClass,
+                      cfg: SolverConfig) -> EquivalenceResult:
+    """The verdict of :func:`equivalent` on two classified orbits, so that a
+    caller asking several questions of one point classifies it once."""
     if oz.face_E.index_set != ow.face_E.index_set:
         both_exact = oz.exactness == ow.exactness == "exact"
         return EquivalenceResult(False, _exactness(both_exact), oz, ow,

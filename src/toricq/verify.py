@@ -26,7 +26,7 @@ from .field import FieldScalar
 from .groups import chart_index_sets, gamma_check, gamma_group, kernel_data, n_membership
 from .moment import (SolverConfig, _gradient, _hessian, _objective, _reduced_subspace,
                      _squared_moduli, _zero_labels, psi, retract)
-from .orbits import classify_orbit, equivalent, p_function
+from .orbits import _closure, classify_orbit, equivalent, equivalent_orbits, p_function
 from .polytope import FaceLattice, Polytope
 from .sampling import Sampler, nonclosed_flow_direction
 from .strata import build_stratification
@@ -369,6 +369,12 @@ def _rational_generators(p: Polytope) -> bool:
 
 
 def orbits_equivalence_axioms(ctx: _Context) -> PropertyResult:
+    """The orbit equivalence is reflexive, symmetric and transitive on
+    sampled points z, gz and ggz moved by subgroup elements.  Each of the
+    three is classified once and the axioms are checked on those classes
+    by :func:`equivalent_orbits`, which gives the verdicts of
+    :func:`equivalent` on the points.  On a dense subgroup the imaginary
+    part is checked separately, by :func:`equivalent` on float points."""
     count = max(10, ctx.samples // 10)
     rational = _rational_generators(ctx.p)
     for i in range(count):
@@ -387,11 +393,13 @@ def orbits_equivalence_axioms(ctx: _Context) -> PropertyResult:
             z = ctx.sampler.exact_point_for_face(face)
             gz = z.with_phase_shift(ctx.sampler.n_element())
             ggz = gz.with_phase_shift(ctx.sampler.n_element())
-        checks = [("reflexive", equivalent(ctx.p, z, z, ctx.lat, ctx.cfg)),
-                  ("forward", equivalent(ctx.p, z, gz, ctx.lat, ctx.cfg)),
-                  ("symmetric", equivalent(ctx.p, gz, z, ctx.lat, ctx.cfg)),
-                  ("chain", equivalent(ctx.p, gz, ggz, ctx.lat, ctx.cfg)),
-                  ("transitive", equivalent(ctx.p, z, ggz, ctx.lat, ctx.cfg))]
+        oz, ogz, oggz = (classify_orbit(ctx.p, ctx.lat, x, ctx.cfg)
+                         for x in (z, gz, ggz))
+        checks = [("reflexive", equivalent_orbits(ctx.p, oz, oz, ctx.cfg)),
+                  ("forward", equivalent_orbits(ctx.p, oz, ogz, ctx.cfg)),
+                  ("symmetric", equivalent_orbits(ctx.p, ogz, oz, ctx.cfg)),
+                  ("chain", equivalent_orbits(ctx.p, ogz, oggz, ctx.cfg)),
+                  ("transitive", equivalent_orbits(ctx.p, oz, oggz, ctx.cfg))]
         if not rational:
             zc = z.to_complex()
             moved = ctx.sampler.apply(zc, None, ctx.sampler.a_element())
@@ -459,13 +467,17 @@ def orbits_flow_nonclosed(ctx: _Context) -> PropertyResult:
 
 
 def orbits_canonical_idempotent(ctx: _Context) -> PropertyResult:
+    """The closure map is idempotent: the closed representative of a
+    sampled orbit is closed and is its own closed representative.  Only
+    the map is applied a second time; the retraction of its image would be
+    the one the first classification made."""
     count = max(10, ctx.samples // 10)
     for i in range(count):
         z = ctx.sampler.random_admissible_point()
         oc = classify_orbit(ctx.p, ctx.lat, z, ctx.cfg)
-        again = classify_orbit(ctx.p, ctx.lat, oc.closed_rep, ctx.cfg)
-        if not again.closed or not np.allclose(
-                np.asarray(again.closed_rep, dtype=complex),
+        _, _, closed, rep, _ = _closure(ctx.p, ctx.lat, oc.closed_rep)
+        if not closed or not np.allclose(
+                np.asarray(rep, dtype=complex),
                 np.asarray(oc.closed_rep, dtype=complex)):
             return _fail(i + 1, {"sample": i})
     return _ok(count)

@@ -231,6 +231,52 @@ def test_rref_converts_only_the_columns_asked_for(qq, q_sqrt2, degree):
             assert linalg.det(square, field) == want
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_nullspace_converts_only_the_entries_it_reads(qq, q_sqrt2, degree,
+                                                      monkeypatch):
+    """``nullspace`` reads the free columns of the pivot rows off the
+    tableau of ``first_basis`` and converts just those: on seeded matrices
+    over Q (an integer tableau) and Q(sqrt2) (a scalar one) its basis is
+    the one read off the fully converted reduction of ``_rref``, and over Q
+    it makes one conversion per pivot value and per entry it reads."""
+    field = qq if degree == 1 else q_sqrt2
+    rng = random.Random(53 + degree)
+    conversions = [0]
+    ratio = linalg._ratio
+
+    def counted(*args):
+        conversions[0] += 1
+        return ratio(*args)
+
+    monkeypatch.setattr(linalg, "_ratio", counted)
+
+    def draw():
+        return field.scalar([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                             for _ in range(degree)])
+
+    kinds = {"deficient": 0, "zero column": 0}
+    for trial in range(40):
+        m, ncols = rng.randint(1, 5), rng.randint(0, 5)
+        rows = [[draw() for _ in range(ncols)] for _ in range(m)]
+        if trial % 4 == 1 and m > 1:
+            rows[-1] = linalg.vec_add(rows[0], rows[(m - 1) // 2])
+            kinds["deficient"] += 1
+        elif trial % 4 == 2 and ncols:
+            c = rng.randrange(ncols)
+            for r in rows:
+                r[c] = field.zero()
+            kinds["zero column"] += 1
+        red, pivots, _ = linalg._rref(rows, ncols)
+        want = linalg._reduced_nullspace(red, pivots, ncols, field)
+        conversions[0] = 0
+        assert linalg.nullspace(rows, ncols, field) == want
+        assert len(want) == ncols - len(pivots)
+        if degree == 1 and ncols:
+            rank = len(pivots)
+            assert conversions[0] == rank + rank * (ncols - rank)
+    assert kinds["deficient"] >= 5 and kinds["zero column"] >= 5
+
+
 def test_raw_rational_path_matches_the_scalar_path(qq, q_sqrt2):
     """The same rational data over Q, where every elimination runs
     fraction-free on an integer tableau, and over Q(sqrt2), where it runs

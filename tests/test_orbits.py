@@ -13,7 +13,8 @@ from toricq.groups import Quasilattice
 from toricq.moment import retract
 from toricq.orbits import (MAXIMAL_PIECE, ExactVector, _moment_for,
                            _phase_test, classify_orbit, equivalent,
-                           n_orbit_equal, p_function, stratum_of)
+                           equivalent_orbits, n_orbit_equal, p_function,
+                           stratum_of)
 from toricq.sampling import Sampler, nonclosed_flow_direction
 from toricq.serialize import load_instance
 from toricq.verify import run_verification
@@ -185,6 +186,49 @@ def test_equivalent_exact_phase_separation(interval, qq):
     res = equivalent(interval, x, y)
     assert not res.equivalent
     assert res.exactness == "exact"
+
+
+def test_equivalent_orbits_agrees_with_equivalent():
+    """The verdict on two classified orbits is the verdict of
+    ``equivalent`` on the points, in verdict, exactness and reason: float
+    pairs on square_pyramid, exact and mixed pairs on pyramid_sqrt2, with
+    pairs on different faces, on one face with different moduli, moved by
+    a subgroup element, and with one phase turned off the subgroup."""
+    reasons = set()
+    for name, kinds in (("square_pyramid", ("float",)),
+                        ("pyramid_sqrt2", ("exact", "mixed"))):
+        instance = load_instance(str(INSTANCES / f"{name}.json"))
+        p, cfg = instance.polytope, instance.solver
+        lat = p.face_lattice()
+        s = Sampler(p, 29)
+        for kind in kinds:
+            for _ in range(8):
+                f, g = s.rng.choice(lat.faces), s.rng.choice(lat.faces)
+                z, far = s.exact_point_for_face(f), s.exact_point_for_face(g)
+                again = s.exact_point_for_face(f)
+                moved = z.with_phase_shift(s.n_element())
+                turn = [0] * p.d
+                turn[s.rng.choice([j for j in range(p.d)
+                                   if j + 1 not in f.index_set])] = \
+                    Fraction(1, 3)
+                turned = z.with_phase_shift(turn)
+                pairs = [(z, far), (z, again), (z, moved), (z, turned)]
+                if kind == "float":
+                    pairs = [(a.to_complex(), b.to_complex()) for a, b in pairs]
+                elif kind == "mixed":
+                    pairs = [(a, b.to_complex()) for a, b in pairs]
+                for a, b in pairs:
+                    want = equivalent(p, a, b, lat, cfg)
+                    got = equivalent_orbits(p, classify_orbit(p, lat, a, cfg),
+                                            classify_orbit(p, lat, b, cfg), cfg)
+                    assert (got.equivalent, got.exactness, got.reason) \
+                        == (want.equivalent, want.exactness, want.reason)
+                    reasons.add((kind, got.reason))
+    assert reasons == {(kind, reason) for kind in ("float", "exact", "mixed")
+                       for reason in ("closure faces differ",
+                                      "retracted polytope points differ",
+                                      "same face, moduli and phases agree",
+                                      "phase shift not in subgroup")}
 
 
 def test_stratum_of(pyramid):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toricq import linalg, moment, serialize
+from toricq import linalg, moment, orbits, serialize
 from toricq import verify as verify_mod
 from toricq.cli import main
 from toricq.errors import SolverError
@@ -92,6 +92,35 @@ def test_nonclosed_orbit_equivalent_to_its_closed_rep(pyramid):
         res = equivalent(pyramid, z, oc.closed_rep, lat)
         assert res.equivalent
     assert seen > 5
+
+
+def test_verify_retracts_each_sampled_orbit_once(monkeypatch):
+    """Counts the Newton retractions (``retract`` calls, where ``orbits``
+    and ``verify`` bind it) of ``run_verification(samples=200, seed=7)`` on
+    each shipped instance.  The equivalence-axiom suite classifies z, gz
+    and ggz once each and checks the axioms on those classes, and the
+    idempotence suite applies the closure map to a closed representative
+    without retracting it again.  With two classifications per
+    ``equivalent`` call and that second retraction, the counts were 403,
+    440, 400, 400, 440, 400 and 407 in the order below."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return retract(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "retract", counted)
+    monkeypatch.setattr(verify_mod, "retract", counted)
+    instances = Path(__file__).resolve().parent.parent / "instances"
+    budget = {"interval": 243, "interval_sqrt2": 280, "octahedron": 240,
+              "pyramid4": 240, "pyramid_sqrt2": 280, "square_pyramid": 240,
+              "weighted_triangle": 247}
+    assert sorted(budget) == sorted(p.stem for p in instances.glob("*.json"))
+    for name, bound in budget.items():
+        calls[0] = 0
+        instance = serialize.load_instance(str(instances / f"{name}.json"))
+        assert run_verification(instance, samples=200, seed=7).passed
+        assert calls[0] <= bound, name
 
 
 @pytest.mark.parametrize("name", ["square_pyramid", "pyramid_sqrt2",
