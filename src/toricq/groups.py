@@ -105,10 +105,10 @@ class Quasilattice:
             raise ValidationError("vector has wrong dimension")
         # every member of the group times D is integral
         denom, echelon = self._echelon()
-        scaled = [x * denom for x in _expand(v)]
-        if any(x.denominator != 1 for x in scaled):
+        scaled = [divmod(x * denom, s.den) for s in v for x in s.num]
+        if any(r for _, r in scaled):
             return False
-        return intlat.in_echelon_lattice(echelon, [int(x) for x in scaled])
+        return intlat.in_echelon_lattice(echelon, [q for q, _ in scaled])
 
     def __repr__(self):
         return f"Quasilattice(n={self.ambient_dim}, generators={len(self.generators)})"

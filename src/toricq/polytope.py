@@ -8,7 +8,8 @@ Fukuda & Prodon 1996), finds the extreme rays of a pointed cone
 independent rows, adds the others one at a time, and combines two rays
 across a new row only when the combinatorial test on their zero sets says
 they are adjacent.  It needs nothing but an exact sign, so it holds over
-any declared field.  It serves the contraction rates of nonclosed orbits
+any declared field (over Q on primitive integer rays, normalised once at
+the end).  It serves the contraction rates of nonclosed orbits
 (``sampling._positive_decay_rates``) and the vertices, on the homogenised
 cone {(y, t) : t >= 0, <X_j, y> >= lambda_j t}: a final ray with t = 0 is a
 recession direction (the polytope is unbounded); the rays with t > 0 are
@@ -26,6 +27,7 @@ facet label j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -150,6 +152,8 @@ class Polytope:
             raise ValidationError("no facets given")
         self.n = len(self.normals[0])
         self.d = len(self.normals)
+        if not self.n:
+            raise ValidationError("ambient dimension is 0: normals have no coordinates")
         if any(len(x) != self.n for x in self.normals):
             raise ValidationError("normals have inconsistent dimensions")
         if len(self.offsets) != self.d:
@@ -196,8 +200,7 @@ class Polytope:
 
         One double-description pass over the homogenised cone; raises
         ``ValidationError`` when a final ray has t = 0 (unbounded)."""
-        field = self.field
-        n, d = self.n, self.d
+        field, n = self.field, self.n
         # row 0 is t >= 0, row j is facet j as (X_j, -lambda_j)
         rows = [[field.zero()] * n + [field.one()]]
         rows += [list(x) + [-lam] for x, lam in zip(self.normals, self.offsets)]
@@ -212,7 +215,7 @@ class Polytope:
         # label is active at one vertex only, so it is independent of the
         # common prefix (a dependent label would be tight on the prefix's
         # whole affine hull, at both vertices), and both bases differ there.
-        found = sorted(((tuple(j for j in range(1, d + 1) if zero >> j & 1), ray[:n])
+        found = sorted(((tuple(_bits(zero)), ray[:n])
                         for ray, zero in zip(rays, zeros)), key=lambda e: e[0])
         return [coords for _, coords in found], [act for act, _ in found]
 
@@ -240,20 +243,27 @@ class Polytope:
             f = todo.pop()
             if f in lower:
                 continue
-            below = {f & m for m in facet_masks} - {0, f}
+            labels, below = [], set()   # index set, candidate lower covers
+            for j, m in enumerate(facet_masks, start=1):
+                c = f & m
+                if c == f:
+                    labels.append(j)
+                elif c:
+                    below.add(c)
             kept = []
             for c in sorted(below, key=int.bit_count, reverse=True):
-                if all(c & k != c for k in kept):
+                for k in kept:
+                    if c & k == c:
+                        break
+                else:
                     kept.append(c)
-            lower[f] = kept
-            index_sets[f] = tuple([j for j, m in enumerate(facet_masks, start=1)
-                                   if f & m == f])
+            lower[f], index_sets[f] = kept, tuple(labels)
             todo += kept
         # the lattice is graded: a vertex has dim 0, any other face one
         # more than its largest lower cover
         dims = {}
         for f in sorted(lower, key=int.bit_count):
-            dims[f] = 1 + max(map(dims.__getitem__, lower[f]), default=-1)
+            dims[f] = 1 + max([dims[c] for c in lower[f]], default=-1)
         if dims[full] != self.n:
             raise ValidationError("polytope is lower-dimensional")
         for j, m in enumerate(facet_masks, start=1):
@@ -276,10 +286,9 @@ class Polytope:
         singular = {f: len(index_sets[f]) != self.n - dims[f] for f in masks}
         chain = {}
         for f in reversed(masks):
-            chain[f] = singular[f] + max(map(chain.get, upper[f]), default=0)
+            chain[f] = singular[f] + max([chain[g] for g in upper[f]], default=0)
         faces = {f: Face(index_sets[f], dims[f], not singular[f],
-                         chain[f] if singular[f] else 0,
-                         frozenset([v for v in range(len(active)) if f >> v & 1]))
+                         chain[f] if singular[f] else 0, frozenset(_bits(f)))
                  for f in masks}
         self._lattice = FaceLattice(
             self, faces, {faces[f].index_set: [faces[g] for g in upper[f]]
@@ -290,37 +299,54 @@ class Polytope:
         return f"Polytope(n={self.n}, d={self.d})"
 
 
+def _bits(mask: int):
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def cone_rays(rows):
     """Extreme rays of the pointed cone {x : <row, x> >= 0 for every row}
     and their zero sets (bit k set when the ray is on rows[k]), or None when
     the rows do not span the space.
 
-    One double-description pass: the simplicial cone on the first
-    independent rows, then the remaining rows one at a time, in order.  One
-    elimination of [rows^T | I] gives the starting rows (its pivots) and the
-    simplicial rays (its right-hand rows: ray i is zero on every starting
-    row but start[i]).  Rows and rays are scalars throughout: over Q the
-    elimination runs fraction-free inside ``linalg``, and a row's value on
-    a ray is one fused ``linalg.dot``."""
+    One ``linalg.first_basis`` of [rows^T | I] gives the starting rows (its
+    pivots) and the simplicial rays (its right-hand block over its
+    denominator: ray i is zero on every starting row but start[i]); the
+    other rows are added in order.  Over Q the rows are scaled to integers
+    and the rays are primitive integer vectors until the end.  A returned
+    ray has a last coordinate of absolute value 1, or, when that is 0, a
+    first nonzero one."""
     field = rows[0][0].field
     dim, m = len(rows[0]), len(rows)
     identity = linalg.identity(dim, field)
-    tableau = [col + e for col, e in zip(linalg.transpose(rows), identity)]
-    red, start, _ = linalg._rref(tableau, m, m)
+    tableau, denom, start, _ = linalg.first_basis(
+        [col + e for col, e in zip(linalg.transpose(rows), identity)], m)
     if len(start) != dim:
         return None
-    rays = [_normalised(row) for row in red]
+    rays = [_normalised([x if denom > 0 else -x for x in row[m:]]) for row in tableau]
+    if field.degree == 1:
+        scale = math.lcm(*(x.den for row in rows for x in row))
+        rows = [[x.num[0] * (scale // x.den) for x in row] for row in rows]
     everything = sum(1 << k for k in start)
     zeros = [everything & ~(1 << k) for k in start]
     for k, row in enumerate(rows):
         if k not in start:
             rays, zeros = _add_constraint(row, 1 << k, rays, zeros, dim - 1)
+    if field.degree == 1:
+        rays = [[linalg._ratio(field, x, abs(r[-1] or next(filter(None, r))))
+                 for x in r] for r in rays]
     return rays, zeros
 
 
 def _normalised(ray):
-    """The ray scaled to a last coordinate of absolute value 1, or, when
-    that is 0, to a first nonzero coordinate of absolute value 1."""
+    """An integer ray over the gcd of its entries; a ray of scalars scaled
+    as :func:`cone_rays` returns it."""
+    if type(ray[0]) is int:
+        g = math.gcd(*ray)
+        return ray if g == 1 else [x // g for x in ray]
     scale = ray[-1]
     if scale.is_zero():
         scale = next(x for x in ray if not x.is_zero())
@@ -335,9 +361,13 @@ def _normalised(ray):
 def _add_constraint(row, bit, rays, zeros, n):
     """One double-description step: the extreme rays of the cone cut by
     <row, .> >= 0, with their zero sets (bit masks over the rows added).
-    ``n`` is the cone's dimension minus one."""
-    values = [linalg.dot(row, r) for r in rays]
-    signs = [v.sign() for v in values]
+    ``n`` is the cone's dimension minus one; entries are ints or scalars."""
+    if type(row[0]) is int:
+        values = [sum([a * b for a, b in zip(row, r)]) for r in rays]
+        signs = [(v > 0) - (v < 0) for v in values]
+    else:
+        values = [linalg.dot(row, r) for r in rays]
+        signs = [v.sign() for v in values]
     keep = [i for i, s in enumerate(signs) if s >= 0]
     new_rays = [rays[i] for i in keep]
     new_zeros = [zeros[i] | bit if signs[i] == 0 else zeros[i] for i in keep]

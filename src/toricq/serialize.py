@@ -113,7 +113,9 @@ def vector_to_json(v) -> list:
     return [scalar_to_json(s) for s in v]
 
 
-def vector_from_json(field, data) -> list[FieldScalar]:
+def vector_from_json(field, data, name: str) -> list[FieldScalar]:
+    if not isinstance(data, list):  # a string would iterate as its characters
+        raise ValidationError(f"{name} is not a JSON list: {json.dumps(data)}")
     return [scalar_from_json(field, entry) for entry in data]
 
 
@@ -132,9 +134,11 @@ def polytope_to_json(p: Polytope) -> dict:
 def polytope_from_json(data) -> Polytope:
     try:
         field = field_from_json(data["field"])
-        normals = [vector_from_json(field, x) for x in data["normals"]]
-        offsets = [scalar_from_json(field, s) for s in data["offsets"]]
-        gens = [vector_from_json(field, g) for g in data["quasilattice"]]
+        normals = [vector_from_json(field, x, f"normal {j}")
+                   for j, x in enumerate(data["normals"], start=1)]
+        offsets = vector_from_json(field, data["offsets"], "offsets")
+        gens = [vector_from_json(field, g, f"quasilattice generator {j}")
+                for j, g in enumerate(data["quasilattice"], start=1)]
         n = _integer(data["n"]) if "n" in data else None
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed polytope: {exc}") from exc

@@ -476,6 +476,40 @@ def test_malformed_instance_field_exit_code(tmp_path, capsys, key, value):
     assert err["type"] == "ValidationError"
 
 
+SQUARE_AS_STRINGS = dict(
+    INTERVAL_JSON, n=2, offsets=["0", "-1", "0", "-1"],
+    normals=["10", [["-1"], ["0"]], "01", [["0"], ["-1"]]],
+    quasilattice=["10", "01"])
+
+
+@pytest.mark.parametrize("data, message", [
+    (SQUARE_AS_STRINGS, 'normal 1 is not a JSON list: "10"'),
+    (dict(INTERVAL_JSON, normals=["1", "-1"]), 'normal 1 is not a JSON list: "1"'),
+    (dict(SQUARE_AS_STRINGS,
+          normals=[[["1"], ["0"]], [["-1"], ["0"]], [["0"], ["1"]], [["0"], ["-1"]]]),
+     'quasilattice generator 1 is not a JSON list: "10"'),
+    (dict(INTERVAL_JSON, offsets="01"), 'offsets is not a JSON list: "01"'),
+], ids=["square", "interval", "generators", "offsets"])
+def test_a_string_is_not_read_as_a_vector(tmp_path, capsys, data, message):
+    """A string where a vector belongs is refused by name, not read as the
+    vector of its characters (which made "10", "01" the unit square)."""
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data))
+    assert main(["faces", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValidationError", "message": message}
+
+
+def test_ambient_dimension_zero_is_refused(tmp_path, capsys):
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps(dict(INTERVAL_JSON, n=0, normals=[[]], offsets=["0"],
+                                    quasilattice=[[]])))
+    assert main(["faces", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValidationError",
+                   "message": "ambient dimension is 0: normals have no coordinates"}
+
+
 def test_equiv_points_must_be_a_pair(interval_file, capsys):
     # a third vector is rejected, not ignored
     for points in ('{"a": 1}', "[[[1,0],[1,0]], [[2,0],[2,0]], [[3,0]]]"):

@@ -10,6 +10,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from toricq import intlat, linalg
 from toricq.errors import PreconditionError, ValidationError
+from toricq.field import NumberField
 from toricq.groups import (Quasilattice, _expand, _presentation,
                            chart_index_sets, gamma_check, gamma_group,
                            kernel_data, n_membership)
@@ -69,12 +70,14 @@ def _fresh_contains(q, v):
 
 def test_contains_matches_the_fresh_formula(qq, q_sqrt2):
     rng = random.Random(11)
+    # the non-monic 2x^2 - 1: its root 1/sqrt2 is no algebraic integer
+    half_sqrt2 = NumberField([-1, 0, 2], (Fraction(7, 10), Fraction(71, 100)))
 
     def frac():
         return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
 
-    verdicts = set()
-    for field in (qq, q_sqrt2):
+    verdicts, off_denominator = set(), 0
+    for field in (qq, q_sqrt2, half_sqrt2):
         for _ in range(25):
             n = rng.randint(1, 3)
             gens = [[field.scalar([frac() for _ in range(field.degree)])
@@ -94,12 +97,23 @@ def test_contains_matches_the_fresh_formula(qq, q_sqrt2):
                 targets.append(linalg.vec_add(member, half))
                 targets.append([field.scalar([frac() for _ in range(field.degree)])
                                 for _ in range(n)])
+                # a member moved by a coordinate whose denominator does
+                # not divide the common denominator D of the group
+                coeffs = [0] * field.degree
+                coeffs[rng.randrange(field.degree)] = Fraction(
+                    1, q._echelon()[0] * rng.choice((2, 3, 7)))
+                moved = list(member)
+                moved[rng.randrange(n)] += field.scalar(coeffs)
+                targets.append(moved)
             for v in targets:
                 got = q.contains(v)
                 assert got == _fresh_contains(q, v)
                 verdicts.add(got)
+                off_denominator += any(
+                    q._echelon()[0] % s.den for s in linalg.vec(field, v))
             assert all(q.contains(g) for g in gens)
     assert verdicts == {True, False}
+    assert off_denominator >= 100
 
 
 def test_contains_reduces_only_the_target(pyramid_sqrt2, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from toricq import linalg
 from toricq.errors import ValidationError
 from toricq.groups import Quasilattice
-from toricq.polytope import Polytope
+from toricq.polytope import Polytope, cone_rays
 from toricq.strata import build_stratification
 
 
@@ -229,6 +229,103 @@ def test_enumeration_matches_the_subset_scan(qq, q_sqrt2):
             == 1 - (-1) ** p.n
         nonsimple += any(len(a) > p.n for a in active)
     assert nonsimple >= 3   # the generator does reach degenerate vertices
+
+
+# -- the double description against its scalar form ----------------------------
+
+
+def _scalar_normalised(ray):
+    """The ray scaled to a last coordinate of absolute value 1, or, when
+    that is 0, to a first nonzero coordinate of absolute value 1."""
+    scale = ray[-1]
+    if scale.is_zero():
+        scale = next(x for x in ray if not x.is_zero())
+    if scale.sign() < 0:
+        scale = -scale
+    return [x / scale for x in ray]
+
+
+def oracle_cone_rays(rows):
+    """The double description on scalar rays in every field, each ray
+    normalised as it is made: the reference for the integer rays that
+    ``cone_rays`` runs on over Q."""
+    field = rows[0][0].field
+    dim, m = len(rows[0]), len(rows)
+    tableau = [col + e for col, e in zip(linalg.transpose(rows),
+                                         linalg.identity(dim, field))]
+    red, start, _ = linalg._rref(tableau, m, m)
+    if len(start) != dim:
+        return None
+    rays = [_scalar_normalised(row) for row in red]
+    zeros = [sum(1 << k for k in start if k != i) for i in start]
+    for k, row in enumerate(rows):
+        if k in start:
+            continue
+        values = [linalg.dot(row, r) for r in rays]
+        signs = [v.sign() for v in values]
+        new_rays = [r for r, s in zip(rays, signs) if s >= 0]
+        new_zeros = [z | 1 << k if s == 0 else z
+                     for z, s in zip(zeros, signs) if s >= 0]
+        for i in (i for i, s in enumerate(signs) if s > 0):
+            for j in (j for j, s in enumerate(signs) if s < 0):
+                common = zeros[i] & zeros[j]
+                if common.bit_count() < dim - 2 or any(
+                        zeros[t] & common == common
+                        for t in range(len(rays)) if t not in (i, j)):
+                    continue
+                new_rays.append(_scalar_normalised(
+                    [values[i] * b - values[j] * a
+                     for a, b in zip(rays[i], rays[j])]))
+                new_zeros.append(common | 1 << k)
+        rays, zeros = new_rays, new_zeros
+    return rays, zeros
+
+
+def _homogenised(p):
+    """The rows of the cone over ``p`` that ``_enumerate_vertices`` builds."""
+    f = p.field
+    return [[f.zero()] * p.n + [f.one()]] + [
+        list(x) + [-lam] for x, lam in zip(p.normals, p.offsets)]
+
+
+def test_integer_double_description_matches_the_scalar_one(qq, q_sqrt2):
+    """Over Q the rays run as primitive integer vectors and become scalars
+    once at the end; rays, their order and their zero masks are those of
+    the scalar algorithm, which Q(sqrt2) still runs.  The kernel cones of
+    ``sampling`` are checked in ``test_sampling``."""
+    rng = random.Random(26)
+    cones = [_homogenised(p) for p in _generated(qq, q_sqrt2)]
+    for _ in range(60):   # random rational cones; some rows do not span
+        dim = rng.randint(2, 5)
+        cones.append([[qq.from_rational(Fraction(rng.randint(-4, 4),
+                                                 rng.choice((1, 2, 3))))
+                       for _ in range(dim)]
+                      for _ in range(rng.randint(dim - 1, dim + 5))])
+    degrees, none = set(), 0
+    for rows in cones:
+        want = oracle_cone_rays(rows)
+        assert cone_rays(rows) == want
+        if want is None:
+            none += 1
+        else:
+            degrees.add(rows[0][0].field.degree)
+    assert degrees == {1, 2} and none >= 3
+
+
+def test_unbounded_and_nonspanning_cones(qq):
+    # x >= 0, y >= 0: the recession rays end in t = 0
+    q = Quasilattice(qq, [[1, 0], [0, 1]])
+    p = Polytope(qq, [[1, 0], [0, 1]], [0, 0], q, validate=False)
+    rays, _ = cone_rays(_homogenised(p))
+    assert rays == oracle_cone_rays(_homogenised(p))[0]
+    assert sum(r[-1].is_zero() for r in rays) == 2
+    with pytest.raises(ValidationError, match="^polytope is unbounded$"):
+        Polytope(qq, [[1, 0], [0, 1]], [0, 0], q)
+    # normals (1, 0), (-1, 0) leave y free: the rows do not span
+    flat = Polytope(qq, [[1, 0], [-1, 0]], [0, -1], q, validate=False)
+    assert cone_rays(_homogenised(flat)) is None
+    with pytest.raises(ValidationError, match="^facet normals do not span"):
+        Polytope(qq, [[1, 0], [-1, 0]], [0, -1], q)
 
 
 def _link_polytopes(report, depth=1):

@@ -7,9 +7,10 @@ import pytest
 
 from toricq import linalg
 from toricq.errors import InternalConsistencyError
+from toricq.polytope import cone_rays
 from toricq.sampling import _positive_decay_rates
 
-from test_polytope import random_polytope
+from test_polytope import oracle_cone_rays, random_polytope
 
 
 def oracle_decay_rates(p, decay, zero):
@@ -89,6 +90,27 @@ def test_decay_rates_match_the_subset_scan(qq, q_sqrt2):
     assert nonsimple >= 6
     assert max(t for degree, t in checked if degree == 1) >= 8
     assert max(t for degree, t in checked if degree == 2) >= 5
+
+
+def test_kernel_cones_match_the_scalar_double_description(qq, q_sqrt2):
+    """The cones {u : K u >= 0} of ``_positive_decay_rates``, many of whose
+    rays end in 0, give over Q the rays, order and zero masks of the
+    scalar double description."""
+    rng = random.Random(20261018)
+    polytopes = ([random_polytope(rng, qq, *s) for s in RATE_SHAPES]
+                 + [random_polytope(rng, q_sqrt2, *s) for s in RATE_SHAPES_SQRT2])
+    cones = last_zero = 0
+    for p in polytopes:
+        for decay, zero in nonclosed_cases(rng, p):
+            ann = linalg.nullspace([p.normals[k - 1] for k in zero], p.n, p.field)
+            rows = [[linalg.dot(f, p.normals[j - 1]) for j in decay] for f in ann]
+            K = linalg.transpose(linalg.nullspace(rows, len(decay), p.field))
+            want = oracle_cone_rays(K)
+            assert cone_rays(K) == want
+            if p.field.degree == 1:
+                cones += 1
+                last_zero += sum(r[-1].is_zero() for r in want[0])
+    assert cones >= 100 and last_zero >= 100
 
 
 def test_decay_rates_need_a_nonzero_kernel(pyramid):
