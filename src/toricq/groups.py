@@ -21,10 +21,18 @@ mask of its tableau columns.
 
 A table entry is (D, T): the tableau's denominator (over Q, +-det of the
 scaled X_I; otherwise 1) and the G columns T, one list per generator in the
-order of I, so the preimages are T / D.  Over Q a chart group is read off
-the integers alone: the images mod 1 are (sign(D) T mod |D|) / |D|, and
-their Smith form gives the invariant factors; :func:`_chart` turns T / D
-into scalars by ``linalg.over`` when asked.
+order of I, so the preimages are T / D; :func:`_chart` turns T / D into
+scalars by ``linalg.over`` when asked.
+
+Every integer question here and in ``strata`` reads the scalars' integer
+numerators over one denominator (:func:`_numerators`), never ``Fraction``
+values.  :func:`_group` gives the chart group in every degree: it reduces
+each generator's images mod 1 to numerators over one denominator (over Q,
+sign(D) T mod |D| over |D| off the integer tableau; otherwise the
+numerators of the fractional parts over the lcm of their denominators) and
+deduplicates on them.  The group is finite exactly when no image has a
+numerator past the constant term; then the Smith form of the constant
+terms gives the invariant factors.
 """
 
 from __future__ import annotations
@@ -32,25 +40,23 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from . import intlat, linalg
 from .errors import PreconditionError, ValidationError
-from .field import FieldScalar, NumberField
+from .field import FieldScalar, NumberField, _reduced
 
 if TYPE_CHECKING:
     from .polytope import Face, Polytope
 
 
-def _expand(v: Sequence[FieldScalar]) -> list[Fraction]:
-    """Rational coordinates of a field vector w.r.t. the power basis."""
-    return [Fraction(x, s.den) for s in v for x in s.num]
-
-
-def _unexpand(field: NumberField, flat: Sequence[Fraction], n: int) -> list[FieldScalar]:
-    e = field.degree
-    return [FieldScalar(field, tuple(flat[i * e:(i + 1) * e])) for i in range(n)]
+def _numerators(vectors) -> tuple[int, list[list[int]]]:
+    """The power-basis numerators of field vectors over one denominator D,
+    the lcm of their scalars' denominators: (D, one flat integer list per
+    vector)."""
+    denom = math.lcm(*(s.den for v in vectors for s in v))
+    return denom, [[x * (denom // s.den) for s in v for x in s.num]
+                   for v in vectors]
 
 
 class Quasilattice:
@@ -74,8 +80,7 @@ class Quasilattice:
         """Common denominator D of the generators' power-basis coordinates
         and the ``column_echelon`` basis of D times the group."""
         if self._echelon_data is None:
-            denom, cleared = intlat.clear_denominators(
-                [_expand(g) for g in self.generators])
+            denom, cleared = _numerators(self.generators)
             self._echelon_data = (denom, intlat.column_echelon(cleared))
         return self._echelon_data
 
@@ -83,10 +88,9 @@ class Quasilattice:
         """Rank as a free abelian group plus a basis of the group."""
         if self._rank_data is None:
             denom, echelon = self._echelon()
-            basis = [_unexpand(self.field,
-                               [Fraction(c, denom) for c in col],
-                               self.ambient_dim)
-                     for col in echelon]
+            e = self.field.degree
+            basis = [[_reduced(self.field, num, denom)
+                      for num in zip(*[iter(col)] * e)] for col in echelon]
             self._rank_data = (len(echelon), basis)
         return self._rank_data
 
@@ -247,70 +251,41 @@ def _chart(p: "Polytope", index_set):
     return I, linalg.over(p.field, columns, denom)
 
 
-def _presentation(p: "Polytope", I, coords, images_on_chart) -> DiscreteGroupPresentation:
-    """Reduce generator images mod 1, restrict to coords, decide finiteness."""
-    field = p.field
+def _group(p: "Polytope", I, coords, entry) -> DiscreteGroupPresentation:
+    """The chart group on coords of a table entry (D, T), in every degree:
+    each generator's images on coords, reduced mod 1, as power-basis
+    numerators over one denominator, deduplicated on those numerators."""
+    denom, columns = entry
+    field, e = p.field, p.field.degree
     coord_list = tuple(coords)
-    pos = {j: k for k, j in enumerate(I)}
-    distinct = {}
-    for theta in images_on_chart:
-        full = [field.zero()] * p.d
-        for j in coord_list:
-            full[j - 1] = theta[pos[j]].frac_part()
-        if any(not s.is_zero() for s in full):
-            distinct.setdefault(tuple((s.num, s.den) for s in full), full)
-    reduced = list(distinct.values())
-    finite = all(s.is_rational() for img in reduced for s in img)
+    at = [I.index(j) for j in coord_list]
+    if e == 1:
+        # the images mod 1 are (sign(D) T mod |D|) / |D|
+        size, sign = abs(denom), (1 if denom > 0 else -1)
+        images = [tuple(sign * col[k] % size for k in at) for col in columns]
+    else:
+        size, images = _numerators([[col[k].frac_part() for k in at]
+                                    for col in columns])
+    distinct = dict.fromkeys(tuple(nums) for nums in images if any(nums))
+    # an image with an irrational coordinate has infinite order
+    finite = not any(any(nums[c::e]) for nums in distinct for c in range(1, e))
     if finite:
-        denom, cleared = intlat.clear_denominators(
-            [[img[j - 1].as_fraction() for j in coord_list] for img in reduced])
-        order, factors = intlat.quotient_invariants(cleared, len(coord_list), denom)
+        order, factors = intlat.quotient_invariants(
+            [nums[::e] for nums in distinct], len(coord_list), size)
     else:
         order, factors = None, None
-    return DiscreteGroupPresentation(
-        chart_index_set=tuple(I), coords=coord_list, generator_images=reduced,
-        finite=finite, invariant_factors=factors, order=order)
-
-
-def _integer_presentation(p: "Polytope", I, coords, entry) -> DiscreteGroupPresentation:
-    """``_presentation`` of an integer entry (D, T): the images mod 1 are
-    (sign(D) T mod |D|) / |D|, restricted to coords and deduplicated on
-    their integer numerators."""
-    denom, columns = entry
-    coord_list = tuple(coords)
-    size, sign = abs(denom), (1 if denom > 0 else -1)
-    at = [I.index(j) for j in coord_list]
-    distinct = {}
-    for col in columns:
-        image = tuple(sign * col[k] % size for k in at)
-        if any(image):
-            distinct.setdefault(image)
-    # a common factor of |D| and every numerator leaves the quotient alone
-    common = math.gcd(size, *(x for image in distinct for x in image))
-    order, factors = intlat.quotient_invariants(
-        [[x // common for x in image] for image in distinct], len(coord_list),
-        size // common)
-    field = p.field
-    scalars = {0: field.zero()}
-    reduced = []
-    for image in distinct:
-        full = [scalars[0]] * p.d
-        for j, x in zip(coord_list, image):
-            if x not in scalars:
-                scalars[x] = field.from_rational(Fraction(x, size))
-            full[j - 1] = scalars[x]
+    # one scalar per distinct coordinate
+    zero, scalars, reduced = field.zero(), {}, []
+    for nums in distinct:
+        full = [zero] * p.d
+        for j, num in zip(coord_list, zip(*[iter(nums)] * e)):
+            if num not in scalars:
+                scalars[num] = _reduced(field, num, size)
+            full[j - 1] = scalars[num]
         reduced.append(full)
     return DiscreteGroupPresentation(
         chart_index_set=tuple(I), coords=coord_list, generator_images=reduced,
-        finite=True, invariant_factors=factors, order=order)
-
-
-def _group(p: "Polytope", I, coords, entry) -> DiscreteGroupPresentation:
-    """The chart group on coords of a table entry: over Q read off the
-    integers, otherwise off the scalar preimages (the denominator is 1)."""
-    if p.field.degree == 1:
-        return _integer_presentation(p, I, coords, entry)
-    return _presentation(p, I, coords, entry[1])
+        finite=finite, invariant_factors=factors, order=order)
 
 
 def gamma_group(p: "Polytope", index_set) -> DiscreteGroupPresentation:

@@ -4,26 +4,14 @@ kernels, and invariant factors of finite quotients.
 Lattices are column lattices: a list of integer column vectors of a fixed
 length generates the subgroup of Z^n of their integer combinations.
 :func:`quotient_invariants` takes integer input only: the chart groups
-over Q come from the integer chart tableau of ``groups`` as they are, and
-the scalar chart path of a field of degree >= 2 clears its denominators
-first.
+of ``groups`` pass their images' numerators over one common denominator,
+in every degree, and it divides out a factor common to all of them.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
-
-
-def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """Common denominator D and the integer vectors D*v."""
-    denom = 1
-    for v in vectors:
-        for x in v:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    cleared = [[int(x * denom) for x in v] for v in vectors]
-    return denom, cleared
 
 
 def _reduce_row(work: list[list[int]], row: int) -> list[int] | None:
@@ -114,38 +102,40 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
     diag: list[int] = []
     top = 0
     while top < min(m, n):
-        # find smallest nonzero entry in the remaining block
-        best = None
+        # the first entry of least absolute value in the remaining block
+        best, least = None, 0
         for i in range(top, m):
+            row = mat[i]
             for j in range(top, n):
-                v = abs(mat[i][j])
-                if v != 0 and (best is None or v < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
+                v = row[j]
+                if v and (best is None or abs(v) < least):
+                    best, least = (i, j), abs(v)
         if best is None:
             break
         bi, bj = best
         mat[top], mat[bi] = mat[bi], mat[top]
         for row in mat:
             row[top], row[bj] = row[bj], row[top]
+        # clear the pivot's column and row; a remainder leaves a smaller
+        # entry, which the next pass pivots on
+        pivot_row = mat[top]
+        pivot = pivot_row[top]
         dirty = False
-        for i in range(top + 1, m):
-            if mat[i][top] % mat[top][top] != 0:
-                dirty = True
-            q = mat[i][top] // mat[top][top]
+        for row in mat[top + 1:]:
+            q, r = divmod(row[top], pivot)
+            dirty = dirty or r != 0
             if q:
                 for j in range(top, n):
-                    mat[i][j] -= q * mat[top][j]
+                    row[j] -= q * pivot_row[j]
         for j in range(top + 1, n):
-            if mat[top][j] % mat[top][top] != 0:
-                dirty = True
-            q = mat[top][j] // mat[top][top]
+            q, r = divmod(pivot_row[j], pivot)
+            dirty = dirty or r != 0
             if q:
-                for i in range(top, m):
-                    mat[i][j] -= q * mat[i][top]
-        if dirty or any(mat[i][top] != 0 for i in range(top + 1, m)) \
-                or any(mat[top][j] != 0 for j in range(top + 1, n)):
+                for row in mat[top:]:
+                    row[j] -= q * row[top]
+        if dirty:
             continue
-        diag.append(abs(mat[top][top]))
+        diag.append(abs(pivot))
         top += 1
     # enforce the divisibility chain
     changed = True
@@ -174,8 +164,11 @@ def quotient_invariants(columns: Sequence[Sequence[int]], n: int,
     """
     if not columns:
         return 1, []
-    rows = [[denom if c == r else 0 for c in range(n)] + [v[r] for v in columns]
-            for r in range(n)]
+    # a common factor of denom and every numerator leaves the quotient alone
+    common = math.gcd(denom, *(x for v in columns for x in v))
+    denom //= common
+    rows = [[denom if c == r else 0 for c in range(n)]
+            + [v[r] // common for v in columns] for r in range(n)]
     diag = smith_diagonal(rows)
     if len(diag) != n:
         raise ValueError("quotient lattice is not full rank")

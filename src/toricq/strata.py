@@ -7,25 +7,26 @@ elimination.  The active normals of a singular face, taken as columns, are
 reduced once: the pivot columns are a basis of their span, the reduced
 columns are the normals in that basis and the reduced rows cut out the cone
 kernel.  The quasilattice is intersected with that span by integer
-saturation, and the link polytope is cut out of the annihilator of the
-slicing direction.  Its face lattice is read off the parent's
-(:meth:`FaceLattice.link_lattice`) and kept on the link polytope, so the
-whole recursion runs on one vertex enumeration.  Every function here reads
-a polytope's lattice and chart table from the polytope itself
-(``p.face_lattice()``); none takes a lattice argument.  Each link's own
-exact work is its quasilattice, kernel and chart groups.
+saturation: the generators' values under the annihilating functionals,
+read as integer numerators over one denominator, give one integer kernel.
+The link polytope is cut out of the annihilator of the slicing direction.
+Its face lattice is read off the parent's (:meth:`FaceLattice.link_lattice`)
+and kept on the link polytope, so the whole recursion runs on one vertex
+enumeration.  Every function here reads a polytope's lattice and chart
+table from the polytope itself (``p.face_lattice()``); none takes a lattice
+argument.  Each link's own exact work is its quasilattice, kernel and chart
+groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import intlat, linalg
 from .errors import InternalConsistencyError, PreconditionError
 from .field import FieldScalar
-from .groups import (DiscreteGroupPresentation, Quasilattice, chart_index_sets,
-                     gamma_check, gamma_group, kernel_data)
+from .groups import (DiscreteGroupPresentation, Quasilattice, _numerators,
+                     chart_index_sets, gamma_check, gamma_group, kernel_data)
 from .polytope import Face, Polytope
 
 
@@ -120,15 +121,11 @@ def _sub_quasilattice(p: Polytope, basis):
     if not ann:
         kept = list(q.generators)
     else:
-        rows_rational: list[list[Fraction]] = []
-        per_gen = [[linalg.dot(f, g) for f in ann] for g in q.generators]
-        e = field.degree
-        for fi in range(len(ann)):
-            for ci in range(e):
-                rows_rational.append([per_gen[g][fi].coeffs[ci]
-                                      for g in range(len(q.generators))])
-        _, cleared = intlat.clear_denominators(rows_rational)
-        kernel = intlat.integer_kernel(cleared, len(q.generators))
+        # one integer row per functional and power-basis coordinate, one
+        # column per generator, over one common denominator
+        _, cleared = _numerators([[linalg.dot(f, g) for f in ann]
+                                  for g in q.generators])
+        kernel = intlat.integer_kernel(list(zip(*cleared)), len(q.generators))
         columns = linalg.transpose(q.generators)
         kept = [linalg.mat_vec(columns, [field.from_rational(c) for c in combo])
                 for combo in kernel]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from toricq import cli, intlat, linalg, serialize
+from toricq import cli, groups, linalg, serialize
 from toricq.cli import main
 from toricq.errors import SolverError, ValidationError
 from toricq.field import FieldScalar
@@ -306,22 +306,22 @@ def test_commands_eliminate_once_per_exact_question(monkeypatch, capsys):
 def test_rational_charts_reduce_on_integers(monkeypatch, capsys):
     """analyze over Q reduces chart images on the integer tableau: no
     scalar takes its fractional part, and only the quasilattice's rank
-    certificate clears denominators, once per polytope.  Over Q(sqrt2) the
-    scalar chart path still takes fractional parts."""
+    certificate reads scalar numerators over a common denominator, once per
+    polytope.  Over Q(sqrt2) the chart images still take fractional parts."""
     frac_calls, callers = [0], []
     frac_part = FieldScalar.frac_part
-    clear_denominators = intlat.clear_denominators
+    numerators = groups._numerators
 
     def counted_frac_part(self):
         frac_calls[0] += 1
         return frac_part(self)
 
-    def counted_clear(vectors):
+    def counted_numerators(vectors):
         callers.append(sys._getframe(1).f_code.co_qualname)
-        return clear_denominators(vectors)
+        return numerators(vectors)
 
     monkeypatch.setattr(FieldScalar, "frac_part", counted_frac_part)
-    monkeypatch.setattr(intlat, "clear_denominators", counted_clear)
+    monkeypatch.setattr(groups, "_numerators", counted_numerators)
     for name in ("interval", "octahedron", "pyramid4", "square_pyramid",
                  "weighted_triangle"):
         callers.clear()

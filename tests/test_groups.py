@@ -10,8 +10,8 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from toricq import intlat, linalg
 from toricq.errors import PreconditionError, ValidationError
-from toricq.field import NumberField
-from toricq.groups import (Quasilattice, _expand, _presentation,
+from toricq.field import FieldScalar, NumberField
+from toricq.groups import (DiscreteGroupPresentation, Quasilattice, _numerators,
                            chart_index_sets, gamma_check, gamma_group,
                            kernel_data, n_membership)
 from toricq.polytope import Polytope
@@ -21,6 +21,7 @@ from toricq.strata import _b_tilde, build_link, build_stratification
 
 from test_groups_extra import (half_lattice_pyramid, half_lattice_triangle,
                                mixed_denominator_square)
+from test_intlat import clear_denominators
 from test_polytope import _generated
 from test_strata import _links, recursion_inputs
 
@@ -59,11 +60,16 @@ def test_membership(qq, q_sqrt2):
     assert not q2.contains([q_sqrt2.one()])
 
 
+def _expand(v):
+    """Rational coordinates of a field vector w.r.t. the power basis."""
+    return [Fraction(x, s.den) for s in v for x in s.num]
+
+
 def _fresh_contains(q, v):
     """Membership by the direct formula: clear the denominators of the
     generators and the target together, then reduce in the column lattice."""
     vectors = [_expand(g) for g in q.generators] + [_expand(linalg.vec(q.field, v))]
-    _, cleared = intlat.clear_denominators(vectors)
+    _, cleared = clear_denominators(vectors)
     return intlat.in_echelon_lattice(intlat.column_echelon(cleared[:-1]),
                                      cleared[-1])
 
@@ -114,6 +120,66 @@ def test_contains_matches_the_fresh_formula(qq, q_sqrt2):
             assert all(q.contains(g) for g in gens)
     assert verdicts == {True, False}
     assert off_denominator >= 100
+
+
+def _rank_recipe(q):
+    """``rank_certificate``'s basis on Fraction coordinates: the echelon
+    basis of the cleared generators, divided by their denominator."""
+    denom, cleared = clear_denominators([_expand(g) for g in q.generators])
+    e = q.field.degree
+    return [[FieldScalar(q.field, tuple(Fraction(c, denom) for c in col[i:i + e]))
+             for i in range(0, len(col), e)]
+            for col in intlat.column_echelon(cleared)]
+
+
+def _sub_quasilattice_recipe(p, basis):
+    """Generators of the quasilattice inside the span of basis, in span
+    coordinates: the integer kernel of the generators' values under the
+    annihilating functionals, read as Fraction coordinates and cleared
+    together."""
+    field, gens = p.field, p.quasilattice.generators
+    ann = linalg.nullspace(basis, p.n, field)
+    kept = list(gens)
+    if ann:
+        values = [[linalg.dot(f, g) for f in ann] for g in gens]
+        rows = [[values[g][fi].coeffs[ci] for g in range(len(gens))]
+                for fi in range(len(ann)) for ci in range(field.degree)]
+        kernel = intlat.integer_kernel(clear_denominators(rows)[1], len(gens))
+        kept = [linalg.mat_vec(linalg.transpose(gens),
+                               [field.from_rational(c) for c in combo])
+                for combo in kernel]
+    coords = [linalg.in_span(basis, g, len(basis), field) for g in kept]
+    return [c for c in coords if any(not s.is_zero() for s in c)]
+
+
+def test_numerators_match_the_fraction_formula(qq, q_sqrt2, octahedron,
+                                               pyramid4, pyramid_sqrt2):
+    """``_numerators`` against the common denominator and cleared integers
+    of the Fraction coordinates, and its two readers, the rank certificate
+    and ``_sub_quasilattice``, against recipes built on Fractions."""
+    rng = random.Random(29)
+    half_sqrt2 = NumberField([-1, 0, 2], (Fraction(7, 10), Fraction(71, 100)))
+    lattices = 0
+    for field in (qq, q_sqrt2, half_sqrt2):
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            vectors = [[field.scalar([Fraction(rng.randint(-9, 9),
+                                               rng.choice((1, 2, 3, 4, 6, 9)))
+                                      for _ in range(field.degree)])
+                        for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            assert _numerators(vectors) \
+                == clear_denominators([_expand(v) for v in vectors])
+            if linalg.rank(vectors, n) == n:
+                q = Quasilattice(field, vectors)
+                assert q.rank_certificate()[1] == _rank_recipe(q)
+                lattices += 1
+    assert lattices >= 60
+    links = [link for top in recursion_inputs(octahedron, pyramid4, pyramid_sqrt2)
+             for link in _links(build_stratification(top))]
+    assert len(links) == 44
+    for link in links:
+        assert link.q_f.generators \
+            == _sub_quasilattice_recipe(link.parent, link.d_F_basis)
 
 
 def test_contains_reduces_only_the_target(pyramid_sqrt2, monkeypatch):
@@ -316,6 +382,31 @@ def oracle_charts(p):
             charts[I] = (inverse, [linalg.mat_vec(inverse, g)
                                    for g in p.quasilattice.generators])
     return charts
+
+
+def _presentation(p, I, coords, images_on_chart) -> DiscreteGroupPresentation:
+    """Reduce generator images mod 1, restrict to coords, decide finiteness."""
+    field = p.field
+    coord_list = tuple(coords)
+    pos = {j: k for k, j in enumerate(I)}
+    distinct = {}
+    for theta in images_on_chart:
+        full = [field.zero()] * p.d
+        for j in coord_list:
+            full[j - 1] = theta[pos[j]].frac_part()
+        if any(not s.is_zero() for s in full):
+            distinct.setdefault(tuple((s.num, s.den) for s in full), full)
+    reduced = list(distinct.values())
+    finite = all(s.is_rational() for img in reduced for s in img)
+    if finite:
+        denom, cleared = clear_denominators(
+            [[img[j - 1].as_fraction() for j in coord_list] for img in reduced])
+        order, factors = intlat.quotient_invariants(cleared, len(coord_list), denom)
+    else:
+        order, factors = None, None
+    return DiscreteGroupPresentation(
+        chart_index_set=tuple(I), coords=coord_list, generator_images=reduced,
+        finite=finite, invariant_factors=factors, order=order)
 
 
 def test_chart_table_matches_the_subset_scan(qq, q_sqrt2, octahedron, pyramid4,

@@ -22,10 +22,21 @@ def _same_lattice(cols_a, cols_b):
             and all(_in_lattice(cols_a, c) for c in cols_b))
 
 
+def clear_denominators(vectors):
+    """Common denominator D of rational vectors and the integer vectors
+    D*v."""
+    denom = 1
+    for v in vectors:
+        for x in v:
+            denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    cleared = [[int(x * denom) for x in v] for v in vectors]
+    return denom, cleared
+
+
 def _quotient(images, n):
     """``quotient_invariants`` of rational images, their denominators
     cleared first."""
-    denom, cleared = intlat.clear_denominators(images)
+    denom, cleared = clear_denominators(images)
     return intlat.quotient_invariants(cleared, n, denom)
 
 
@@ -151,8 +162,12 @@ def test_quotient_invariants_match_enumerated_group():
             for f in factors:
                 expected *= math.gcd(m, f)
             assert torsion == expected
+        # the same images over 6 times the denominator: the common factor
+        # of the denominator and every numerator is divided out first
+        denom, cleared = clear_denominators(images)
+        assert intlat.quotient_invariants([[6 * x for x in v] for v in cleared],
+                                          n, 6 * denom) == (order, factors)
         # the n x (n+k) matrix the invariants are read from
-        denom, cleared = intlat.clear_denominators(images)
         rows = [[denom if c == r else 0 for c in range(n)] + [v[r] for v in cleared]
                 for r in range(n)]
         ref = smith_normal_form(sympy.Matrix(rows))
