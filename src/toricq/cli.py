@@ -59,8 +59,10 @@ def analyze_report(instance) -> dict:
 
 
 def _gamma_table(p) -> list[dict]:
-    """The chart group of every chart index set, in chart order."""
-    return [serialize.presentation_to_json(gamma_group(p, I))
+    """The chart group of every chart index set, in chart order, encoded
+    through one scalar encoder."""
+    enc = serialize.scalar_encoder()
+    return [serialize.presentation_to_json(gamma_group(p, I), enc)
             for I in chart_index_sets(p)]
 
 

@@ -356,6 +356,8 @@ class NumberField:
         return FieldScalar(self, tuple(cs))
 
     def from_rational(self, q: RationalLike) -> "FieldScalar":
+        if type(q) is int:
+            return _make(self, (q,) + (0,) * (self.degree - 1), 1)
         q = _frac(q)
         return _make(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
@@ -365,10 +367,10 @@ class NumberField:
         return _make(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def zero(self) -> "FieldScalar":
-        return self.from_rational(0)
+        return _make(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldScalar":
-        return self.from_rational(1)
+        return _make(self, (1,) + (0,) * (self.degree - 1), 1)
 
     # -- equality -------------------------------------------------------
 

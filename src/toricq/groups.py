@@ -32,7 +32,8 @@ sign(D) T mod |D| over |D| off the integer tableau; otherwise the
 numerators of the fractional parts over the lcm of their denominators) and
 deduplicates on them.  The group is finite exactly when no image has a
 numerator past the constant term; then the Smith form of the constant
-terms gives the invariant factors.
+terms modulo the denominator (``intlat.quotient_invariants``) gives the
+invariant factors.
 """
 
 from __future__ import annotations

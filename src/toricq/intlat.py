@@ -4,8 +4,9 @@ kernels, and invariant factors of finite quotients.
 Lattices are column lattices: a list of integer column vectors of a fixed
 length generates the subgroup of Z^n of their integer combinations.
 :func:`quotient_invariants` takes integer input only: the chart groups
-of ``groups`` pass their images' numerators over one common denominator,
-in every degree, and it divides out a factor common to all of them.
+of ``groups`` pass their images' numerators over one common denominator
+D, in every degree.  Its Smith form runs modulo D on those numerators
+alone (:func:`smith_diagonal`), so no entry ever exceeds D.
 """
 
 from __future__ import annotations
@@ -94,49 +95,63 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return kernel
 
 
-def smith_diagonal(rows: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (nonnegative, divisibility chain)."""
-    mat = [list(r) for r in rows]
+def smith_diagonal(rows: list[list[int]], modulus: int) -> list[int]:
+    """Smith diagonal d_1 | ... | d_m of the m x (m+k) matrix
+    [modulus*I | rows], for modulus > 0: every d_i divides modulus.
+
+    The column lattice contains modulus*Z^m, so adding a multiple of
+    modulus*e_i to a column is a unimodular column operation, and row
+    operations keep that block's lattice.  The elimination therefore runs
+    on the m x k block alone with every entry kept in [0, modulus); a
+    diagonal entry s of that block gives gcd(s, modulus), and a row with
+    no pivot gives modulus (Domich, Kannan & Trotter 1987; Cohen 1993,
+    section 2.4).
+    """
+    mat = [[x % modulus for x in row] for row in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
     diag: list[int] = []
     top = 0
     while top < min(m, n):
-        # the first entry of least absolute value in the remaining block
-        best, least = None, 0
+        # the first entry of least value in the remaining block
+        best, least = None, modulus
         for i in range(top, m):
             row = mat[i]
             for j in range(top, n):
                 v = row[j]
-                if v and (best is None or abs(v) < least):
-                    best, least = (i, j), abs(v)
+                if v and v < least:
+                    best, least = (i, j), v
+            if least == 1:
+                break
         if best is None:
             break
         bi, bj = best
         mat[top], mat[bi] = mat[bi], mat[top]
-        for row in mat:
-            row[top], row[bj] = row[bj], row[top]
-        # clear the pivot's column and row; a remainder leaves a smaller
-        # entry, which the next pass pivots on
+        if bj != top:
+            for row in mat[top:]:
+                row[top], row[bj] = row[bj], row[top]
+        # clear the pivot's column, then its row; a remainder leaves a
+        # smaller entry, which the next pass pivots on
         pivot_row = mat[top]
-        pivot = pivot_row[top]
         dirty = False
-        for row in mat[top + 1:]:
-            q, r = divmod(row[top], pivot)
-            dirty = dirty or r != 0
+        for i in range(top + 1, m):
+            q, r = divmod(mat[i][top], least)
             if q:
-                for j in range(top, n):
-                    row[j] -= q * pivot_row[j]
-        for j in range(top + 1, n):
-            q, r = divmod(pivot_row[j], pivot)
+                mat[i] = [(x - q * y) % modulus
+                          for x, y in zip(mat[i], pivot_row)]
             dirty = dirty or r != 0
-            if q:
-                for row in mat[top:]:
-                    row[j] -= q * row[top]
         if dirty:
             continue
-        diag.append(abs(pivot))
+        # the pivot's column is now least * e_top: clearing the row takes
+        # each entry modulo least
+        for j in range(top + 1, n):
+            pivot_row[j] %= least
+            dirty = dirty or pivot_row[j] != 0
+        if dirty:
+            continue
+        diag.append(math.gcd(least, modulus))
         top += 1
+    diag += [modulus] * (m - len(diag))
     # enforce the divisibility chain
     changed = True
     while changed:
@@ -156,25 +171,21 @@ def quotient_invariants(columns: Sequence[Sequence[int]], n: int,
     """Order and invariant factors of (Z^n + sum Z*v) / Z^n for the images
     v = c / denom of the integer columns c.
 
-    denom*(Z^n + sum Z*v) is the column lattice of the n x (n+k) matrix
-    [denom*I | c].  If the Smith diagonal of that matrix is d_1 | ... | d_n,
-    the quotient is the sum of the cyclic groups Z/(denom/d_i), so its
-    invariant factors are the denom/d_i, sorted.
-    Returns (order, nontrivial invariant factors).
+    A factor common to denom and every numerator is divided out first, and
+    D is |denom| after that.  D*(Z^n + sum Z*v) is the column lattice of
+    the n x (n+k) matrix [D*I | c], whose Smith diagonal d_1 | ... | d_n
+    :func:`smith_diagonal` computes on c modulo D.  The quotient is the sum
+    of the cyclic groups Z/(D/d_i), so its invariant factors are the D/d_i,
+    sorted.  Returns (order, nontrivial invariant factors).
     """
     if not columns:
         return 1, []
     # a common factor of denom and every numerator leaves the quotient alone
     common = math.gcd(denom, *(x for v in columns for x in v))
-    denom //= common
-    rows = [[denom if c == r else 0 for c in range(n)]
-            + [v[r] // common for v in columns] for r in range(n)]
-    diag = smith_diagonal(rows)
-    if len(diag) != n:
-        raise ValueError("quotient lattice is not full rank")
-    if any(denom % d for d in diag):
-        raise ValueError("sublattice coordinates are not integral")
-    factors = sorted(denom // d for d in diag)
+    size = abs(denom) // common
+    diag = smith_diagonal([[v[r] // common for v in columns] for r in range(n)],
+                          size)
+    factors = sorted(size // d for d in diag)
     order = 1
     for f in factors:
         order *= f

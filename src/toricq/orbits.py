@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,7 +126,16 @@ class OrbitClass:
         return x, np.array(self.retracted.xi)
 
 
-def _closure(p: Polytope, lat: FaceLattice, z):
+class _Closure(NamedTuple):
+    """The closure map's result, under the names of :class:`OrbitClass`."""
+    i_z: tuple[int, ...]
+    face_E: Face
+    closed: bool
+    closed_rep: object
+    rep_c: np.ndarray
+
+
+def _closure(p: Polytope, lat: FaceLattice, z) -> _Closure:
     """The closure map of the orbit through z, without the retraction: the
     labels of z's zero coordinates, its support face, whether the orbit is
     closed, the closed representative in its closure (an
@@ -140,7 +149,7 @@ def _closure(p: Polytope, lat: FaceLattice, z):
     else:
         rep = rep_c = zc.copy()
         rep[[j - 1 for j in face.index_set]] = 0
-    return labels, face, closed, rep, rep_c
+    return _Closure(labels, face, closed, rep, rep_c)
 
 
 def classify_orbit(p: Polytope, lat: FaceLattice, z,

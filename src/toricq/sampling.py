@@ -164,7 +164,9 @@ def _positive_decay_rates(p: Polytope, decay, zero):
 def nonclosed_flow_direction(p: Polytope, orbit: OrbitClass) -> np.ndarray:
     """A kernel direction whose imaginary-time flow contracts exactly the
     closure-face coordinates of a nonclosed orbit (slowest rate 1), fixing
-    every coordinate off the closure face."""
+    every coordinate off the closure face.  Only the orbit's ``closed``,
+    ``i_z`` and ``face_E`` are read, so the closure map's record
+    (``orbits._closure``) serves as well as an :class:`OrbitClass`."""
     if orbit.closed:
         raise PreconditionError("orbit is closed: no contraction direction")
     field = p.field

@@ -8,6 +8,14 @@ one ``json.dumps`` call: only that form runs CPython's C encoder, while
 ``indent`` or a streaming ``json.dump`` falls back to the pure-Python one.
 ``python -m json.tool`` prints a report indented for reading.  File
 writes are atomic.
+
+Each top-level encoding (a polytope, a face lattice, a chart group or the
+chart-group table, a stratification report with all its links) encodes
+its scalars through one :func:`scalar_encoder`, a memo keyed by the
+scalar's integer numerators and denominator that lives only while that
+report is built.  Equal scalars then share one list in the report's dict
+tree, which ``json.dumps`` writes exactly as it writes equal separate
+lists; nothing mutates an encoded report.
 """
 
 from __future__ import annotations
@@ -62,6 +70,21 @@ def scalar_to_json(s: FieldScalar) -> list[str]:
     return [_ratio(x, s.den) for x in s.num]
 
 
+def scalar_encoder():
+    """One report's scalar encoding: ``scalar_to_json`` memoised by
+    (num, den), so that equal scalars share one list."""
+    memo = {}
+
+    def encode(s: FieldScalar) -> list[str]:
+        key = s.num, s.den
+        try:
+            return memo[key]
+        except KeyError:
+            out = memo[key] = scalar_to_json(s)
+            return out
+    return encode
+
+
 def _ratio(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` for den > 0."""
     g = math.gcd(num, den)
@@ -74,12 +97,12 @@ def scalar_from_json(field: NumberField, data) -> FieldScalar:
     return field.scalar([_exact(c) for c in data])
 
 
-def _exact(value) -> Fraction:
+def _exact(value, what: str = "scalar entry") -> Fraction:
     """``Fraction(value)`` for a JSON string or integer, refusing a float
     (read as its binary value, 0.1 as 3602879701896397/2**55) or a boolean
     (read as 0 or 1)."""
     if isinstance(value, (bool, float)):
-        raise ValidationError(f"scalar entry {json.dumps(value)} is not exact: "
+        raise ValidationError(f"{what} {json.dumps(value)} is not exact: "
                               'write it as a string such as "1/10"')
     return Fraction(value)
 
@@ -102,15 +125,16 @@ def field_to_json(f: NumberField) -> dict:
 def field_from_json(data) -> NumberField:
     try:
         minpoly = [_integer(c) for c in data["minpoly"]]
-        lo, hi = (Fraction(x) for x in data["root_interval"])
+        lo, hi = (_exact(x, "root_interval entry")
+                  for x in data["root_interval"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed field declaration: {exc}") from exc
     checked = bool(data.get("irreducibility_checked", True))
     return NumberField(minpoly, (lo, hi), check_irreducible=checked)
 
 
-def vector_to_json(v) -> list:
-    return [scalar_to_json(s) for s in v]
+def vector_to_json(v, enc) -> list:
+    return [enc(s) for s in v]
 
 
 def vector_from_json(field, data, name: str) -> list[FieldScalar]:
@@ -122,12 +146,13 @@ def vector_from_json(field, data, name: str) -> list[FieldScalar]:
 # -- polytopes and instances ----------------------------------------------
 
 
-def polytope_to_json(p: Polytope) -> dict:
+def polytope_to_json(p: Polytope, enc=None) -> dict:
+    enc = enc or scalar_encoder()
     return {"field": field_to_json(p.field),
             "n": p.n,
-            "normals": [vector_to_json(x) for x in p.normals],
-            "offsets": [scalar_to_json(s) for s in p.offsets],
-            "quasilattice": [vector_to_json(g)
+            "normals": [vector_to_json(x, enc) for x in p.normals],
+            "offsets": vector_to_json(p.offsets, enc),
+            "quasilattice": [vector_to_json(g, enc)
                              for g in p.quasilattice.generators]}
 
 
@@ -223,13 +248,14 @@ def complex_vector_from_json(data) -> np.ndarray:
 # -- groups -----------------------------------------------------------------
 
 
-def presentation_to_json(g: DiscreteGroupPresentation) -> dict:
+def presentation_to_json(g: DiscreteGroupPresentation, enc=None) -> dict:
+    enc = enc or scalar_encoder()
     return {"I": list(g.chart_index_set),
             "coords": list(g.coords),
             "finite": g.finite,
             "order": g.order if g.order is not None else "infinite",
             "invariant_factors": g.invariant_factors,
-            "generators_mod_Z": [vector_to_json(img)
+            "generators_mod_Z": [vector_to_json(img, enc)
                                  for img in g.generator_images]}
 
 
@@ -246,10 +272,11 @@ def face_to_json(f: Face) -> dict:
             "vertex_count": len(f.vertex_ids)}
 
 
-def lattice_to_json(lat: FaceLattice) -> dict:
+def lattice_to_json(lat: FaceLattice, enc=None) -> dict:
+    enc = enc or scalar_encoder()
     return {"faces": {face_key(f): face_to_json(f) for f in lat.faces},
             "polytope_depth": lat.polytope_depth,
-            "vertex_coordinates": [vector_to_json(v)
+            "vertex_coordinates": [vector_to_json(v, enc)
                                    for v in lat.vertex_coords]}
 
 
@@ -309,27 +336,29 @@ def equivalence_to_json(res: EquivalenceResult, cfg: SolverConfig) -> dict:
 # -- stratification ----------------------------------------------------------
 
 
-def link_to_json(link: LinkData) -> dict:
+def link_to_json(link: LinkData, enc) -> dict:
     return {"face": list(link.face.index_set),
             "facet_labels": list(link.facet_labels),
             "span_basis_labels": list(link.d_F_basis_labels),
-            "span_basis": [vector_to_json(v) for v in link.d_F_basis],
-            "quasilattice_in_span": [vector_to_json(g)
+            "span_basis": [vector_to_json(v, enc) for v in link.d_F_basis],
+            "quasilattice_in_span": [vector_to_json(g, enc)
                                      for g in link.q_f.generators],
             "s_coefficients": [str(s.coeffs[0]) for s in link.s_coefficients],
-            "x0": vector_to_json(link.x0),
-            "slice_level": scalar_to_json(link.slice_level),
-            "xi0": vector_to_json(link.xi0),
-            "cone": {"normals": [vector_to_json(v) for v in link.sigma_normals],
-                     "offsets": [scalar_to_json(s) for s in link.sigma_offsets]},
-            "cone_kernel": [vector_to_json(v) for v in link.cone_kernel],
+            "x0": vector_to_json(link.x0, enc),
+            "slice_level": enc(link.slice_level),
+            "xi0": vector_to_json(link.xi0, enc),
+            "cone": {"normals": [vector_to_json(v, enc)
+                                 for v in link.sigma_normals],
+                     "offsets": vector_to_json(link.sigma_offsets, enc)},
+            "cone_kernel": [vector_to_json(v, enc) for v in link.cone_kernel],
             "N_F_dim": link.n_f_dim,
             "N_F0_dim": link.n_f0_dim,
-            "delta_F": polytope_to_json(link.delta_F),
-            "report": report_to_json(link.recursive_report)}
+            "delta_F": polytope_to_json(link.delta_F, enc),
+            "report": report_to_json(link.recursive_report, enc)}
 
 
-def report_to_json(report: StratificationReport) -> dict:
+def report_to_json(report: StratificationReport, enc=None) -> dict:
+    enc = enc or scalar_encoder()
     strata = []
     for s in report.strata:
         strata.append({
@@ -339,15 +368,15 @@ def report_to_json(report: StratificationReport) -> dict:
             "chart_index_set": list(s.chart_index_set),
             "chart_coords": list(s.chart_coords),
             "chart_model": s.chart_model,
-            "chart_group": presentation_to_json(s.chart_group),
-            "gamma_I": presentation_to_json(s.gamma_full),
-            "link": link_to_json(s.link),
+            "chart_group": presentation_to_json(s.chart_group, enc),
+            "gamma_I": presentation_to_json(s.gamma_full, enc),
+            "link": link_to_json(s.link, enc),
             "b_tilde": {
                 "chart_index_set": list(s.b_tilde.chart_index_set),
-                "matrix": [[scalar_to_json(a) for a in row]
+                "matrix": [vector_to_json(row, enc)
                            for row in s.b_tilde.matrix],
                 "domain_labels": list(s.b_tilde.domain_labels),
-                "offsets": [scalar_to_json(a) for a in s.b_tilde.offsets]},
+                "offsets": vector_to_json(s.b_tilde.offsets, enc)},
             "link_real_dim_computed": s.link_real_dim_computed,
             "link_real_dim_stated": s.link_real_dim_stated,
             "link_dim_discrepancy": s.link_dim_discrepancy})

@@ -437,7 +437,7 @@ def orbits_flow_nonclosed(ctx: _Context) -> PropertyResult:
     nonclosed_seen = 0
     for i in range(count):
         z = ctx.sampler.point_biased_nonclosed()
-        oc = classify_orbit(ctx.p, ctx.lat, z, ctx.cfg)
+        oc = _closure(ctx.p, ctx.lat, z)
         if oc.closed:
             Y = ctx.sampler.a_element()
             moved = ctx.sampler.apply(z, None, Y)

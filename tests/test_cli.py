@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from toricq.cli import main
 from toricq.errors import SolverError, ValidationError
 from toricq.field import FieldScalar
 from toricq.polytope import Polytope
+from toricq.strata import build_stratification
 
 from test_groups import CHART_PRECONDITIONS, TRAPEZOID
 
@@ -104,6 +106,87 @@ def test_inexact_scalar_is_refused(tmp_path, capsys, data, shown):
     assert err["type"] == "ValidationError"
     assert err["message"] == (f'scalar entry {shown} is not exact: write it as a '
                               'string such as "1/10"')
+
+
+@pytest.mark.parametrize("interval, shown", [
+    ([True, 2], "true"), ([1.4, 1.5], "1.4")], ids=["boolean", "float"])
+def test_inexact_root_interval_is_refused(tmp_path, capsys, interval, shown):
+    """A float or boolean endpoint of the isolating interval is refused
+    like a scalar entry: [true, 2] loaded as [1, 2] and 1.4 as its binary
+    value."""
+    data = json.loads((INSTANCES / "interval_sqrt2.json").read_text())
+    data["field"]["root_interval"] = interval
+    path = tmp_path / "inexact_field.json"
+    path.write_text(json.dumps(data))
+    assert main(["faces", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValidationError",
+                   "message": f'root_interval entry {shown} is not exact: write '
+                              'it as a string such as "1/10"'}
+
+
+def _seed_one_families():
+    """The seed-1 instances of the lattice-qq and lattice-sqrt2 benchmark
+    families, as instance JSON."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return {"pyr-cross_3": families.pyramid_cross(3, 1),
+            "pyr-cube_4": families.pyramid_cube(4, 1),
+            "cube_5": families.cube(5, 1),
+            "pyr-cube_4-sqrt2": families.pyramid_cube_sqrt2(4, 1),
+            "cross_3-sqrt2": families.cross_sqrt2(3, 1)}
+
+
+def _encoding_inputs():
+    shipped = {path.stem: json.loads(path.read_text())
+               for path in sorted(INSTANCES.glob("*.json"))}
+    return {**shipped, **_seed_one_families()}
+
+
+@pytest.mark.parametrize("name", sorted(_encoding_inputs()))
+def test_shared_scalar_encodings_give_the_same_report(name):
+    """Every report encoded through one shared scalar encoder equals, and
+    dumps to the same bytes as, the same report with a fresh list per
+    scalar (``scalar_to_json`` as the encoder)."""
+    p = serialize.instance_from_json(_encoding_inputs()[name]).polytope
+    report = build_stratification(p)
+    lat = p.face_lattice()
+    fresh = serialize.scalar_to_json
+    pairs = [
+        (cli._gamma_table(p),
+         [serialize.presentation_to_json(groups.gamma_group(p, I), fresh)
+          for I in groups.chart_index_sets(p)]),
+        (serialize.report_to_json(report), serialize.report_to_json(report, fresh)),
+        (serialize.lattice_to_json(lat), serialize.lattice_to_json(lat, fresh)),
+        (serialize.polytope_to_json(p), serialize.polytope_to_json(p, fresh))]
+    for shared, unshared in pairs:
+        assert shared == unshared
+        assert serialize.dumps(shared) == serialize.dumps(unshared)
+
+
+def _scalar_lists(obj):
+    """Every list of strings (an encoded scalar) in a report's dict tree."""
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _scalar_lists(value)
+    elif isinstance(obj, list):
+        if obj and all(isinstance(x, str) for x in obj):
+            yield obj
+        else:
+            for value in obj:
+                yield from _scalar_lists(value)
+
+
+def test_analyze_report_holds_one_list_per_distinct_scalar():
+    """Equal scalars of one report share one list: the analyze dict of
+    pyr-cross_3 holds no more scalar-list objects than distinct scalars."""
+    data = _seed_one_families()["pyr-cross_3"]
+    lists = list(_scalar_lists(cli.analyze_report(serialize.instance_from_json(data))))
+    distinct = {tuple(x) for x in lists}
+    assert len(lists) > len(distinct)
+    assert len({id(x) for x in lists}) <= len(distinct)
 
 
 def test_cmd_analyze(pyramid_file, capsys):

@@ -90,16 +90,23 @@ def test_integer_kernel():
             assert _in_lattice([list(k) for k in kern], cand)
 
 
+def _modular_reference(rows, modulus):
+    """The Smith diagonal of [modulus*I | rows] read off sympy's Smith form
+    of rows alone: gcd(s_i, modulus) per diagonal entry s_i, and modulus
+    for each rank that rows lack."""
+    ref = smith_normal_form(sympy.Matrix(rows))
+    r = min(ref.rows, ref.cols)
+    diag = [abs(ref[i, i]) for i in range(r)] + [0] * (len(rows) - r)
+    return [math.gcd(d, modulus) for d in diag]
+
+
 def test_smith_diagonal_matches_sympy():
     rng = random.Random(9)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        rows = _random_matrix(rng, n, n)
-        mine = intlat.smith_diagonal(rows)
-        ref = smith_normal_form(sympy.Matrix(rows))
-        ref_diag = [abs(ref[i, i]) for i in range(min(ref.rows, ref.cols))]
-        ref_diag = [d for d in ref_diag if d != 0]
-        assert mine == ref_diag
+    for _ in range(60):
+        m, k = rng.randint(1, 4), rng.randint(1, 5)
+        rows = _random_matrix(rng, m, k)
+        modulus = rng.choice([1, 2, 6, 12, 30, 210, rng.randint(1, 60)])
+        assert intlat.smith_diagonal(rows, modulus) == _modular_reference(rows, modulus)
 
 
 def test_quotient_invariants_halves():
@@ -143,13 +150,35 @@ def _group_mod_one(images, n):
     return seen
 
 
-def test_quotient_invariants_match_enumerated_group():
+def _enumerable_inputs():
+    """(integer columns c, n, D) whose images c / D span a quotient small
+    enough to enumerate."""
     rng = random.Random(13)
     for _ in range(50):
         n, k = rng.randint(1, 3), rng.randint(1, 3)
         images = [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)]
                   for _ in range(k)]
-        order, factors = _quotient(images, n)
+        denom, cleared = clear_denominators(images)
+        yield cleared, n, denom
+    # numerators over D = 12, 30 and 210
+    for denom, n, count in ((12, 3, 2), (12, 2, 4), (30, 2, 4), (210, 1, 4)):
+        for _ in range(count):
+            k = rng.randint(1, 3)
+            yield ([[rng.randint(-denom, denom) for _ in range(n)] for _ in range(k)],
+                   n, denom)
+    # rank-deficient numerator matrices: fewer images than coordinates, a
+    # coordinate that no image moves, and one image a multiple of another
+    for denom in (12, 30, 210):
+        a, b, c = (rng.randint(1, denom - 1) for _ in range(3))
+        yield [[a, b, 0]], 3, denom
+        yield [[a, 0], [b, 0], [c, 0]], 2, denom
+        yield [[a, b], [2 * a, 2 * b]], 2, denom
+
+
+def test_quotient_invariants_match_enumerated_group():
+    for cols, n, denom in _enumerable_inputs():
+        images = [[Fraction(x, denom) for x in v] for v in cols]
+        order, factors = intlat.quotient_invariants(cols, n, denom)
         group = _group_mod_one(images, n)
         assert order == len(group)
         assert all(f > 1 for f in factors) and factors == sorted(factors)
@@ -164,14 +193,11 @@ def test_quotient_invariants_match_enumerated_group():
             assert torsion == expected
         # the same images over 6 times the denominator: the common factor
         # of the denominator and every numerator is divided out first
-        denom, cleared = clear_denominators(images)
-        assert intlat.quotient_invariants([[6 * x for x in v] for v in cleared],
+        assert intlat.quotient_invariants([[6 * x for x in v] for v in cols],
                                           n, 6 * denom) == (order, factors)
-        # the n x (n+k) matrix the invariants are read from
-        rows = [[denom if c == r else 0 for c in range(n)] + [v[r] for v in cleared]
-                for r in range(n)]
-        ref = smith_normal_form(sympy.Matrix(rows))
-        assert intlat.smith_diagonal(rows) == [abs(ref[i, i]) for i in range(n)]
+        # the modular kernel on the n x k numerator matrix
+        rows = [[v[r] for v in cols] for r in range(n)]
+        assert intlat.smith_diagonal(rows, denom) == _modular_reference(rows, denom)
 
 
 def _echelon_reference(cols):
