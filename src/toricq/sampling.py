@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import InternalConsistencyError, PreconditionError
 from .groups import _chart, chart_index_sets, kernel_data
-from .orbits import ExactVector, OrbitClass, _moment_for
+from .orbits import ExactVector, OrbitClass, _Closure, _moment_for
 from .polytope import Face, Polytope, cone_rays
 
 N_BOUND = 3      # n_element's integer coefficients lie in [-N_BOUND, N_BOUND]
@@ -161,12 +161,11 @@ def _positive_decay_rates(p: Polytope, decay, zero):
     return [c / cmin for c in bary]  # slowest rate exactly 1
 
 
-def nonclosed_flow_direction(p: Polytope, orbit: OrbitClass) -> np.ndarray:
+def nonclosed_flow_direction(p: Polytope,
+                             orbit: OrbitClass | _Closure) -> np.ndarray:
     """A kernel direction whose imaginary-time flow contracts exactly the
     closure-face coordinates of a nonclosed orbit (slowest rate 1), fixing
-    every coordinate off the closure face.  Only the orbit's ``closed``,
-    ``i_z`` and ``face_E`` are read, so the closure map's record
-    (``orbits._closure``) serves as well as an :class:`OrbitClass`."""
+    every coordinate off the closure face."""
     if orbit.closed:
         raise PreconditionError("orbit is closed: no contraction direction")
     field = p.field

@@ -272,8 +272,8 @@ def face_to_json(f: Face) -> dict:
             "vertex_count": len(f.vertex_ids)}
 
 
-def lattice_to_json(lat: FaceLattice, enc=None) -> dict:
-    enc = enc or scalar_encoder()
+def lattice_to_json(lat: FaceLattice) -> dict:
+    enc = scalar_encoder()
     return {"faces": {face_key(f): face_to_json(f) for f in lat.faces},
             "polytope_depth": lat.polytope_depth,
             "vertex_coordinates": [vector_to_json(v, enc)
