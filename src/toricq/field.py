@@ -11,26 +11,26 @@ holds.  :meth:`FieldScalar.shadow` gives the correctly rounded float, which
 does not depend on that refinement, and a rigorous error bound.
 
 Building a field counts the real roots in the interval with a Sturm
-sequence over ``Fraction`` and certifies irreducibility in house (Cohen
-1993, §3.4): the rational-root test in degree 2 and 3, otherwise the
-factor degrees of the polynomial modulo small primes.  Only a polynomial
-with no certificate (one that is not squarefree, or that splits modulo
-every prime, like x^4 - 10x^2 + 1) imports sympy to decide.
+sequence over ``Fraction`` and certifies irreducibility in house, in every
+degree, by the factor degrees of the polynomial modulo small primes (Cohen
+1993, §3.4).  Only a polynomial with no certificate (a reducible one, or an
+irreducible one that splits modulo every prime, like x^4 - 10x^2 + 1)
+imports sympy to decide.
 
 In every degree k, Q (k = 1) included, a scalar is one integer numerator
 vector over one positive common denominator, in lowest terms (Cohen 1993,
 §4.2).  Sums are integer operations; a product is an integer convolution
 reduced by an integer power table (t^m for m >= k, over one denominator,
 so a non-monic minimal polynomial needs no ``Fraction``); an inverse
-solves its system by fraction-free steps, and a rational scalar's inverse
-is read off its numerator.  A scalar whose numerators past the first are
-zero is rational, and its sign, floor and float are read off the first
-numerator and the denominator without any refinement.  Otherwise the
-enclosure evaluates the numerators by Horner's rule on the root interval
-written as integers over a common denominator, the same interval value
-that the ``Fraction`` coefficients would give, so every test and every
-bisection is as it would be on them.  ``coeffs`` reads the coordinates as
-``Fraction`` values, built on first read.
+solves its system by the fraction-free exchanges of ``linalg``, and a
+rational scalar's inverse is read off its numerator.  A scalar whose
+numerators past the first are zero is rational, and its sign, floor and
+float are read off the first numerator and the denominator without any
+refinement.  Otherwise the enclosure evaluates the numerators by Horner's
+rule on the root interval written as integers over a common denominator,
+the same interval value that the ``Fraction`` coefficients would give, so
+every test and every bisection is as it would be on them.  ``coeffs``
+reads the coordinates as ``Fraction`` values, built on first read.
 """
 
 from __future__ import annotations
@@ -160,36 +160,10 @@ def _irreducible_mod_primes(coeffs: Sequence[int]) -> bool:
     return False
 
 
-# Above this size of the constant or the leading coefficient, the
-# rational-root test is skipped: with up to 240 divisors each, it already
-# tries up to 115 200 candidates.
-_TRIAL_DIVISION_LIMIT = 10 ** 6
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return low + [n // d for d in reversed(low) if d * d != n]
-
-
-def _has_rational_root(coeffs: Sequence[int]) -> bool:
-    """Rational-root test: a root a/b in lowest terms has a | c_0, b | c_n;
-    f(a/b) = 0 is tested as b^n f(a/b) = 0 in integers."""
-    if coeffs[0] == 0:
-        return True
-    n = len(coeffs) - 1
-    return any(sum(c * a ** i * b ** (n - i) for i, c in enumerate(coeffs)) == 0
-               for d in _divisors(coeffs[0]) for b in _divisors(coeffs[-1])
-               for a in (d, -d))
-
-
 def _is_irreducible(coeffs: Sequence[int]) -> bool:
-    """Irreducibility over Q, from a certificate when there is one: a
-    polynomial of degree <= 3 is reducible exactly when it has a rational
-    root.  Without one, sympy decides."""
-    if (len(coeffs) <= 4
-            and max(abs(coeffs[0]), abs(coeffs[-1])) <= _TRIAL_DIVISION_LIMIT):
-        return not _has_rational_root(coeffs)
+    """Irreducibility over Q, from the certificate by factor degrees
+    modulo small primes when there is one.  Without one (a reducible
+    polynomial never has one), sympy decides."""
     if _irreducible_mod_primes(coeffs):
         return True
     import sympy
@@ -512,8 +486,10 @@ class FieldScalar:
         # self on the power basis: its column j is self * t^j.  On the
         # integer columns cols[j].num = cols[j].den * self * t^j it is
         # N z = e_1 with x_j = cols[j].den * z_j, solved by fraction-free
-        # Gauss-Jordan steps (Bareiss 1968): at the end every pivot is the
-        # last one, D, and the right-hand side is D * z.
+        # Gauss-Jordan exchanges: at the end every pivot is the last one,
+        # D, and the right-hand side is D * z.
+        from .linalg import exchange  # linalg imports this module
+
         k = field.degree
         cols, t = [self], field.generator()
         while len(cols) < k:
@@ -526,13 +502,7 @@ class FieldScalar:
                 raise FieldDefinitionError(
                     "gcd with minimal polynomial is nontrivial: polynomial is reducible")
             rows[c], rows[p] = rows[p], rows[c]
-            pivot = rows[c]
-            new = pivot[c]
-            for r, row in enumerate(rows):
-                if r != c:
-                    f = row[c]
-                    rows[r] = [(x * new - f * y) // denom for x, y in zip(row, pivot)]
-            denom = new
+            rows, denom = exchange(rows, denom, c, c)
         sign = 1 if denom > 0 else -1
         return _reduced(field, tuple(sign * col.den * row[k]
                                      for col, row in zip(cols, rows)), abs(denom))

@@ -32,28 +32,37 @@ def _reduce_row(work: list[list[int]], row: int) -> list[int] | None:
                 c[r] -= q * small[r]
 
 
+def _echelon(cols: list[list[int]], nrows: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Column echelon form of the first ``nrows`` rows of the columns.
+
+    Returns (pivots, rest): row by row, the one column left nonzero there
+    leaves as a pivot, with its entry there made positive, and zero
+    columns are dropped.  Only unimodular column operations are used, so
+    the pivots and the rest generate the lattice of the columns, and every
+    column of the rest is zero on the first ``nrows`` rows.
+    """
+    work = [list(c) for c in cols]
+    pivots: list[list[int]] = []
+    for row in range(nrows):
+        work = [c for c in work if any(x != 0 for x in c)]
+        pivot = _reduce_row(work, row)
+        if pivot is None:
+            continue
+        if pivot[row] < 0:
+            for r in range(len(pivot)):
+                pivot[r] = -pivot[r]
+        work.remove(pivot)
+        pivots.append(pivot)
+    return pivots, work
+
+
 def column_echelon(cols: list[list[int]]) -> list[list[int]]:
     """Basis of the column lattice, in echelon form (pivots descend).
 
     Only unimodular column operations are used, so the returned columns
     generate exactly the same lattice.
     """
-    if not cols:
-        return []
-    n = len(cols[0])
-    work = [list(c) for c in cols]
-    basis: list[list[int]] = []
-    for row in range(n):
-        work = [c for c in work if any(x != 0 for x in c)]
-        pivot = _reduce_row(work, row)
-        if pivot is None:
-            continue
-        if pivot[row] < 0:
-            for r in range(n):
-                pivot[r] = -pivot[r]
-        work.remove(pivot)
-        basis.append(pivot)
-    return basis
+    return _echelon(cols, len(cols[0]))[0] if cols else []
 
 
 def in_echelon_lattice(basis: list[list[int]], target: Sequence[int]) -> bool:
@@ -74,25 +83,15 @@ def in_echelon_lattice(basis: list[list[int]], target: Sequence[int]) -> bool:
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {c in Z^ncols : M c = 0} for the integer matrix M.
 
-    Column-reduces the stacked matrix [M; I]: columns whose M-part vanishes
-    carry kernel vectors in their I-part.
+    Column-reduces the stacked matrix [M; I] on the rows of M: the columns
+    left over vanish on M, and their I-part is a kernel basis.
     """
     m = len(rows)
     stacked = []
     for j in range(ncols):
         col = [rows[i][j] for i in range(m)] + [1 if r == j else 0 for r in range(ncols)]
         stacked.append(col)
-    work = [list(c) for c in stacked]
-    # eliminate the top m rows with unimodular column ops
-    for row in range(m):
-        pivot = _reduce_row(work, row)
-        if pivot is not None:
-            work.remove(pivot)  # pivot column leaves the kernel pool
-    kernel = []
-    for c in work:
-        if all(c[r] == 0 for r in range(m)):
-            kernel.append(c[m:])
-    return kernel
+    return [c[m:] for c in _echelon(stacked, m)[1]]
 
 
 def smith_diagonal(rows: list[list[int]], modulus: int) -> list[int]:

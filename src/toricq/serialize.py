@@ -307,30 +307,28 @@ def retraction_to_json(res: RetractionResult, cfg: SolverConfig) -> dict:
             "tolerance": cfg.tolerance}
 
 
-def orbit_class_to_json(oc: OrbitClass, cfg: SolverConfig) -> dict:
+def _canonical_to_json(oc: OrbitClass) -> dict:
     x, xi = oc.canonical()
+    return {"x": complex_vector_to_json(x),
+            "xi": [float(v) for v in xi],
+            "face": list(oc.face_E.index_set)}
+
+
+def orbit_class_to_json(oc: OrbitClass, cfg: SolverConfig) -> dict:
     return {"zero_set": list(oc.i_z),
             "closed": oc.closed,
             "face": list(oc.face_E.index_set),
             "exactness": oc.exactness,
-            "canonical": {"x": complex_vector_to_json(x),
-                          "xi": [float(v) for v in xi],
-                          "face": list(oc.face_E.index_set)},
+            "canonical": _canonical_to_json(oc),
             "retraction": retraction_to_json(oc.retracted, cfg)}
 
 
 def equivalence_to_json(res: EquivalenceResult, cfg: SolverConfig) -> dict:
-    xz, xiz = res.orbit_z.canonical()
-    xw, xiw = res.orbit_w.canonical()
     return {"equivalent": res.equivalent,
             "exactness": res.exactness,
             "reason": res.reason,
-            "canonical": {"x": complex_vector_to_json(xz),
-                          "xi": [float(v) for v in xiz],
-                          "face": list(res.orbit_z.face_E.index_set)},
-            "canonical_other": {"x": complex_vector_to_json(xw),
-                                "xi": [float(v) for v in xiw],
-                                "face": list(res.orbit_w.face_E.index_set)}}
+            "canonical": _canonical_to_json(res.orbit_z),
+            "canonical_other": _canonical_to_json(res.orbit_w)}
 
 
 # -- stratification ----------------------------------------------------------
@@ -343,7 +341,7 @@ def link_to_json(link: LinkData, enc) -> dict:
             "span_basis": [vector_to_json(v, enc) for v in link.d_F_basis],
             "quasilattice_in_span": [vector_to_json(g, enc)
                                      for g in link.q_f.generators],
-            "s_coefficients": [str(s.coeffs[0]) for s in link.s_coefficients],
+            "s_coefficients": [_ratio(s.num[0], s.den) for s in link.s_coefficients],
             "x0": vector_to_json(link.x0, enc),
             "slice_level": enc(link.slice_level),
             "xi0": vector_to_json(link.xi0, enc),

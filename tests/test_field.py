@@ -127,8 +127,12 @@ def test_comparisons_and_floor(q_sqrt2):
 
 
 def test_reducible_polynomial_rejected():
-    with pytest.raises(FieldDefinitionError):
+    message = "minimal polynomial is reducible over Q"
+    with pytest.raises(FieldDefinitionError, match=message):
         NumberField([-4, 0, 1], (Fraction(19, 10), Fraction(21, 10)))  # x^2 - 4
+    with pytest.raises(FieldDefinitionError, match=message):
+        # (x - 1)(x^2 + 1)
+        NumberField([-1, 1, -1, 1], (Fraction(1, 2), Fraction(3, 2)))
 
 
 def test_reducible_polynomial_trusted_fails_on_sign():

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 import sympy
 
+from toricq import linalg
 from toricq.errors import FieldDefinitionError
-from toricq.field import (NumberField, _count_real_roots, _has_rational_root,
-                          _irreducible_mod_primes, _is_irreducible)
+from toricq.field import (NumberField, _count_real_roots, _irreducible_mod_primes,
+                          _is_irreducible)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,6 +101,8 @@ def test_same_polynomial_different_roots_are_different_fields(q_neg_sqrt2):
     ([-2, 0, 1], (1, 2), 40),           # sqrt2
     ([-2, 0, 0, 1], (1, 2), 25),        # 2^(1/3)
     ([1, 0, -10, 0, 1], (3, 4), 12),    # sqrt2 + sqrt3
+    ([-1, 0, 2], (0, 1), 40),           # 1/sqrt2, non-monic
+    ([-3, 0, 0, 2], (1, 2), 25),        # (3/2)^(1/3), non-monic
 ])
 def test_floor_sign_inverse_match_sympy(minpoly, interval, samples):
     """floor and sign against sympy's exact real root of the interval, on
@@ -125,6 +128,28 @@ def test_floor_sign_inverse_match_sympy(minpoly, interval, samples):
         assert s.sign() == int(sympy.sign(exact))
         if not s.is_zero():
             assert s * s.inverse() == field.one()
+
+
+@pytest.mark.parametrize("minpoly, interval", [
+    ([-2, 0, 1], (1, 2)), ([-3, 0, 0, 2], (1, 2)), ([1, 0, -10, 0, 1], (3, 4)),
+])
+def test_inverse_runs_on_the_shared_exchange(minpoly, interval, monkeypatch):
+    """An irrational scalar's inverse makes one ``linalg.exchange`` per
+    degree of the field, the fraction-free step of every exact
+    elimination."""
+    field = NumberField(minpoly, interval)
+    calls = [0]
+    real = linalg.exchange
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "exchange", counted)
+    s = field.scalar([Fraction(3, 4)]
+                     + [Fraction(-5, 2 + j) for j in range(1, field.degree)])
+    assert s * s.inverse() == field.one()
+    assert calls[0] == field.degree
 
 
 def test_inverse_of_zero_divisor_is_a_field_error():
@@ -190,13 +215,11 @@ def test_sturm_count_matches_sympy_count_roots():
 
 def test_irreducibility_certificate_is_never_wrong():
     certified = 0
-    # two cubics too large for the rational-root test: 3x^3 + x + 10^15 + 37
+    # two cubics with large coefficients: 3x^3 + x + 10^15 + 37
     # and (x - 10^7)(x^2 + 1)
     large = [[10 ** 15 + 37, 1, 0, 3], [-10 ** 7, 1, -10 ** 7, 1]]
     for coeffs in _seeded_polynomials(11, 300) + large:
         irreducible = _sympy_poly(coeffs).is_irreducible
-        if len(coeffs) <= 4 and coeffs not in large:
-            assert (not _has_rational_root(coeffs)) == irreducible, coeffs
         certificate = _irreducible_mod_primes(coeffs)
         assert not (certificate and not irreducible), coeffs
         certified += certificate
