@@ -29,8 +29,9 @@ float are read off the first numerator and the denominator without any
 refinement.  Otherwise the enclosure evaluates the numerators by Horner's
 rule on the root interval written as integers over a common denominator,
 the same interval value that the ``Fraction`` coefficients would give, so
-every test and every bisection is as it would be on them.  ``coeffs``
-reads the coordinates as ``Fraction`` values, built on first read.
+every test and every bisection is as it would be on them.  Scalars enter
+only through ``NumberField.scalar`` and ``from_rational``; ``coeffs`` reads
+them as ``Fraction`` values, uncached; a rational scalar hashes as its value.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ from .errors import FieldDefinitionError
 # genuine field always separates from zero after finitely many steps.
 BISECTION_CAP = 4096
 
-RationalLike = int | Fraction | str
 
-
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _rational(x) -> tuple[int, int]:
+    """(num, den) in lowest terms of an int, a Fraction or a rational string."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -228,7 +230,7 @@ class NumberField:
             root = Fraction(-coeffs[0], coeffs[1])
             if root_interval is None:
                 root_interval = (root, root)
-            lo, hi = _frac(root_interval[0]), _frac(root_interval[1])
+            lo, hi = Fraction(root_interval[0]), Fraction(root_interval[1])
             if not (lo <= root <= hi):
                 raise FieldDefinitionError("isolating interval misses the rational root")
             self.root_interval = (root, root)
@@ -237,7 +239,7 @@ class NumberField:
         else:
             if root_interval is None:
                 raise FieldDefinitionError("degree >= 2 requires an isolating interval")
-            lo, hi = _frac(root_interval[0]), _frac(root_interval[1])
+            lo, hi = Fraction(root_interval[0]), Fraction(root_interval[1])
             if lo >= hi:
                 raise FieldDefinitionError("isolating interval must have positive width")
             f_lo, f_hi = _poly_eval(self._fp, lo), _poly_eval(self._fp, hi)
@@ -323,17 +325,17 @@ class NumberField:
         return cls([0, 1])
 
     def scalar(self, coeffs) -> "FieldScalar":
-        cs = [_frac(c) for c in coeffs]
-        if len(cs) != self.degree:
+        # each part is in lowest terms, so the form over their lcm is too
+        parts = [_rational(c) for c in coeffs]
+        if len(parts) != self.degree:
             raise FieldDefinitionError(
-                f"expected {self.degree} coefficients, got {len(cs)}")
-        return FieldScalar(self, tuple(cs))
+                f"expected {self.degree} coefficients, got {len(parts)}")
+        den = math.lcm(*(d for _, d in parts))
+        return _make(self, tuple(n * (den // d) for n, d in parts), den)
 
-    def from_rational(self, q: RationalLike) -> "FieldScalar":
-        if type(q) is int:
-            return _make(self, (q,) + (0,) * (self.degree - 1), 1)
-        q = _frac(q)
-        return _make(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
+    def from_rational(self, q) -> "FieldScalar":
+        num, den = _rational(q)
+        return _make(self, (num,) + (0,) * (self.degree - 1), den)
 
     def generator(self) -> "FieldScalar":
         if self.degree == 1:
@@ -390,24 +392,16 @@ class FieldScalar:
     The arithmetic runs on ``num``, the integer numerators of the
     power-basis coordinates, over ``den``, their one positive denominator,
     with gcd(den, *num) = 1, so that equal values have equal forms.
-    ``coeffs`` reads the coordinates as Fractions, built on first read."""
+    Build one with ``NumberField.scalar`` or ``from_rational``.  ``coeffs``
+    reads the coordinates as Fractions, uncached.  A rational scalar hashes
+    as the ``int`` or ``Fraction`` it equals, any other on (minpoly, num, den)."""
 
-    __slots__ = ("field", "_coeffs", "num", "den")
-
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
-        self.field = field
-        den = math.lcm(*(c.denominator for c in coeffs))
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
+    __slots__ = ("field", "num", "den")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self.den
-            self._coeffs = tuple(Fraction(x, den) for x in self.num)
-            return self._coeffs
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- predicates -----------------------------------------------------
 
@@ -580,7 +574,10 @@ class FieldScalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.minpoly, self.coeffs))
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            return hash(num[0]) if den == 1 else hash(Fraction(num[0], den))
+        return hash((self.field.minpoly, num, den))
 
     def __lt__(self, other):
         return (self - other).sign() < 0

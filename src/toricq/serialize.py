@@ -7,7 +7,8 @@ compact JSON (no whitespace between tokens) ending in a newline, made by
 one ``json.dumps`` call: only that form runs CPython's C encoder, while
 ``indent`` or a streaming ``json.dump`` falls back to the pure-Python one.
 ``python -m json.tool`` prints a report indented for reading.  File
-writes are atomic.
+writes are atomic.  The reader refuses floats and booleans and hands JSON
+integers and strings to the field unparsed.
 
 Each top-level encoding (a polytope, a face lattice, a chart group or the
 chart-group table, a stratification report with all its links) encodes
@@ -25,7 +26,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -97,14 +97,14 @@ def scalar_from_json(field: NumberField, data) -> FieldScalar:
     return field.scalar([_exact(c) for c in data])
 
 
-def _exact(value, what: str = "scalar entry") -> Fraction:
-    """``Fraction(value)`` for a JSON string or integer, refusing a float
+def _exact(value, what: str = "scalar entry"):
+    """The JSON value as it is, for the field to read, refusing a float
     (read as its binary value, 0.1 as 3602879701896397/2**55) or a boolean
     (read as 0 or 1)."""
     if isinstance(value, (bool, float)):
         raise ValidationError(f"{what} {json.dumps(value)} is not exact: "
                               'write it as a string such as "1/10"')
-    return Fraction(value)
+    return value
 
 
 def _integer(value) -> int:
@@ -127,10 +127,10 @@ def field_from_json(data) -> NumberField:
         minpoly = [_integer(c) for c in data["minpoly"]]
         lo, hi = (_exact(x, "root_interval entry")
                   for x in data["root_interval"])
+        checked = bool(data.get("irreducibility_checked", True))
+        return NumberField(minpoly, (lo, hi), check_irreducible=checked)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed field declaration: {exc}") from exc
-    checked = bool(data.get("irreducibility_checked", True))
-    return NumberField(minpoly, (lo, hi), check_irreducible=checked)
 
 
 def vector_to_json(v, enc) -> list:

@@ -184,8 +184,7 @@ def _is_standard_lattice(p: Polytope) -> bool:
     if not all(p.quasilattice.contains(e) for e in linalg.identity(p.n, p.field)):
         return False
     for g in p.quasilattice.generators:
-        if not all(s.is_rational() and s.as_fraction().denominator == 1
-                   for s in g):
+        if not all(s.is_rational() and s.den == 1 for s in g):
             return False
     return True
 

@@ -5,6 +5,7 @@ import os
 import stat
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,40 @@ def test_inexact_root_interval_is_refused(tmp_path, capsys, interval, shown):
     assert err == {"type": "ValidationError",
                    "message": f'root_interval entry {shown} is not exact: write '
                               'it as a string such as "1/10"'}
+
+
+ACCEPTED_SPELLINGS = [3, -3, "3", "6/4", " 3/4 ", "1_000", "0.5", "1e2"]
+REFUSED_SPELLINGS = ["1/0", "one", "-7/-2", "1 /2"]
+
+
+@pytest.mark.parametrize("value", ACCEPTED_SPELLINGS)
+@pytest.mark.parametrize("field", ["qq", "q_sqrt2"])
+def test_scalar_reader_reads_what_fraction_reads(request, field, value):
+    """A JSON integer or string loads as the scalar of Fraction(value),
+    in the list form and the bare form alike."""
+    field = request.getfixturevalue(field)
+    want = field.from_rational(Fraction(value))
+    padded = [value] + ["0"] * (field.degree - 1)
+    assert serialize.scalar_from_json(field, padded) == want
+    assert serialize.scalar_from_json(field, value) == want
+
+
+@pytest.mark.parametrize("value", REFUSED_SPELLINGS)
+@pytest.mark.parametrize("bare", [False, True], ids=["list", "bare"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_unreadable_scalar_is_refused(tmp_path, capsys, value, bare, degree):
+    """A string that Fraction does not read as a rational is an input
+    error with exit code 2."""
+    base = (INTERVAL_JSON if degree == 1
+            else json.loads((INSTANCES / "interval_sqrt2.json").read_text()))
+    entry = value if bare else [value] + ["0"] * (degree - 1)
+    path = tmp_path / "unreadable.json"
+    path.write_text(json.dumps(dict(base, offsets=[["0"] * degree, entry])))
+    with pytest.raises(ValidationError):
+        serialize.load_instance(str(path))
+    assert main(["analyze", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
 
 
 def _seed_one_families():

@@ -182,6 +182,25 @@ def test_mixed_field_arithmetic_rejected(qq, q_sqrt2):
         == [qq.from_rational(Fraction(1, 2))]
 
 
+def test_equal_scalars_hash_equal(qq, q_sqrt2):
+    """x == y implies hash(x) == hash(y) for y an int, a Fraction or a
+    scalar: a rational scalar hashes as the number it equals."""
+    one = qq.one()
+    assert one == 1 and len({one, 1}) == 1 and 1 in {one}
+    for field in (qq, q_sqrt2):
+        found = {Fraction(1, 2): "half"}
+        assert found[field.from_rational(Fraction(1, 2))] == "half"
+        for value in (0, -1, 2 ** 70, Fraction(-7, 3), Fraction(2 ** 80, 3)):
+            s = field.from_rational(value)
+            assert s == value and hash(s) == hash(value)
+            assert s == field.one() * value and hash(s) == hash(field.one() * value)
+    # an irrational scalar in two equal fields that are distinct objects
+    other = NumberField([-2, 0, 1], q_sqrt2.root_interval)
+    assert other is not q_sqrt2 and other == q_sqrt2
+    a, b = q_sqrt2.scalar(["1/3", "-2/5"]), other.scalar(["1/3", "-2/5"])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_precision_floor():
     f = NumberField.rationals()
     with pytest.raises(ValueError):

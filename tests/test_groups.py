@@ -10,7 +10,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from toricq import intlat, linalg
 from toricq.errors import PreconditionError, ValidationError
-from toricq.field import FieldScalar, NumberField
+from toricq.field import NumberField
 from toricq.groups import (DiscreteGroupPresentation, Quasilattice, _numerators,
                            chart_index_sets, gamma_check, gamma_group,
                            kernel_data, n_membership)
@@ -127,7 +127,7 @@ def _rank_recipe(q):
     basis of the cleared generators, divided by their denominator."""
     denom, cleared = clear_denominators([_expand(g) for g in q.generators])
     e = q.field.degree
-    return [[FieldScalar(q.field, tuple(Fraction(c, denom) for c in col[i:i + e]))
+    return [[q.field.scalar([Fraction(c, denom) for c in col[i:i + e]])
              for i in range(0, len(col), e)]
             for col in intlat.column_echelon(cleared)]
 

@@ -1,13 +1,14 @@
-"""The lattice and enumeration layers read scalars as integer numerators
-over one denominator (``FieldScalar.num`` / ``.den``), never as
-``Fraction`` values: none of these modules imports ``fractions``."""
+"""The lattice, enumeration and serialization layers read scalars as
+integer numerators over one denominator (``FieldScalar.num`` / ``.den``),
+never as ``Fraction`` values, and the reader hands JSON entries to the
+field unparsed: none of these modules imports ``fractions``."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toricq"
 
-INTEGER_MODULES = ("groups", "intlat", "strata", "linalg", "polytope")
+INTEGER_MODULES = ("groups", "intlat", "strata", "linalg", "polytope", "serialize")
 
 
 def _imported_modules(path):
