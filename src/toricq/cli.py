@@ -140,7 +140,7 @@ def cmd_equiv(args) -> int:
 def cmd_gamma(args) -> int:
     instance = serialize.load_instance(args.instance)
     p = instance.polytope
-    if args.chart:
+    if args.chart is not None:
         try:
             I = tuple(int(t) for t in args.chart.split(","))
         except ValueError as exc:

@@ -33,7 +33,10 @@ numerators of the fractional parts over the lcm of their denominators) and
 deduplicates on them.  The group is finite exactly when no image has a
 numerator past the constant term; then the Smith form of the constant
 terms modulo the denominator (``intlat.quotient_invariants``) gives the
-invariant factors.
+invariant factors.  Those invariants depend only on the group the images
+generate, so each polytope memoises them next to its chart table, keyed by
+(frozenset of the distinct images' numerators, coordinate count, D):
+``gamma_group`` and ``gamma_check`` run one Smith form per key.
 """
 
 from __future__ import annotations
@@ -255,7 +258,11 @@ def _chart(p: "Polytope", index_set):
 def _group(p: "Polytope", I, coords, entry) -> DiscreteGroupPresentation:
     """The chart group on coords of a table entry (D, T), in every degree:
     each generator's images on coords, reduced mod 1, as power-basis
-    numerators over one denominator, deduplicated on those numerators."""
+    numerators over one denominator, deduplicated on those numerators.
+    A finite group's invariants come from ``p``'s memo, keyed by (frozenset
+    of the images' numerators, len(coords), D): they depend on the generated
+    group alone, so no byte moves.  The memo holds the factors as a tuple;
+    each presentation gets its own list."""
     denom, columns = entry
     field, e = p.field, p.field.degree
     coord_list = tuple(coords)
@@ -271,8 +278,13 @@ def _group(p: "Polytope", I, coords, entry) -> DiscreteGroupPresentation:
     # an image with an irrational coordinate has infinite order
     finite = not any(any(nums[c::e]) for nums in distinct for c in range(1, e))
     if finite:
-        order, factors = intlat.quotient_invariants(
-            [nums[::e] for nums in distinct], len(coord_list), size)
+        constant = [nums[::e] for nums in distinct]
+        key = (frozenset(constant), len(coord_list), size)
+        if key not in p._invariants:
+            order, factors = intlat.quotient_invariants(constant, len(coord_list), size)
+            p._invariants[key] = order, tuple(factors)
+        order, factors = p._invariants[key]
+        factors = list(factors)
     else:
         order, factors = None, None
     # one scalar per distinct coordinate

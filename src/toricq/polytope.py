@@ -160,6 +160,7 @@ class Polytope:
             raise ValidationError("offsets and normals disagree in length")
         self._lattice: FaceLattice | None = None
         self._charts = None    # chart table, built by groups._chart_table
+        self._invariants = {}  # chart-group Smith invariants, by groups._group
         self._kernel = None    # SequenceData, built by groups.kernel_data
         self._moment = None    # MomentData, built by orbits._moment_for
         if validate:

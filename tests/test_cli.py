@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -17,7 +16,7 @@ from toricq.field import FieldScalar
 from toricq.polytope import Polytope
 from toricq.strata import build_stratification
 
-from test_groups import CHART_PRECONDITIONS, TRAPEZOID
+from test_groups import CHART_PRECONDITIONS, TRAPEZOID, seed_one_families
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -160,24 +159,10 @@ def test_unreadable_scalar_is_refused(tmp_path, capsys, value, bare, degree):
     assert err["type"] == "ValidationError"
 
 
-def _seed_one_families():
-    """The seed-1 instances of the lattice-qq and lattice-sqrt2 benchmark
-    families, as instance JSON."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "families.py"
-    spec = importlib.util.spec_from_file_location("bench_families", path)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
-    return {"pyr-cross_3": families.pyramid_cross(3, 1),
-            "pyr-cube_4": families.pyramid_cube(4, 1),
-            "cube_5": families.cube(5, 1),
-            "pyr-cube_4-sqrt2": families.pyramid_cube_sqrt2(4, 1),
-            "cross_3-sqrt2": families.cross_sqrt2(3, 1)}
-
-
 def _encoding_inputs():
     shipped = {path.stem: json.loads(path.read_text())
                for path in sorted(INSTANCES.glob("*.json"))}
-    return {**shipped, **_seed_one_families()}
+    return {**shipped, **seed_one_families()}
 
 
 @pytest.mark.parametrize("name", sorted(_encoding_inputs()))
@@ -218,7 +203,7 @@ def _scalar_lists(obj):
 def test_analyze_report_holds_one_list_per_distinct_scalar():
     """Equal scalars of one report share one list: the analyze dict of
     pyr-cross_3 holds no more scalar-list objects than distinct scalars."""
-    data = _seed_one_families()["pyr-cross_3"]
+    data = seed_one_families()["pyr-cross_3"]
     lists = list(_scalar_lists(cli.analyze_report(serialize.instance_from_json(data))))
     distinct = {tuple(x) for x in lists}
     assert len(lists) > len(distinct)
@@ -524,6 +509,16 @@ def test_cmd_gamma_chart_precondition_messages(tmp_path, capsys):
         assert code == 2
         assert json.loads(capsys.readouterr().out) == {
             "error": {"type": "PreconditionError", "message": message}}
+
+
+@pytest.mark.parametrize("chart", ["", ","])
+def test_cmd_gamma_empty_chart_is_refused(pyramid_file, capsys, chart):
+    """An empty --chart is a malformed label list, not a request for the
+    whole table."""
+    assert main(["gamma", pyramid_file, "--chart", chart]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("--chart must be comma-separated labels")
 
 
 def test_cmd_gamma_table(pyramid_file, capsys):

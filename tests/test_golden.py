@@ -10,7 +10,8 @@ to, so the table pins the content and the canonical form pins the bytes.
 A change that alters any of these must say why and update the digest.  The
 orbit verdicts of seeded point pairs on each instance are pinned the same
 way, so a change that moves any verdict or its exactness flag must name
-it."""
+it.  The seed-1 CLI instances of the benchmark's lattice workloads are
+pinned by the digest of their stdout bytes."""
 
 import hashlib
 import json
@@ -24,6 +25,8 @@ from toricq.cli import main
 from toricq.orbits import ExactVector, classify_orbit, equivalent, n_orbit_equal
 from toricq.sampling import Sampler
 from toricq.serialize import load_instance
+
+from test_groups import seed_one_families
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -109,6 +112,43 @@ def test_dot_digest(name, command, tmp_path, capsys):
     assert main([command, str(INSTANCES / f"{name}.json"), "--dot", str(dot)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_SHA256[name, command]
+
+
+# -- the benchmark's lattice families -----------------------------------------
+
+FAMILY_COMMANDS = ("analyze", "faces", "strata")
+
+FAMILY_SHA256 = {
+    ("pyr-cross_3", "analyze"): "e85120183022ca28e65077e9e073e30b52ef9479878a7a95a460573edf354316",
+    ("pyr-cross_3", "faces"): "890a2a1b914a57e715c0e820621df0f2a3f9ebc0d92363cd6a11ec6794336c72",
+    ("pyr-cross_3", "strata"): "9c29fa402cfca55dd640ca5b67588d1338e24732444f075c78494dbf76d3b356",
+    ("pyr-cube_4", "analyze"): "cb7840024fa9d5f5f2a13992fb1aca55f86544cc8c3340cc8893d331f94e6002",
+    ("pyr-cube_4", "faces"): "5bc71fcf69bdc6c79643159f1aeaeb1ea9a6b374e73f10fa619bd9f6a8741893",
+    ("pyr-cube_4", "strata"): "92a22e09463bfe395dbaf2637ec7ddd64c079f6ef50e51500fb0e7c3eeda9b98",
+    ("cube_5", "analyze"): "cf552490e7a0d86842a5378d36f6e4017d0dd1d4216facb581ea6c940d4e8460",
+    ("cube_5", "faces"): "06e905bf298a72b5f2b084f1a36d9d829c3aa1bec01ab6a322281d089ae38f52",
+    ("cube_5", "strata"): "f3aeb2e811fd91dc4a9463c82824ca58baeb73241bef32f4d31f578df884fe46",
+    ("pyr-cube_4-sqrt2", "analyze"): "617f55d413bfa722e845128cbeaf06fa08c6494046e748c879c58f6a72a7e9b0",
+    ("pyr-cube_4-sqrt2", "faces"): "11940fa7e87dc885b295208f637cbfd598730128e239e0778f0624e738a95446",
+    ("pyr-cube_4-sqrt2", "strata"): "d43a8af31fd289a5f570e8c34b36e0619930aeea1cbab1ee45ea0d4ce1a23974",
+    ("cross_3-sqrt2", "analyze"): "eeb9603c7c41440054b72257042452fa2dc58c32ec1b06dcab4d1d3ebf9a40f9",
+    ("cross_3-sqrt2", "faces"): "85352700eb717974c466b17c9fc997aa0bb18cb47cab773be2f29b57f5cbddaa",
+    ("cross_3-sqrt2", "strata"): "952ca735929c86c63cc16dada6e733b568cb80b25a55a312c9e322745cddb863",
+}
+
+
+def test_every_bench_family_is_pinned():
+    assert set(FAMILY_SHA256) == {(name, command) for name in seed_one_families()
+                                  for command in FAMILY_COMMANDS}
+
+
+@pytest.mark.parametrize("name,command", sorted(FAMILY_SHA256))
+def test_family_report_digest(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(seed_one_families()[name]))
+    assert main([command, str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_SHA256[name, command]
 
 
 # -- orbit verdicts -----------------------------------------------------------

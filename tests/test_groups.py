@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from toricq import intlat, linalg
+from toricq import cli, intlat, linalg, serialize
 from toricq.errors import PreconditionError, ValidationError
 from toricq.field import NumberField
 from toricq.groups import (DiscreteGroupPresentation, Quasilattice, _numerators,
@@ -26,6 +27,20 @@ from test_polytope import _generated
 from test_strata import _links, recursion_inputs
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def seed_one_families():
+    """The seed-1 instances of the lattice-qq and lattice-sqrt2 benchmark
+    families, as instance JSON."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return {"pyr-cross_3": families.pyramid_cross(3, 1),
+            "pyr-cube_4": families.pyramid_cube(4, 1),
+            "cube_5": families.cube(5, 1),
+            "pyr-cube_4-sqrt2": families.pyramid_cube_sqrt2(4, 1),
+            "cross_3-sqrt2": families.cross_sqrt2(3, 1)}
 
 
 def test_rank_standard_lattice(qq):
@@ -450,6 +465,33 @@ def test_chart_table_matches_the_subset_scan(qq, q_sqrt2, octahedron, pyramid4,
             assert sampler.n_element() == theta
         nonsimple += any(len(a) > p.n for a in lat.vertex_active)
     assert nonsimple >= 3
+
+
+# distinct (image set, coordinate count, denominator) keys of the chart
+# groups; every chart of these families has a finite group
+SMITH_CALLS = {"pyr-cross_3": 12, "pyr-cube_4": 11, "cube_5": 1}
+
+
+@pytest.mark.parametrize("name", sorted(SMITH_CALLS))
+def test_one_smith_form_per_distinct_image_set(name, monkeypatch):
+    """The chart-group table runs one Smith form per distinct key (82, 48
+    and 32 charts here), a second table on the same polytope reads every
+    invariant from the polytope's memo, and no two presentations share a
+    factor list."""
+    p = serialize.instance_from_json(seed_one_families()[name]).polytope
+    smith, calls = intlat.quotient_invariants, []
+
+    def counted(*args):
+        calls.append(args)
+        return smith(*args)
+
+    monkeypatch.setattr(intlat, "quotient_invariants", counted)
+    table = cli._gamma_table(p)
+    assert len(calls) == SMITH_CALLS[name]
+    assert cli._gamma_table(p) == table
+    assert len(calls) == SMITH_CALLS[name]
+    factors = [gamma_group(p, I).invariant_factors for I in chart_index_sets(p)]
+    assert len({id(f) for f in factors}) == len(factors)
 
 
 def test_integer_pivot_divides_exactly(qq, q_sqrt2, monkeypatch):
