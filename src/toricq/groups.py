@@ -26,17 +26,18 @@ scalars by ``linalg.over`` when asked.
 
 Every integer question here and in ``strata`` reads the scalars' integer
 numerators over one denominator (:func:`_numerators`), never ``Fraction``
-values.  :func:`_group` gives the chart group in every degree: it reduces
-each generator's images mod 1 to numerators over one denominator (over Q,
-sign(D) T mod |D| over |D| off the integer tableau; otherwise the
-numerators of the fractional parts over the lcm of their denominators) and
-deduplicates on them.  The group is finite exactly when no image has a
-numerator past the constant term; then the Smith form of the constant
-terms modulo the denominator (``intlat.quotient_invariants``) gives the
-invariant factors.  Those invariants depend only on the group the images
-generate, so each polytope memoises them next to its chart table, keyed by
-(frozenset of the distinct images' numerators, coordinate count, D):
-``gamma_group`` and ``gamma_check`` run one Smith form per key.
+values.  :func:`_group` gives the chart group in every degree, on the chart
+coordinates it acts on (``coords``: I for ``gamma_group``, I minus the
+face's facets for ``gamma_check``); each image is a vector on ``coords``,
+in their order.  It reduces the images mod 1 to numerators over one
+denominator (over Q, sign(D) T mod |D| over |D| off the integer tableau;
+otherwise the numerators of the fractional parts over the lcm of their
+denominators) and deduplicates on them.  The group is finite exactly when
+no image has a numerator past the constant term; then the Smith form of
+the constant terms modulo D (``intlat.quotient_invariants``) gives the
+invariant factors.  They depend only on the generated group, so each
+polytope memoises them by (frozenset of the distinct images' numerators,
+coordinate count, D): one Smith form per key.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ class DiscreteGroupPresentation:
 
     chart_index_set: tuple[int, ...]
     coords: tuple[int, ...]                 # labels carrying the images
-    generator_images: list[list[FieldScalar]]  # full d-vectors, zero off coords
+    generator_images: list[list[FieldScalar]]  # on coords, in its order
     finite: bool
     invariant_factors: list[int] | None
     order: int | None                       # None means infinite
@@ -265,8 +266,7 @@ def _group(p: "Polytope", I, coords, entry) -> DiscreteGroupPresentation:
     each presentation gets its own list."""
     denom, columns = entry
     field, e = p.field, p.field.degree
-    coord_list = tuple(coords)
-    at = [I.index(j) for j in coord_list]
+    at = [I.index(j) for j in coords]
     if e == 1:
         # the images mod 1 are (sign(D) T mod |D|) / |D|
         size, sign = abs(denom), (1 if denom > 0 else -1)
@@ -279,25 +279,25 @@ def _group(p: "Polytope", I, coords, entry) -> DiscreteGroupPresentation:
     finite = not any(any(nums[c::e]) for nums in distinct for c in range(1, e))
     if finite:
         constant = [nums[::e] for nums in distinct]
-        key = (frozenset(constant), len(coord_list), size)
+        key = (frozenset(constant), len(coords), size)
         if key not in p._invariants:
-            order, factors = intlat.quotient_invariants(constant, len(coord_list), size)
+            order, factors = intlat.quotient_invariants(constant, len(coords), size)
             p._invariants[key] = order, tuple(factors)
         order, factors = p._invariants[key]
         factors = list(factors)
     else:
         order, factors = None, None
     # one scalar per distinct coordinate
-    zero, scalars, reduced = field.zero(), {}, []
+    scalars, reduced = {}, []
     for nums in distinct:
-        full = [zero] * p.d
-        for j, num in zip(coord_list, zip(*[iter(nums)] * e)):
+        image = []
+        for num in zip(*[iter(nums)] * e):
             if num not in scalars:
                 scalars[num] = _reduced(field, num, size)
-            full[j - 1] = scalars[num]
-        reduced.append(full)
+            image.append(scalars[num])
+        reduced.append(image)
     return DiscreteGroupPresentation(
-        chart_index_set=tuple(I), coords=coord_list, generator_images=reduced,
+        chart_index_set=tuple(I), coords=coords, generator_images=reduced,
         finite=finite, invariant_factors=factors, order=order)
 
 

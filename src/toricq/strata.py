@@ -72,7 +72,7 @@ class StratumEntry:
     complex_dim: int
     depth: int
     chart_index_set: tuple[int, ...]
-    chart_coords: tuple[int, ...]       # I minus the face's active set
+    chart_coords: tuple[int, ...]       # chart_group.coords: I minus I(F)
     chart_model: str
     chart_group: DiscreteGroupPresentation   # quotient group on the chart
     gamma_full: DiscreteGroupPresentation    # full chart group
@@ -236,15 +236,14 @@ def build_stratification(p: Polytope) -> StratificationReport:
     entries = []
     for face in singular:
         I = _chart_for_face(p, face, charts)
-        coords = tuple(sorted(set(I) - set(face.index_set)))
         chart_group = gamma_check(p, I, face)
         gamma_full = gamma_group(p, I)
         link = build_link(p, face)
-        model = (f"(C*)^{list(coords)} modulo the order-{chart_group.order_text} "
-                 f"chart quotient group")
+        model = (f"(C*)^{list(chart_group.coords)} modulo the "
+                 f"order-{chart_group.order_text} chart quotient group")
         entries.append(StratumEntry(
             face=face, complex_dim=face.dim, depth=face.depth,
-            chart_index_set=I, chart_coords=coords, chart_model=model,
+            chart_index_set=I, chart_coords=chart_group.coords, chart_model=model,
             chart_group=chart_group, gamma_full=gamma_full, link=link,
             b_tilde=_b_tilde(p, face, I),
             link_real_dim_computed=2 * (p.n - face.dim - 1) + 1,

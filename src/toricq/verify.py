@@ -617,14 +617,15 @@ def io_roundtrip(ctx: _Context) -> PropertyResult:
 def io_determinism(ctx: _Context) -> PropertyResult:
     from . import serialize
     from .cli import analyze_report
+    fresh = serialize.instance_from_json(serialize.instance_to_json(ctx.instance))
     a = serialize.dumps(analyze_report(ctx.instance))
-    b = serialize.dumps(analyze_report(ctx.instance))
+    b = serialize.dumps(analyze_report(fresh))
     if a != b:
         return _fail(1, {"reason": "analyze report not deterministic"})
     r1 = serialize.dumps(serialize.report_to_json(
-        build_stratification(ctx.p)))
+        _strata_context(ctx) or build_stratification(ctx.p)))
     r2 = serialize.dumps(serialize.report_to_json(
-        build_stratification(ctx.p)))
+        build_stratification(fresh.polytope)))
     if r1 != r2:
         return _fail(1, {"reason": "strata report not deterministic"})
     return _ok(2)

@@ -38,27 +38,27 @@ SHA256 = {
     ("interval", "faces"): "a975a936d0c2f0c691a8d7beb53f831106604d54856c2b07bf65f86cc61c6eaf",
     ("interval", "strata"): "2af5fb2b29d86c846fb72b03a1f064aa70bd74b0e497c23db62216e1e05d3e0b",
     ("interval", "verify"): "08ccf2f15ab433ec9ff6d812790c43f4b435cfc5cab3ee71b4faa960c7defaee",
-    ("interval_sqrt2", "analyze"): "a06ae7035f8b5bf6c7de574a2e984491422963334920ec4f8f52a9d69971825a",
+    ("interval_sqrt2", "analyze"): "3723c9655e9ee2533206cea5f786c7d12b3af74aace5adc58de84ef748bb050e",
     ("interval_sqrt2", "faces"): "51cf3801fd0c2b658e414ac66d21fd6065670c7d8095302839ac466a376a0f6c",
     ("interval_sqrt2", "strata"): "2af5fb2b29d86c846fb72b03a1f064aa70bd74b0e497c23db62216e1e05d3e0b",
     ("interval_sqrt2", "verify"): "2ec800ed9ed9c6221be73a09e074904b89bbd39f764686cb09dd4a228c09c0e2",
-    ("octahedron", "analyze"): "5b0303c581b6d97de661e57c1a2dbde08ea2c99ce6d0ed56d23b2b4512dfb4d2",
+    ("octahedron", "analyze"): "9127c0dda1338854d02055e4518eca7a7020662597e3dad960b20fb9afcf61d6",
     ("octahedron", "faces"): "1b6e5a6d3edea1559cdc8761ea4710858487362c956d74ddf680fa3682c81546",
-    ("octahedron", "strata"): "048a1962a0601ed1c2232bf359dd714ffc89bf21c0390f1f157ed98ea5f544ba",
+    ("octahedron", "strata"): "e8fa266858deadf4586efe8e8587e77470ebf858a590f593a825baad6313603d",
     ("octahedron", "verify"): "4119cd2a3361e20c2d67697ad705326e354a7bd3f6fc771b150db9b751259b7b",
-    ("pyramid4", "analyze"): "ba1d9ceb2c57c4f9f1ff47d31fcb62babe33bae86f6056717d27a8213d7e4021",
+    ("pyramid4", "analyze"): "4bdc11566ca3c0cc41eef3cc83c8f1c3a8b5ef0639c209f24baf8c158adb94bb",
     ("pyramid4", "faces"): "be3b7d40a5cb8f5cddfd36f11e4e079d295c647f4ae5f03c9fe190e3b93a5b6e",
-    ("pyramid4", "strata"): "6305cd6f70cd4e809c422d3712b93780f115b2c8fff90999a698e603b9d6e705",
+    ("pyramid4", "strata"): "e9fd5e543e9fdd7b39ae8a4d63f54a3bec7bbeae09737e511a9057cc4c6b3534",
     ("pyramid4", "verify"): "f73f672b8021d3d8b0ef3527d324b6fcdc66c8bbdd39c0d1d1b52368e29fb2c8",
-    ("pyramid_sqrt2", "analyze"): "0d008e11b7f4994d68aedd3bb0379e7c11edf9b01bdb23d45163b321e1eccc37",
+    ("pyramid_sqrt2", "analyze"): "0f226e2f98f5365bd4b8aaad1f068e536508305a553ff3b203e674e939dacf7d",
     ("pyramid_sqrt2", "faces"): "b694669c67db0bad5c629b18c962498613f1636f52bf0bcb95c36ebca1f7330e",
-    ("pyramid_sqrt2", "strata"): "f69f55b701d90a28ee549606f1fdca0ff2c57e41bb5e00ea27badd1986d56eea",
+    ("pyramid_sqrt2", "strata"): "58480eae74805b56df42c689541c0c00386c94482ffc8d69daa6628a829bcf23",
     ("pyramid_sqrt2", "verify"): "e0c6194645cbde31d2efe8c2e92c0acf261ce0bb516e601a723ba22e1bf3727e",
-    ("square_pyramid", "analyze"): "ed4b27c0ed59dd7a219db8c6428a176b0e9b0654656962d5977d6e9a5de3baf9",
+    ("square_pyramid", "analyze"): "d98ce439b6d7b96c4c56856a0e4a45b505060379882f1311610eb833aa8ac656",
     ("square_pyramid", "faces"): "410bbbc1d464d991432121ed97f093e86204ce691c22cf34de07940c753829a7",
-    ("square_pyramid", "strata"): "bd0596690ec6ca8a2db64535aa712cd6bb85e4b2fbaefcb37bbd90bea05131da",
+    ("square_pyramid", "strata"): "b6c6fcd8c88d17f509cf88752766b94996b10112ac12006cb9169b888e505173",
     ("square_pyramid", "verify"): "df4f6cb91965a52b0a38df39ea568085291e3b5c9a272eddb89be9ca99088660",
-    ("weighted_triangle", "analyze"): "e91cfcd438a3dfdcd22bd05576d1bf43c4eb45f251413a9f56b6104ac939f7ec",
+    ("weighted_triangle", "analyze"): "cc23af7bfe3f0af0351ffa8c06ca8865e4451a85b4f8272c55d9736ae1581e4b",
     ("weighted_triangle", "faces"): "b0226ad316433f512aa9a6cde6c648999f7b5f97d3caf5eb2707bc83fb7620db",
     ("weighted_triangle", "strata"): "417eb77ad3d675e974b3eab6c6c710679beb00768b2d5524c891278f54dcf285",
     ("weighted_triangle", "verify"): "3c1080695c4423d7ad96051dda5b1a788a70501e60299da822a07fc0345b5842",
@@ -114,26 +114,56 @@ def test_dot_digest(name, command, tmp_path, capsys):
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_SHA256[name, command]
 
 
+def _presentations(report):
+    """Every chart-group presentation in a report, at any depth."""
+    if isinstance(report, dict):
+        if "generators_mod_Z" in report:
+            yield report
+        report = list(report.values())
+    if isinstance(report, list):
+        for value in report:
+            yield from _presentations(value)
+
+
+@pytest.mark.parametrize("command", ["analyze", "gamma", "strata"])
+def test_chart_group_images_live_on_coords(command, capsys):
+    """A chart group acts on its chart coordinates only: each image lists
+    one scalar per label of ``coords``, each reduced mod 1 into [0, 1), and
+    no image is zero."""
+    images = 0
+    for path in sorted(INSTANCES.glob("*.json")):
+        field = load_instance(str(path)).polytope.field
+        assert main([command, str(path)]) == 0
+        for group in _presentations(json.loads(capsys.readouterr().out)):
+            for image in group["generators_mod_Z"]:
+                scalars = [serialize.scalar_from_json(field, s) for s in image]
+                assert len(scalars) == len(group["coords"])
+                assert all(s.frac_part() == s for s in scalars)
+                assert any(not s.is_zero() for s in scalars)
+                images += 1
+    assert images
+
+
 # -- the benchmark's lattice families -----------------------------------------
 
 FAMILY_COMMANDS = ("analyze", "faces", "strata")
 
 FAMILY_SHA256 = {
-    ("pyr-cross_3", "analyze"): "e85120183022ca28e65077e9e073e30b52ef9479878a7a95a460573edf354316",
+    ("pyr-cross_3", "analyze"): "9b5412da0ce7d16f56e3af39e228ceb427f92e197de6a16538a6737c6f528211",
     ("pyr-cross_3", "faces"): "890a2a1b914a57e715c0e820621df0f2a3f9ebc0d92363cd6a11ec6794336c72",
-    ("pyr-cross_3", "strata"): "9c29fa402cfca55dd640ca5b67588d1338e24732444f075c78494dbf76d3b356",
-    ("pyr-cube_4", "analyze"): "cb7840024fa9d5f5f2a13992fb1aca55f86544cc8c3340cc8893d331f94e6002",
+    ("pyr-cross_3", "strata"): "c51ca7f9d0c235534029b6b9c4567031a8ad4f7b94ece5f1d1e86d40f4b0bccd",
+    ("pyr-cube_4", "analyze"): "3be8746d2b7563fac8ce15c4151160edbe369776c3bc66a1f1292a57fbc39202",
     ("pyr-cube_4", "faces"): "5bc71fcf69bdc6c79643159f1aeaeb1ea9a6b374e73f10fa619bd9f6a8741893",
-    ("pyr-cube_4", "strata"): "92a22e09463bfe395dbaf2637ec7ddd64c079f6ef50e51500fb0e7c3eeda9b98",
+    ("pyr-cube_4", "strata"): "c639573e28702ccd198e0219d54bab9778f1b6173e06e7bef57a2f936da7c5a0",
     ("cube_5", "analyze"): "cf552490e7a0d86842a5378d36f6e4017d0dd1d4216facb581ea6c940d4e8460",
     ("cube_5", "faces"): "06e905bf298a72b5f2b084f1a36d9d829c3aa1bec01ab6a322281d089ae38f52",
     ("cube_5", "strata"): "f3aeb2e811fd91dc4a9463c82824ca58baeb73241bef32f4d31f578df884fe46",
-    ("pyr-cube_4-sqrt2", "analyze"): "617f55d413bfa722e845128cbeaf06fa08c6494046e748c879c58f6a72a7e9b0",
+    ("pyr-cube_4-sqrt2", "analyze"): "9996ec08d440b2dbdc0585f36875f29c301edc0ac3ab23a4ab05e3da48e47497",
     ("pyr-cube_4-sqrt2", "faces"): "11940fa7e87dc885b295208f637cbfd598730128e239e0778f0624e738a95446",
-    ("pyr-cube_4-sqrt2", "strata"): "d43a8af31fd289a5f570e8c34b36e0619930aeea1cbab1ee45ea0d4ce1a23974",
-    ("cross_3-sqrt2", "analyze"): "eeb9603c7c41440054b72257042452fa2dc58c32ec1b06dcab4d1d3ebf9a40f9",
+    ("pyr-cube_4-sqrt2", "strata"): "790f933ead34482560fdd548d429495977f50698fb381757aa2ca9350ba850aa",
+    ("cross_3-sqrt2", "analyze"): "39f4a063fded169b41d22e7c62626d8a457fedc08053bc2238b12379bb536bd4",
     ("cross_3-sqrt2", "faces"): "85352700eb717974c466b17c9fc997aa0bb18cb47cab773be2f29b57f5cbddaa",
-    ("cross_3-sqrt2", "strata"): "952ca735929c86c63cc16dada6e733b568cb80b25a55a312c9e322745cddb863",
+    ("cross_3-sqrt2", "strata"): "f9b26455778545a99acd176611ecf4c731cba589c5e272af61ce643e584a96ca",
 }
 
 

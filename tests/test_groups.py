@@ -399,23 +399,21 @@ def oracle_charts(p):
     return charts
 
 
-def _presentation(p, I, coords, images_on_chart) -> DiscreteGroupPresentation:
-    """Reduce generator images mod 1, restrict to coords, decide finiteness."""
-    field = p.field
+def _presentation(I, coords, images_on_chart) -> DiscreteGroupPresentation:
+    """Restrict generator images to coords, in their order, reduce them
+    mod 1, decide finiteness."""
     coord_list = tuple(coords)
     pos = {j: k for k, j in enumerate(I)}
     distinct = {}
     for theta in images_on_chart:
-        full = [field.zero()] * p.d
-        for j in coord_list:
-            full[j - 1] = theta[pos[j]].frac_part()
-        if any(not s.is_zero() for s in full):
-            distinct.setdefault(tuple((s.num, s.den) for s in full), full)
+        image = [theta[pos[j]].frac_part() for j in coord_list]
+        if any(not s.is_zero() for s in image):
+            distinct.setdefault(tuple((s.num, s.den) for s in image), image)
     reduced = list(distinct.values())
     finite = all(s.is_rational() for img in reduced for s in img)
     if finite:
         denom, cleared = clear_denominators(
-            [[img[j - 1].as_fraction() for j in coord_list] for img in reduced])
+            [[s.as_fraction() for s in img] for img in reduced])
         order, factors = intlat.quotient_invariants(cleared, len(coord_list), denom)
     else:
         order, factors = None, None
@@ -443,13 +441,13 @@ def test_chart_table_matches_the_subset_scan(qq, q_sqrt2, octahedron, pyramid4,
         assert chart_index_sets(p) == sorted(oracle)
         face = (lat.singular_faces() or [lat.interior])[0]
         for I, (inverse, images) in oracle.items():
-            assert gamma_group(p, I) == _presentation(p, I, I, images)
+            assert gamma_group(p, I) == _presentation(I, I, images)
             for f in lat.faces:
                 overlap = set(I) & set(f.index_set)
                 if len(overlap) == p.n - f.dim:
                     coords = tuple(sorted(set(I) - overlap))
                     assert gamma_check(p, I, f) \
-                        == _presentation(p, I, coords, images)
+                        == _presentation(I, coords, images)
             columns = [linalg.mat_vec(inverse, x) for x in p.normals]
             assert _b_tilde(p, face, I).matrix == linalg.transpose(columns)
         # n_element: a seeded integer combination of the first chart's

@@ -51,10 +51,9 @@ def test_half_lattice_orders(triangle_half_lattice):
 def test_half_lattice_generator_images(triangle_half_lattice):
     p = triangle_half_lattice
     g = gamma_group(p, (1, 2))
-    # images are embedded d-vectors supported on the chart coordinates
-    assert all(img[2].is_zero() for img in g.generator_images)
-    images = {(img[0].as_fraction(), img[1].as_fraction())
-              for img in g.generator_images}
+    # images are vectors on the chart coordinates (1, 2), in that order
+    assert g.coords == (1, 2)
+    images = {tuple(s.as_fraction() for s in img) for img in g.generator_images}
     assert images == {(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))}
 
 

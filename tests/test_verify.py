@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toricq import linalg, moment, orbits, serialize
+from toricq import cli, linalg, moment, orbits, serialize
 from toricq import verify as verify_mod
 from toricq.cli import main
 from toricq.errors import SolverError
@@ -147,6 +147,34 @@ def test_one_kernel_elimination_per_run(name, monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", counted)
     assert run_verification(instance, samples=10, seed=7).passed
     assert kernel_calls == [p.d]
+
+
+@pytest.mark.parametrize("name", ["interval", "octahedron"])
+def test_determinism_runs_share_no_polytope(name, monkeypatch):
+    """The determinism suite's second ``analyze`` and ``strata`` runs start
+    from a fresh parse of the instance, so they share no chart table, memo
+    or face lattice with the first runs; the first strata report is the
+    context's own when the strata suites built one."""
+    path = Path(__file__).resolve().parent.parent / "instances" / f"{name}.json"
+    ctx = verify_mod._Context(serialize.load_instance(str(path)), samples=10, seed=7)
+    seen = {"analyze": [], "strata": []}
+    real_analyze, real_strata = cli.analyze_report, verify_mod.build_stratification
+
+    def analyze(instance):
+        seen["analyze"].append(instance.polytope)
+        return real_analyze(instance)
+
+    def strata(p):
+        seen["strata"].append(p)
+        return real_strata(p)
+
+    monkeypatch.setattr(cli, "analyze_report", analyze)
+    monkeypatch.setattr(verify_mod, "build_stratification", strata)
+    assert verify_mod.io_determinism(ctx).passed
+    for first, second in seen.values():
+        assert first is ctx.p and second is not ctx.p
+    # the octahedron has singular faces, the interval none
+    assert (ctx.report is not None) == (name == "octahedron")
 
 
 @pytest.mark.parametrize("name", ["octahedron", "pyramid4"])
